@@ -8,7 +8,7 @@
 //! cuts, and a 1k batch of weight updates (the latter driven by change
 //! propagation — its records carry `replayed_slots`/`reused_slots`). A
 //! churn bench interleaves structural and label edits to price the
-//! fallback/re-anchor cycle.
+//! structural rebuilds.
 //!
 //! Run with `cargo bench -p dtc-bench`, or `cargo bench -p dtc-bench --
 //! --test` for the CI smoke mode (each bench executes once). Add
@@ -121,10 +121,9 @@ fn main() {
     }
 
     // Churn: interleaved cut/link/weight batches against a ~100k random
-    // tree, pricing the structural fallback + re-anchor cycle end to end
-    // (each chunk of structural ops forces a dirty-set re-contraction, the
-    // following label-only chunk pays the one-time full re-anchor and then
-    // propagates).
+    // tree, pricing structural edits end to end (every chunk holding a cut
+    // or link rebuilds the trace with a full contraction; label-only
+    // chunks propagate).
     {
         let (f, script) = gen::churn(100_000, 512, 42);
         let base = DynForest::new(f, SubtreeSum);
@@ -385,7 +384,7 @@ fn attach_profile(h: &Harness, name: &str, profile: &Profile) {
 }
 
 /// Like [`attach_profile`], plus the human-readable [`UpdateStats`] line
-/// (which records the dirty-set size for the batch) and the
+/// (which records how many nodes the batch edited) and the
 /// change-propagation slot counters (schema v2).
 fn attach_dyn_report(h: &Harness, name: &str, stats: &UpdateStats, profile: &Profile) {
     h.attach(name, "update_stats", Json::str(stats.to_string()));

@@ -253,3 +253,60 @@ impl<L> Forest<L> {
         children
     }
 }
+
+/// Child adjacency derived from a forest's parent pointers, in flat CSR
+/// form: the children of `p` are `kids[off[p]..off[p + 1]]`, in ascending
+/// id order — the order the contraction engine numbers sibling slots in.
+/// [`ChildCsr::rebuild`] re-derives in place, reusing both buffers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChildCsr {
+    /// Offsets into `kids`, length `n + 1`.
+    pub off: Vec<u32>,
+    /// Every non-root, grouped by parent.
+    pub kids: Vec<u32>,
+}
+
+impl ChildCsr {
+    /// Derives the child adjacency of `forest`.
+    pub fn new<L>(forest: &Forest<L>) -> Self {
+        let mut csr = ChildCsr::default();
+        csr.rebuild(forest);
+        csr
+    }
+
+    /// Re-derives the child adjacency of `forest` into the existing
+    /// buffers. `O(n)`, no allocation once the buffers have grown.
+    pub fn rebuild<L>(&mut self, forest: &Forest<L>) {
+        let n = forest.len();
+        let off = &mut self.off;
+        off.clear();
+        off.resize(n + 1, 0);
+        for &p in &forest.parent {
+            if p != NONE {
+                off[p as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        self.kids.clear();
+        self.kids.resize(off[n] as usize, 0);
+        // Fill using `off[p]` as `p`'s cursor. Afterwards `off[p]` holds
+        // where `p`'s children end, which is where `p + 1`'s begin, so one
+        // shift right restores the offsets.
+        for (v, &p) in forest.parent.iter().enumerate() {
+            if p != NONE {
+                let cursor = &mut off[p as usize];
+                self.kids[*cursor as usize] = v as u32;
+                *cursor += 1;
+            }
+        }
+        off.copy_within(0..n, 1);
+        off[0] = 0;
+    }
+
+    /// The children of `p`, in id order.
+    pub fn of(&self, p: u32) -> &[u32] {
+        &self.kids[self.off[p as usize] as usize..self.off[p as usize + 1] as usize]
+    }
+}

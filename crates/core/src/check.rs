@@ -4,8 +4,9 @@
 //! The engine's correctness rests on a handful of structural invariants —
 //! every node dies exactly once, death rounds strictly increase along the
 //! trace's shortcut (`up[]`) pointers, the hop CSR partitions the
-//! compressed nodes, dirty sets stay upward-closed — and on the claim that
-//! all actions planned in one rake/compress round touch **disjoint** (or
+//! compressed nodes, a dynamic forest's trace equals a fresh contraction's
+//! — and on the claim that all actions planned in one rake/compress round
+//! touch **disjoint** (or
 //! commutatively-combinable) state. This module turns those proof
 //! obligations into executable checks:
 //!
@@ -13,7 +14,9 @@
 //!   [`Forest::validate`](crate::Forest::validate),
 //!   [`Contraction::validate`](crate::Contraction::validate) and
 //!   [`DynForest::validate`](crate::DynForest::validate) verify the full
-//!   invariant set of their layer and return a descriptive
+//!   invariant set of their layer (plus
+//!   [`DynForest::validate_trace`](crate::DynForest::validate_trace) for
+//!   the maintained trace) and return a descriptive
 //!   [`InvariantError`] on the first violation. (The arena is append-only —
 //!   there is no free list — so its checks are parent-range, parallel-array
 //!   length, and acyclicity.)

@@ -325,66 +325,68 @@ where
     A: Algebra<Label = L>,
     S: Sink,
 {
-    let n = forest.len();
     let mut scratch: Scratch<A> = Scratch::default();
-    scratch.ensure(n);
+    scratch.load(alg, forest);
+    scratch.contract_with(alg, seed, sink);
+    Contraction::from_trace(alg, &scratch, sink)
+}
 
-    for v in 0..n as u32 {
-        let p = forest.parent_raw(v);
-        scratch.par[v as usize] = p;
-        if p != NONE {
-            // Children appear in id order, so the running count is exactly
-            // the node's position in the parent's (derived) child list.
-            scratch.sib[v as usize] = scratch.count[p as usize];
-            scratch.count[p as usize] += 1;
+impl<A: Algebra> Contraction<A> {
+    /// Reads a contraction out of the completed trace in `scratch`:
+    /// backsolves every value (reported to `sink` as the backsolve phase)
+    /// and extracts the shortcut structure. [`ContractOptions::run`] reads
+    /// its fresh run this way, and
+    /// [`DynForest::query_batch`](crate::DynForest::query_batch) its
+    /// maintained trace.
+    pub(crate) fn from_trace<S: Sink>(alg: &A, scratch: &Scratch<A>, sink: &mut S) -> Self {
+        let n = scratch.death.len();
+        let mut out: Vec<Option<A::Val>> = vec![None; n];
+        let backsolve_start = if S::ENABLED {
+            Some(Instant::now())
+        } else {
+            None
+        };
+        scratch.backsolve(alg, &mut out);
+        if let Some(t) = backsolve_start {
+            sink.phase(Phase::Backsolve, t.elapsed().as_nanos() as u64);
         }
-    }
-    for v in 0..n {
-        scratch.acc[v] = Some(alg.init_acc(forest.label(NodeId(v as u32))));
-        scratch.fun[v] = Some(alg.identity());
-        scratch.alive[v] = true;
-    }
+        let vals: Vec<A::Val> = out
+            .into_iter()
+            // lint:allow(panic): the engine runs until every node dies
+            .map(|v| v.expect("every node contracted"))
+            .collect();
+        // Roots finish in death order, the order the engine retired them.
+        let components = scratch
+            .death_order
+            .iter()
+            .filter(|&&u| matches!(scratch.death[u as usize], Death::Root(_)))
+            .map(|&u| (NodeId(u), vals[u as usize].clone()))
+            .collect();
+        let (up, hop_off, hop_victims) = scratch.trace_links();
+        let kinds = scratch
+            .death
+            .iter()
+            .map(|d| match d {
+                Death::Raked(_) => SlotKind::Raked,
+                Death::Compressed { .. } => SlotKind::Compressed,
+                Death::Root(_) => SlotKind::Root,
+                // lint:allow(panic): the engine runs until every node dies
+                Death::None => unreachable!("node survived a full contraction"),
+            })
+            .collect();
 
-    let active: Vec<u32> = (0..n as u32).collect();
-    let outcome = scratch.contract_with(alg, &active, seed, sink);
-
-    let mut out: Vec<Option<A::Val>> = vec![None; n];
-    let backsolve_start = if S::ENABLED {
-        Some(Instant::now())
-    } else {
-        None
-    };
-    scratch.backsolve(alg, &mut out);
-    if let Some(t) = backsolve_start {
-        sink.phase(Phase::Backsolve, t.elapsed().as_nanos() as u64);
-    }
-    let vals = out
-        .into_iter()
-        // lint:allow(panic): the engine runs until every active node dies
-        .map(|v| v.expect("every node contracted"))
-        .collect();
-    let (up, hop_off, hop_victims) = scratch.trace_links(n);
-    let kinds = scratch.death[..n]
-        .iter()
-        .map(|d| match d {
-            Death::Raked(_) => SlotKind::Raked,
-            Death::Compressed { .. } => SlotKind::Compressed,
-            Death::Root(_) => SlotKind::Root,
-            // lint:allow(panic): the engine runs until every active node dies
-            Death::None => unreachable!("node survived a full contraction"),
-        })
-        .collect();
-
-    Contraction {
-        vals,
-        components: outcome.components,
-        rounds: outcome.rounds,
-        death_round: scratch.death_round,
-        up,
-        hop_off,
-        hop_victims,
-        kinds,
-        profile: None,
+        Contraction {
+            vals,
+            components,
+            // The last round retires the last live nodes.
+            rounds: scratch.death_round.iter().copied().max().unwrap_or(0),
+            death_round: scratch.death_round.clone(),
+            up,
+            hop_off,
+            hop_victims,
+            kinds,
+            profile: None,
+        }
     }
 }
 

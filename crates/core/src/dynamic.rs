@@ -1,13 +1,16 @@
 //! Batch-dynamic forests via change propagation over the contraction trace.
 //!
-//! [`DynForest`] keeps the full round-stamped death trace of the last
-//! contraction and treats it as a dependency DAG (see `propagate.rs`).
-//! Edits are applied to the shape immediately but value recomputation is
-//! deferred:
+//! [`DynForest`] keeps one round-stamped death trace and treats it as a
+//! dependency DAG (see `propagate.rs`). After every
+//! [`DynForest::recompute`] that trace is exactly the one a fresh
+//! contraction of the current forest records under the forest's fixed coin
+//! seed, `forest.contraction().seed(seed).run(..)`. Edits are applied to
+//! the shape immediately but value recomputation is deferred, and
+//! `recompute` takes one of two branches:
 //!
-//! * **label edits** ([`DynForest::batch_update_weights`]) mark only the
-//!   edited nodes. [`DynForest::recompute`] then *replays* just the trace
-//!   slots whose inputs changed, round by round: a re-executed rake that
+//! * **label-only batches** ([`DynForest::batch_update_weights`]) mark
+//!   only the edited nodes, and recompute *replays* just the trace slots
+//!   whose inputs changed, round by round: a re-executed rake that
 //!   reproduces its recorded contribution cuts the wave off, and every
 //!   untouched slot's recorded result is reused verbatim. Cached per-node
 //!   child aggregates (flat subtract/re-add parts for invertible algebras,
@@ -15,28 +18,28 @@
 //!   `O(1)`–`O(log degree)`, so an update batch costs
 //!   `O(affected × log)` independent of tree depth *and* node degree —
 //!   paths and stars propagate as fast as random trees;
-//! * **structural edits** ([`DynForest::batch_cut`],
-//!   [`DynForest::batch_link`]) rewire the trace itself, so they fall back
-//!   to the legacy dirty-set re-contraction: the edit marks the affected
-//!   root path, recompute re-runs rake/compress on the dirty set with
-//!   clean children entering as pre-resolved constants, and the replay
-//!   tables are invalidated. The next label-only recompute re-anchors on
-//!   one fresh full contraction before returning to pure propagation.
-//!   [`DynForest::set_propagation`] forces the legacy path everywhere,
-//!   which is what the differential tests diff against.
+//! * **structural batches** (any [`DynForest::try_batch_cut`] or
+//!   [`DynForest::try_batch_link`] pending) change the shape the trace
+//!   describes. The edits only flip parent pointers and mark the moved
+//!   nodes; recompute then contracts the whole forest again with the same
+//!   seed and rebuilds the replay tables from that trace, `O(n)` per
+//!   batch. Children are always numbered in id order, the order
+//!   [`Forest::sequential_fold`] folds them in, so ordered algebras stay
+//!   exact across cuts and links.
 //!
 //! Values are resolved lazily from the trace (`O(rounds)` per read, no
 //! per-node value cache to keep coherent), which is why reads return
 //! values rather than references and why *any* pending edit makes every
-//! read stale until [`DynForest::recompute`] runs.
+//! read stale until [`DynForest::recompute`] runs. Batch queries
+//! ([`DynForest::query_batch`]) read the same trace.
 
 use crate::algebra::{PathAlgebra, Propagate};
 use crate::arena::{Forest, NONE};
-use crate::engine::{Death, Scratch};
+use crate::contract::Contraction;
+use crate::engine::{RunOutcome, Scratch};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile};
 use crate::propagate::{resolve_val, Replay};
 use crate::query::{QueryBatch, QueryError, QueryOutcome};
-use crate::rng::splitmix64;
 use crate::NodeId;
 use std::fmt;
 use std::time::Instant;
@@ -84,23 +87,26 @@ impl std::error::Error for EditError {}
 /// Statistics returned by [`DynForest::recompute`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateStats {
-    /// Nodes carrying pending edit marks when the recompute started.
+    /// Nodes edited since the last recompute: relabelled nodes plus, for a
+    /// structural batch, the nodes cut or linked.
     pub dirty: usize,
     /// Total nodes in the forest.
     pub total: usize,
-    /// Rake/compress rounds of the re-contraction, or — on the
-    /// propagation path — the number of distinct trace rounds the replay
-    /// wave touched (its depth in the contraction DAG).
+    /// On a structural batch, the rounds of the full contraction that
+    /// rebuilt the trace; on a label-only batch, the number of distinct
+    /// trace rounds the replay wave touched (its depth in the contraction
+    /// DAG).
     pub rounds: u32,
     /// Trace slots re-executed by this recompute: the affected set of
-    /// change propagation, or every contracted node on the legacy and
-    /// full-rebuild paths.
+    /// change propagation, or all `total` slots on a structural rebuild.
     pub replayed_slots: usize,
-    /// Trace slots whose recorded results were reused untouched.
+    /// Trace slots whose recorded results were reused untouched (0 on a
+    /// structural rebuild).
     pub reused_slots: usize,
-    /// Per-run engine counters (rakes/splices/finishes/coin rejections,
-    /// peak frontier, replayed/reused slots) for this recompute; `Some`
-    /// only when profiling is enabled via [`DynForest::enable_profiling`].
+    /// Engine counters for this recompute — rakes/splices/finishes/coin
+    /// rejections and peak frontier of a structural rebuild's contraction,
+    /// plus replayed/reused slots either way; `Some` only when profiling
+    /// is enabled via [`DynForest::enable_profiling`].
     pub counters: Option<EngineCounters>,
 }
 
@@ -143,7 +149,7 @@ impl fmt::Display for UpdateStats {
 /// let mut d = DynForest::new(f, SubtreeSum);
 /// assert_eq!(d.subtree_value(r), 6);
 ///
-/// // Cut `a` off: a structural edit, handled by dirty-set re-contraction.
+/// // Cut `a` off: a structural edit, so recompute rebuilds the trace.
 /// d.batch_cut(&[a]);
 /// let stats = d.recompute();
 /// assert_eq!(stats.dirty, 1);
@@ -165,20 +171,15 @@ impl fmt::Display for UpdateStats {
 pub struct DynForest<A: Propagate> {
     alg: A,
     forest: Forest<A::Label>,
-    children: Vec<Vec<u32>>,
-    /// Position of each node in its parent's child list (stale for roots),
-    /// so cuts are O(1) instead of a scan of the parent's children.
-    child_slot: Vec<u32>,
     dirty: Vec<bool>,
     dirty_list: Vec<u32>,
-    /// `true` once a cut/link landed since the last recompute; forces the
-    /// legacy dirty-set path (the trace no longer matches the shape).
+    /// `true` once a cut/link landed since the last recompute: the trace
+    /// no longer matches the shape, so the next recompute rebuilds it.
     has_structural: bool,
-    /// `false` routes label-only batches through the legacy path too —
-    /// the differential-testing baseline.
-    use_propagation: bool,
+    /// The maintained trace.
     scratch: Scratch<A>,
     replay: Replay<A>,
+    /// Coin seed of every contraction this forest runs, fixed for its life.
     seed: u64,
     /// Telemetry collector; `Some` once profiling is enabled. Boxed so the
     /// common unprofiled forest stays small.
@@ -193,31 +194,22 @@ impl<A: Propagate> DynForest<A> {
         Self::with_seed(forest, alg, 0xD15EA5E)
     }
 
-    /// Like [`DynForest::new`] with an explicit coin seed (reproducibility).
+    /// Like [`DynForest::new`] with an explicit coin seed: the maintained
+    /// trace is always the one `forest.contraction().seed(seed)` records.
     pub fn with_seed(forest: Forest<A::Label>, alg: A, seed: u64) -> Self {
         let n = forest.len();
-        let children = forest.build_children();
-        let mut child_slot = vec![0u32; n];
-        for kids in &children {
-            for (i, &c) in kids.iter().enumerate() {
-                child_slot[c as usize] = i as u32;
-            }
-        }
         let mut d = DynForest {
             alg,
             forest,
-            children,
-            child_slot,
             dirty: vec![false; n],
             dirty_list: Vec::new(),
             has_structural: false,
-            use_propagation: true,
             scratch: Scratch::default(),
             replay: Replay::new(),
             seed,
             profile: None,
         };
-        d.rebuild_replay();
+        d.rebuild();
         d
     }
 
@@ -251,22 +243,6 @@ impl<A: Propagate> DynForest<A> {
         self.profile.take().map(|p| *p)
     }
 
-    /// Chooses how label-only batches recompute: `true` (the default)
-    /// replays the contraction trace by change propagation; `false`
-    /// forces the legacy dirty-set re-contraction everywhere.
-    ///
-    /// Both paths produce identical values — the legacy path exists as
-    /// the differential-testing baseline and as the fallback structural
-    /// edits take automatically.
-    pub fn set_propagation(&mut self, enabled: bool) {
-        self.use_propagation = enabled;
-    }
-
-    /// `true` when label-only batches recompute by trace propagation.
-    pub fn propagation_enabled(&self) -> bool {
-        self.use_propagation
-    }
-
     /// Read access to the underlying forest shape.
     pub fn forest(&self) -> &Forest<A::Label> {
         &self.forest
@@ -282,8 +258,9 @@ impl<A: Propagate> DynForest<A> {
         self.forest.is_empty()
     }
 
-    /// Number of nodes carrying pending edit marks (label edits mark just
-    /// the edited node; cuts/links mark the affected root path).
+    /// Number of nodes carrying pending edit marks (label edits mark the
+    /// edited node, cuts/links the moved node; a rejected batch marks
+    /// nothing).
     pub fn pending(&self) -> usize {
         self.dirty_list.len()
     }
@@ -356,9 +333,9 @@ impl<A: Propagate> DynForest<A> {
         self.subtree_value(root)
     }
 
-    /// Marks a single node's trace slot as edited (label changes; the
-    /// propagation pass finds affected ancestors through the trace, so no
-    /// path walk is needed).
+    /// Marks a single node as edited. Label edits mark only the edited
+    /// node (propagation finds the affected ancestors through the trace);
+    /// structural edits mark the moved node.
     fn mark_dirty(&mut self, u: u32) {
         if !self.dirty[u as usize] {
             self.dirty[u as usize] = true;
@@ -366,103 +343,52 @@ impl<A: Propagate> DynForest<A> {
         }
     }
 
-    /// Marks `start` and all its ancestors dirty, stopping early at the
-    /// first already-dirty node. Only structural edits walk paths — the
-    /// legacy dirty-set engine they fall back to needs an upward-closed
-    /// dirty set.
-    fn mark_path_dirty(&mut self, start: u32) {
-        let mut u = start;
-        loop {
-            if self.dirty[u as usize] {
-                return;
+    /// Ends a structural batch that moved each `(node, old parent)` in
+    /// `moved`, in order. A valid batch marks the moved nodes, so the next
+    /// recompute rebuilds the trace; a rejected one restores the old
+    /// parents in reverse and marks nothing, leaving the shape, the marks
+    /// and every read exactly as before the call.
+    fn settle(
+        &mut self,
+        moved: &[(u32, u32)],
+        result: Result<(), EditError>,
+        mark_start: Option<Instant>,
+    ) -> Result<(), EditError> {
+        if result.is_ok() {
+            for &(u, _) in moved {
+                self.mark_dirty(u);
             }
-            self.dirty[u as usize] = true;
-            self.dirty_list.push(u);
-            let p = self.forest.parent_raw(u);
-            if p == NONE {
-                return;
-            }
-            u = p;
-        }
-    }
-
-    /// Detaches `v` from its parent (no validation beyond the root check);
-    /// returns the old parent so the cut can be undone.
-    fn cut_one(&mut self, v: NodeId) -> Result<u32, EditError> {
-        let p = self.forest.parent_raw(v.raw());
-        if p == NONE {
-            return Err(EditError::AlreadyRoot { node: v });
-        }
-        let kids = &mut self.children[p as usize];
-        let pos = self.child_slot[v.index()] as usize;
-        debug_assert_eq!(kids[pos], v.raw(), "child_slot tracks child lists");
-        kids.swap_remove(pos);
-        if pos < kids.len() {
-            self.child_slot[kids[pos] as usize] = pos as u32;
-        }
-        self.forest.set_parent_raw(v.raw(), NONE);
-        self.has_structural = true;
-        self.mark_path_dirty(p);
-        Ok(p)
-    }
-
-    /// Attaches the root `child` under `parent` after validating both the
-    /// rootness and the cycle condition.
-    fn link_one(&mut self, child: NodeId, parent: NodeId) -> Result<(), EditError> {
-        if !self.forest.is_root(child) {
-            return Err(EditError::NotARoot { node: child });
-        }
-        if self.forest.root_of(parent) == child {
-            return Err(EditError::WouldCycle { child, parent });
-        }
-        self.child_slot[child.index()] = self.children[parent.index()].len() as u32;
-        self.children[parent.index()].push(child.raw());
-        self.forest.set_parent_raw(child.raw(), parent.raw());
-        self.has_structural = true;
-        self.mark_path_dirty(parent.raw());
-        Ok(())
-    }
-
-    /// Re-attaches a previously cut `child` under its old parent `p`
-    /// (rollback path; the link is known valid, so no checks).
-    fn relink_unchecked(&mut self, child: NodeId, p: u32) {
-        self.child_slot[child.index()] = self.children[p as usize].len() as u32;
-        self.children[p as usize].push(child.raw());
-        self.forest.set_parent_raw(child.raw(), p);
-    }
-
-    /// Cuts each node in `cuts` from its parent, making it a component
-    /// root. The cut subtree's recorded values stay valid; only the old
-    /// ancestors are invalidated.
-    ///
-    /// Ops apply in order; on the first invalid op ([`EditError::AlreadyRoot`],
-    /// including a node cut twice in the same batch) every already-applied
-    /// cut is undone and the forest shape is exactly as before the call.
-    /// Dirty marks made along the way are **not** undone — they are merely
-    /// conservative (the next [`DynForest::recompute`] refreshes values
-    /// that were already correct), never wrong. Rollback re-attaches via a
-    /// push, and cutting swap-removes, so a failed batch may permute
-    /// sibling order; for the commutative [`Algebra`](crate::Algebra)
-    /// contract this is unobservable, but ordered algebras (see
-    /// [`OrderedRake`](crate::OrderedRake)) should treat structural edits
-    /// as order-perturbing in general.
-    pub fn try_batch_cut(&mut self, cuts: &[NodeId]) -> Result<(), EditError> {
-        let mark_start = self.profile.as_ref().map(|_| Instant::now());
-        let mut applied: Vec<(NodeId, u32)> = Vec::with_capacity(cuts.len());
-        for &v in cuts {
-            match self.cut_one(v) {
-                Ok(p) => applied.push((v, p)),
-                Err(e) => {
-                    for &(child, p) in applied.iter().rev() {
-                        self.relink_unchecked(child, p);
-                    }
-                    self.record_dirty_mark(mark_start);
-                    return Err(e);
-                }
+            self.has_structural |= !moved.is_empty();
+        } else {
+            for &(u, old) in moved.iter().rev() {
+                self.forest.set_parent_raw(u, old);
             }
         }
         self.record_dirty_mark(mark_start);
-        Ok(())
+        result
+    }
+
+    /// Cuts each node in `cuts` from its parent, making it a component
+    /// root.
+    ///
+    /// Ops apply in order; on the first invalid op ([`EditError::AlreadyRoot`],
+    /// including a node cut twice in the same batch) every already-applied
+    /// cut is undone and nothing is marked: the forest is exactly as
+    /// before the call.
+    pub fn try_batch_cut(&mut self, cuts: &[NodeId]) -> Result<(), EditError> {
+        let mark_start = self.profile.as_ref().map(|_| Instant::now());
+        let mut moved: Vec<(u32, u32)> = Vec::with_capacity(cuts.len());
+        let mut result = Ok(());
+        for &v in cuts {
+            let p = self.forest.parent_raw(v.raw());
+            if p == NONE {
+                result = Err(EditError::AlreadyRoot { node: v });
+                break;
+            }
+            self.forest.set_parent_raw(v.raw(), NONE);
+            moved.push((v.raw(), p));
+        }
+        self.settle(&moved, result, mark_start)
     }
 
     /// Cuts each node in `cuts` from its parent, making it a component root.
@@ -478,8 +404,7 @@ impl<A: Propagate> DynForest<A> {
     }
 
     /// Links each `(child, parent)` pair, attaching the tree rooted at
-    /// `child` under `parent`. The linked subtree's recorded values stay
-    /// valid; only the new ancestors are invalidated.
+    /// `child` under `parent`.
     ///
     /// Each link walks `parent`'s chain to its root to reject cycles, so a
     /// batch costs `O(k × depth)` before any recomputation; the walk is
@@ -489,28 +414,25 @@ impl<A: Propagate> DynForest<A> {
     /// Ops apply in order — later links may legally build on earlier ones
     /// (chaining freshly linked components). On the first invalid op
     /// ([`EditError::NotARoot`] or [`EditError::WouldCycle`]) every
-    /// already-applied link is undone and the forest shape is exactly as
-    /// before the call; dirty marks are not undone (conservative, never
-    /// wrong).
+    /// already-applied link is undone and nothing is marked: the forest
+    /// is exactly as before the call.
     pub fn try_batch_link(&mut self, links: &[(NodeId, NodeId)]) -> Result<(), EditError> {
         let mark_start = self.profile.as_ref().map(|_| Instant::now());
-        let mut applied: Vec<NodeId> = Vec::with_capacity(links.len());
+        let mut moved: Vec<(u32, u32)> = Vec::with_capacity(links.len());
+        let mut result = Ok(());
         for &(child, parent) in links {
-            match self.link_one(child, parent) {
-                Ok(()) => applied.push(child),
-                Err(e) => {
-                    for &child in applied.iter().rev() {
-                        self.cut_one(child)
-                            // lint:allow(panic): rollback of a link we just applied cannot fail
-                            .expect("applied link has a parent to cut");
-                    }
-                    self.record_dirty_mark(mark_start);
-                    return Err(e);
-                }
+            if !self.forest.is_root(child) {
+                result = Err(EditError::NotARoot { node: child });
+                break;
             }
+            if self.forest.root_of(parent) == child {
+                result = Err(EditError::WouldCycle { child, parent });
+                break;
+            }
+            self.forest.set_parent_raw(child.raw(), parent.raw());
+            moved.push((child.raw(), NONE));
         }
-        self.record_dirty_mark(mark_start);
-        Ok(())
+        self.settle(&moved, result, mark_start)
     }
 
     /// Links each `(child, parent)` pair, attaching the tree rooted at
@@ -546,102 +468,85 @@ impl<A: Propagate> DynForest<A> {
         }
     }
 
-    /// Runs one full contraction over the current shape and rebuilds the
-    /// replay tables from its trace; returns the round count and whole-run
-    /// engine counters.
-    fn rebuild_replay(&mut self) -> (u32, EngineCounters) {
-        let n = self.forest.len();
-        self.seed = splitmix64(self.seed);
-        self.scratch.ensure(n);
+    /// Contracts the current forest with the forest's fixed seed and
+    /// rebuilds the replay tables from the trace, exactly as a fresh
+    /// `forest.contraction().seed(seed)` run would record it.
+    fn rebuild(&mut self) -> RunOutcome {
         let DynForest {
             alg,
             forest,
-            children,
             scratch,
             replay,
             seed,
             profile,
             ..
         } = self;
-        for u in 0..n as u32 {
-            let ui = u as usize;
-            scratch.par[ui] = forest.parent_raw(u);
-            scratch.count[ui] = children[ui].len() as u32;
-            scratch.acc[ui] = Some(alg.init_acc(forest.label(NodeId(u))));
-            scratch.fun[ui] = Some(alg.identity());
-            scratch.alive[ui] = true;
-            scratch.death[ui] = Death::None;
-            scratch.death_round[ui] = 0;
-            for (i, &c) in children[ui].iter().enumerate() {
-                scratch.sib[c as usize] = i as u32;
-            }
-        }
-        let active: Vec<u32> = (0..n as u32).collect();
+        scratch.load(alg, forest);
+        // Both arms run the same engine code; the profiled arm pays for
+        // telemetry, the default arm is compiled with the no-op sink.
         let outcome = match profile {
-            Some(p) => scratch.contract_with(alg, &active, *seed, p.as_mut()),
-            None => scratch.contract_with(alg, &active, *seed, &mut NoopSink),
+            Some(p) => scratch.contract_with(alg, *seed, p.as_mut()),
+            None => scratch.contract_with(alg, *seed, &mut NoopSink),
         };
-        replay.rebuild(alg, children, scratch);
-        (outcome.rounds, outcome.counters)
+        replay.rebuild(alg, forest, scratch);
+        outcome
     }
 
     /// Clears all pending edit marks.
     fn clear_dirty(&mut self) {
         let DynForest {
-            dirty, dirty_list, ..
+            dirty,
+            dirty_list,
+            has_structural,
+            ..
         } = self;
         for &u in dirty_list.iter() {
             dirty[u as usize] = false;
         }
         dirty_list.clear();
+        *has_structural = false;
     }
 
     /// Refreshes all values invalidated by pending edits.
     ///
-    /// Label-only batches replay the recorded trace by change propagation
-    /// (`O(affected × log)`; see the module docs). Batches containing a
-    /// cut or link — or any batch when
-    /// [`DynForest::set_propagation`]`(false)` is in effect — re-contract
-    /// the dirty set instead, with clean children entering as pre-resolved
-    /// constants; a structural batch also invalidates the replay tables,
-    /// and the next label-only recompute re-anchors on one fresh full
-    /// contraction before propagating again.
+    /// A structural batch (any cut or link pending) contracts the whole
+    /// forest again with the forest's fixed seed and rebuilds the replay
+    /// tables, `O(n log n)` w.h.p. A label-only batch replays the recorded
+    /// trace by change propagation, `O(affected × log)` (see the module
+    /// docs). Either way the trace afterwards is exactly the one a fresh
+    /// contraction of the current forest records.
     pub fn recompute(&mut self) -> UpdateStats {
         let n = self.forest.len();
         let edited = self.dirty_list.len();
-        if edited == 0 {
-            return UpdateStats {
+        let profiled = self.profile.is_some();
+        let stats = if edited == 0 {
+            UpdateStats {
                 dirty: 0,
                 total: n,
                 rounds: 0,
                 replayed_slots: 0,
                 reused_slots: 0,
-                counters: self.profile.is_some().then(EngineCounters::default),
-            };
-        }
-
-        if self.use_propagation && !self.has_structural {
-            if !self.replay.valid {
-                // A structural batch invalidated the replay tables;
-                // re-anchor with one full contraction (which also folds the
-                // pending label edits in) and return to pure propagation.
-                let (rounds, counters) = self.rebuild_replay();
-                self.clear_dirty();
-                return UpdateStats {
-                    dirty: edited,
-                    total: n,
-                    rounds,
-                    replayed_slots: n,
-                    reused_slots: 0,
-                    counters: self.profile.is_some().then_some(counters),
-                };
+                counters: profiled.then(EngineCounters::default),
             }
+        } else if self.has_structural {
+            let outcome = self.rebuild();
+            UpdateStats {
+                dirty: edited,
+                total: n,
+                rounds: outcome.rounds,
+                replayed_slots: n,
+                reused_slots: 0,
+                counters: profiled.then_some(EngineCounters {
+                    replayed_slots: n as u64,
+                    ..outcome.counters
+                }),
+            }
+        } else {
             let DynForest {
                 alg,
                 forest,
                 scratch,
                 replay,
-                dirty,
                 dirty_list,
                 profile,
                 ..
@@ -650,113 +555,29 @@ impl<A: Propagate> DynForest<A> {
                 Some(p) => replay.propagate(alg, forest, scratch, dirty_list, p.as_mut()),
                 None => replay.propagate(alg, forest, scratch, dirty_list, &mut NoopSink),
             };
-            for &u in dirty_list.iter() {
-                dirty[u as usize] = false;
-            }
-            dirty_list.clear();
-            let counters = profile.is_some().then(|| EngineCounters {
-                rounds: outcome.rounds,
-                replayed_slots: outcome.replayed as u64,
-                reused_slots: (n - outcome.replayed) as u64,
-                ..EngineCounters::default()
-            });
-            return UpdateStats {
+            let reused = n - outcome.replayed;
+            UpdateStats {
                 dirty: edited,
                 total: n,
                 rounds: outcome.rounds,
                 replayed_slots: outcome.replayed,
-                reused_slots: n - outcome.replayed,
-                counters,
-            };
-        }
-
-        // Legacy dirty-set re-contraction. Label edits mark only the
-        // edited node, but the engine needs an upward-closed active set —
-        // close over the ancestors first (already-marked paths stop the
-        // walk immediately).
-        let snapshot: Vec<u32> = self.dirty_list.clone();
-        for &u in &snapshot {
-            let p = self.forest.parent_raw(u);
-            if p != NONE {
-                self.mark_path_dirty(p);
+                reused_slots: reused,
+                counters: profiled.then(|| EngineCounters {
+                    rounds: outcome.rounds,
+                    replayed_slots: outcome.replayed as u64,
+                    reused_slots: reused as u64,
+                    ..EngineCounters::default()
+                }),
             }
-        }
-        self.seed = splitmix64(self.seed);
-        self.scratch.ensure(n);
-
-        let DynForest {
-            alg,
-            forest,
-            children,
-            dirty,
-            dirty_list,
-            has_structural,
-            scratch,
-            replay,
-            seed,
-            profile,
-            ..
-        } = self;
-
-        for &u in dirty_list.iter() {
-            let ui = u as usize;
-            let p = forest.parent_raw(u);
-            debug_assert!(
-                p == NONE || dirty[p as usize],
-                "dirty set must be upward-closed"
-            );
-            scratch.par[ui] = p;
-            let mut acc = alg.init_acc(forest.label(NodeId(u)));
-            let mut live_children = 0u32;
-            for (i, &c) in children[ui].iter().enumerate() {
-                if dirty[c as usize] {
-                    live_children += 1;
-                    // The dirty child will rake in later; hand it its
-                    // child-list slot so ordered algebras absorb it at the
-                    // right position.
-                    scratch.sib[c as usize] = i as u32;
-                } else {
-                    // A clean child's whole subtree is clean, so its
-                    // recorded chain still resolves to its exact value.
-                    let cached = resolve_val(alg, &scratch.death, c);
-                    alg.absorb_at(&mut acc, i as u32, cached);
-                }
-            }
-            scratch.count[ui] = live_children;
-            scratch.acc[ui] = Some(acc);
-            scratch.fun[ui] = Some(alg.identity());
-            scratch.alive[ui] = true;
-            scratch.death[ui] = Death::None;
-            scratch.death_round[ui] = 0;
-        }
-
-        // Both arms run the same engine code; the profiled arm pays for
-        // telemetry, the default arm is compiled with the no-op sink.
-        let outcome = match profile {
-            Some(p) => scratch.contract_with(alg, dirty_list, *seed, p.as_mut()),
-            None => scratch.contract_with(alg, dirty_list, *seed, &mut NoopSink),
         };
-        // The dirty-set run left a mixed-generation trace the replay
-        // tables no longer describe; rebuild lazily at the next
-        // label-only recompute so a burst of structural batches pays for
-        // one re-anchor, not one per batch.
-        replay.valid = false;
-        *has_structural = false;
-
-        let recomputed = dirty_list.len();
-        let stats = UpdateStats {
-            dirty: recomputed,
-            total: n,
-            rounds: outcome.rounds,
-            replayed_slots: recomputed,
-            reused_slots: n - recomputed,
-            counters: profile.is_some().then_some(outcome.counters),
-        };
-        for &u in dirty_list.iter() {
-            dirty[u as usize] = false;
-        }
-        dirty_list.clear();
+        self.clear_dirty();
         stats
+    }
+
+    /// The maintained trace read out as a [`Contraction`]: values
+    /// backsolved, shortcut structure extracted. `O(n)`.
+    fn view(&self) -> Contraction<A> {
+        Contraction::from_trace(&self.alg, &self.scratch, &mut NoopSink)
     }
 
     /// Resolves a [`QueryBatch`] against the current forest shape.
@@ -766,15 +587,10 @@ impl<A: Propagate> DynForest<A> {
     /// silently answering from stale data — call
     /// [`DynForest::recompute`] first.
     ///
-    /// Internally this runs a fresh full contraction to obtain a
-    /// consistent trace. Incremental recomputes deliberately re-contract
-    /// only the dirty set, so the merged traces of successive recomputes
-    /// are *not* mutually consistent (a clean node's recorded shortcut
-    /// parent may predate a cut that later re-routed the path above it);
-    /// queries need one coherent trace, and a single `O(n log n)` w.h.p.
-    /// contraction amortized over a batch of thousands of queries is the
-    /// cheapest way to get one. The answers themselves are still
-    /// `O(log n)` each on top of that shared pass.
+    /// Answers come from the maintained trace, which every recompute
+    /// leaves equal to a fresh contraction of the current forest: one
+    /// `O(n)` pass reads it out (values and shortcut structure), then
+    /// each query costs `O(log² n)` on top (see [`Contraction::query_batch`]).
     pub fn query_batch(&self, batch: &QueryBatch) -> Result<Vec<QueryOutcome<A>>, QueryError>
     where
         A: PathAlgebra + Sync,
@@ -787,20 +603,16 @@ impl<A: Propagate> DynForest<A> {
                 pending: self.dirty_list.len(),
             });
         }
-        let c = self.forest.contraction().seed(self.seed).run(&self.alg);
-        c.query_batch(&self.forest, &self.alg, batch)
+        self.view().query_batch(&self.forest, &self.alg, batch)
     }
 
     /// Verifies the structural invariants of the dynamic layer
     /// (`check` feature):
     ///
     /// * the underlying arena is well-formed ([`Forest::validate`]);
-    /// * **parent/child symmetry** — the derived adjacency is exact: every
-    ///   entry of `children[p]` names a node whose parent pointer is `p`
-    ///   and whose `child_slot` is its list position, each node appears in
-    ///   at most one child list, and the lists cover every non-root;
     /// * **edit-mark coherence** — `dirty_list` is a duplicate-free
-    ///   enumeration of exactly the flagged nodes. (Edit marks are *not*
+    ///   enumeration of exactly the flagged nodes, and a structural edit
+    ///   is pending only alongside a mark. (Edit marks are *not*
     ///   upward-closed: label edits mark only the edited node, and change
     ///   propagation finds the ancestors through the trace.)
     ///
@@ -812,41 +624,13 @@ impl<A: Propagate> DynForest<A> {
         self.forest.validate()?;
         let n = self.forest.len();
         ensure!(
-            self.children.len() == n && self.child_slot.len() == n && self.dirty.len() == n,
-            "dynamic side tables are not sized to the forest ({n} nodes)"
+            self.dirty.len() == n,
+            "dirty flags are not sized to the forest ({n} nodes)"
         );
-
-        let mut listed = vec![false; n];
-        let mut total_children = 0usize;
-        for (p, kids) in self.children.iter().enumerate() {
-            for (i, &c) in kids.iter().enumerate() {
-                ensure!(
-                    (c as usize) < n,
-                    "children[n{p}] contains out-of-range node {c}"
-                );
-                ensure!(!listed[c as usize], "node n{c} appears in two child lists");
-                listed[c as usize] = true;
-                ensure!(
-                    self.forest.parent_raw(c) == p as u32,
-                    "children[n{p}] lists n{c}, whose parent pointer is {}",
-                    self.forest.parent_raw(c)
-                );
-                ensure!(
-                    self.child_slot[c as usize] == i as u32,
-                    "child_slot[n{c}] = {} but n{c} sits at position {i} of n{p}'s child list",
-                    self.child_slot[c as usize]
-                );
-                total_children += 1;
-            }
-        }
-        let non_roots = (0..n as u32)
-            .filter(|&v| self.forest.parent_raw(v) != NONE)
-            .count();
         ensure!(
-            total_children == non_roots,
-            "child lists hold {total_children} nodes but the forest has {non_roots} non-roots"
+            !self.has_structural || !self.dirty_list.is_empty(),
+            "a structural edit is pending but no node is marked"
         );
-
         let mut in_list = vec![false; n];
         for &u in &self.dirty_list {
             ensure!(
@@ -860,41 +644,56 @@ impl<A: Propagate> DynForest<A> {
                 "dirty_list lists n{u}, which is not flagged dirty"
             );
         }
-        for v in 0..n as u32 {
-            let vi = v as usize;
-            if self.dirty[vi] {
-                ensure!(
-                    in_list[vi],
-                    "n{v} is flagged dirty but missing from dirty_list"
-                );
-            }
+        for (v, (&flagged, &listed)) in self.dirty.iter().zip(&in_list).enumerate() {
+            ensure!(
+                !flagged || listed,
+                "n{v} is flagged dirty but missing from dirty_list"
+            );
         }
         Ok(())
     }
 
-    /// Verifies (`check` feature) that the maintained trace resolves
-    /// every node to exactly the value a fresh contraction of the current
-    /// forest computes — the bit-identical guarantee of change
-    /// propagation. Requires a clean forest (no pending edits).
-    /// `O(n log n)` w.h.p.
+    /// Verifies (`check` feature) that the maintained trace *is* the trace
+    /// a fresh contraction of the current forest records with the same
+    /// seed: equal death rounds, trace parents, slot kinds, hop lists and
+    /// values for every node. Also runs [`Contraction::validate`] on the
+    /// view [`DynForest::query_batch`] answers from. Requires a clean
+    /// forest (no pending edits). `O(n log n)` w.h.p.
     #[cfg(feature = "check")]
-    pub fn validate_values(&self) -> Result<(), crate::check::InvariantError> {
+    pub fn validate_trace(&self) -> Result<(), crate::check::InvariantError> {
         use crate::check::ensure;
         ensure!(
             self.dirty_list.is_empty(),
-            "validate_values requires a clean forest ({} edits pending)",
+            "validate_trace requires a clean forest ({} edits pending)",
             self.dirty_list.len()
         );
-        let c = self
-            .forest
-            .contraction()
-            .seed(splitmix64(!self.seed))
-            .run(&self.alg);
-        for v in 0..self.forest.len() as u32 {
-            let got = resolve_val(&self.alg, &self.scratch.death, v);
+        let kept = self.view();
+        kept.validate(&self.forest)?;
+        let fresh = self.forest.contraction().seed(self.seed).run(&self.alg);
+        for v in self.forest.node_ids() {
             ensure!(
-                got == *c.subtree_value(NodeId(v)),
-                "propagated value of n{v} diverges from a fresh contraction"
+                kept.death_round(v) == fresh.death_round(v),
+                "{v} dies in round {} of the maintained trace but {} of a fresh one",
+                kept.death_round(v),
+                fresh.death_round(v)
+            );
+            ensure!(
+                kept.trace_parent(v) == fresh.trace_parent(v)
+                    && kept.slot_kind(v) == fresh.slot_kind(v),
+                "{v} retired differently in the maintained trace ({:?} under {:?}) \
+                 than in a fresh one ({:?} under {:?})",
+                kept.slot_kind(v),
+                kept.trace_parent(v),
+                fresh.slot_kind(v),
+                fresh.trace_parent(v)
+            );
+            ensure!(
+                kept.trace_victims(v).eq(fresh.trace_victims(v)),
+                "hop list of {v} differs from a fresh contraction's"
+            );
+            ensure!(
+                kept.subtree_value(v) == fresh.subtree_value(v),
+                "maintained value of {v} diverges from a fresh contraction"
             );
         }
         Ok(())
@@ -906,12 +705,9 @@ impl<A: Propagate> Clone for DynForest<A> {
         DynForest {
             alg: self.alg.clone(),
             forest: self.forest.clone(),
-            children: self.children.clone(),
-            child_slot: self.child_slot.clone(),
             dirty: self.dirty.clone(),
             dirty_list: self.dirty_list.clone(),
             has_structural: self.has_structural,
-            use_propagation: self.use_propagation,
             // The scratch carries the live trace and the replay tables
             // index into it, so both clone — a cloned forest is
             // immediately ready to propagate (benchmarks rely on this).

@@ -1,10 +1,9 @@
 //! The rake/compress contraction engine.
 //!
-//! The engine runs classic Miller–Reif tree contraction over an explicit
-//! *active set* of nodes, which makes the same code path serve both full
-//! (static) contraction — active set = every node — and dirty-set
-//! re-contraction for batch-dynamic updates — active set = the nodes whose
-//! cached subtree values were invalidated.
+//! The engine runs classic Miller–Reif tree contraction over every node of
+//! a forest loaded into a [`Scratch`]. Static contraction and the dynamic
+//! layer's structural rebuilds run the same code on the same input, so
+//! under one coin seed both record the same trace.
 //!
 //! Each round proceeds in two phases:
 //!
@@ -25,8 +24,8 @@
 //! Every node death is stamped with its round and recorded in a trace
 //! (`Death`), forming the round-stamped contraction DAG. A reverse replay
 //! of the trace ([`Scratch::backsolve`]) recovers the final subtree value of
-//! *every* node, not just the roots — this is what lets the dynamic layer
-//! reuse cached values for clean subtrees.
+//! *every* node, not just the roots — the values the dynamic layer's replay
+//! tables and the query engine start from.
 //!
 //! The run loop reports into a statically-dispatched [`Sink`]: per-round
 //! `plan`/`apply` spans and a [`RoundCounters`] record (frontier size,
@@ -35,11 +34,11 @@
 //! bare loop.
 
 use crate::algebra::Algebra;
-use crate::arena::NONE;
+use crate::arena::{Forest, NONE};
 use crate::check::{self, invariant, Cell, WriteMode};
 use crate::obs::{EngineCounters, Phase, RoundCounters, Sink};
+use crate::par;
 use crate::rng::coin;
-use crate::{par, NodeId};
 use std::time::Instant;
 
 /// Hard cap on contraction rounds; with rake + randomized compress the
@@ -66,7 +65,7 @@ enum Action {
 /// final subtree value.
 #[derive(Debug, Clone, Default)]
 pub(crate) enum Death<A: Algebra> {
-    /// Still alive (or never part of the active set).
+    /// Not yet contracted.
     #[default]
     None,
     /// Raked: the node's final value was already known at death.
@@ -79,9 +78,7 @@ pub(crate) enum Death<A: Algebra> {
 }
 
 /// Outcome of one engine run.
-pub(crate) struct RunOutcome<A: Algebra> {
-    /// `(root, component value)` for every component root in the active set.
-    pub components: Vec<(NodeId, A::Val)>,
+pub(crate) struct RunOutcome {
     /// Number of rake/compress rounds executed.
     pub rounds: u32,
     /// Whole-run action totals; all-zero unless the sink was enabled.
@@ -90,10 +87,9 @@ pub(crate) struct RunOutcome<A: Algebra> {
 
 /// Reusable per-node working state, indexed by raw node id.
 ///
-/// All vectors are sized to the forest; a run only reads and writes entries
-/// of its active set (plus their parents, which upward-closure guarantees
-/// are active too), so the scratch can be reused across runs without
-/// clearing.
+/// [`Scratch::load`] sizes every vector to a forest and seeds it; after a
+/// run the death records, round stamps, death parents and death order are
+/// the recorded trace, which stays readable until the next load.
 pub(crate) struct Scratch<A: Algebra> {
     /// Working copy of parent pointers (mutated by splices).
     pub par: Vec<u32>,
@@ -172,41 +168,56 @@ where
 }
 
 impl<A: Algebra> Scratch<A> {
-    /// Grows all per-node tables to cover `n` nodes.
-    pub fn ensure(&mut self, n: usize) {
-        if self.par.len() < n {
-            self.par.resize(n, NONE);
-            self.count.resize(n, 0);
-            self.acc.resize(n, None);
-            self.fun.resize(n, None);
-            self.alive.resize(n, false);
-            self.death.resize_with(n, Death::default);
-            self.death_round.resize(n, 0);
-            self.death_parent.resize(n, NONE);
-            self.sib.resize(n, 0);
-            self.gap.resize(n, 0);
+    /// Sizes every table to `forest` and seeds its pre-contraction state:
+    /// each node's parent, live child count and sibling slot (children
+    /// numbered in id order, as [`ChildCsr`](crate::arena::ChildCsr) lists
+    /// them), a fresh accumulator and an identity edge function. Reuses the
+    /// buffers of the previous load.
+    pub fn load(&mut self, alg: &A, forest: &Forest<A::Label>) {
+        let n = forest.len();
+        self.par.clear();
+        self.count.clear();
+        self.count.resize(n, 0);
+        self.sib.clear();
+        self.sib.resize(n, 0);
+        for v in 0..n as u32 {
+            let p = forest.parent_raw(v);
+            self.par.push(p);
+            if p != NONE {
+                // Children appear in id order, so the running count is
+                // exactly the node's position among its parent's children.
+                self.sib[v as usize] = self.count[p as usize];
+                self.count[p as usize] += 1;
+            }
         }
+        self.acc.clear();
+        self.acc.extend(
+            forest
+                .node_ids()
+                .map(|v| Some(alg.init_acc(forest.label(v)))),
+        );
+        self.fun.clear();
+        self.fun.resize(n, Some(alg.identity()));
+        self.alive.clear();
+        self.alive.resize(n, true);
+        // A run kills every node, overwriting its death record, round stamp
+        // and death parent (and the gap of every compressed node), so these
+        // only need the right length.
+        self.death.resize_with(n, Death::default);
+        self.death_round.resize(n, 0);
+        self.death_parent.resize(n, NONE);
+        self.gap.resize(n, 0);
     }
 
-    /// Runs rake/compress rounds until every active node has died,
+    /// Runs rake/compress rounds until every loaded node has died,
     /// reporting phase spans and per-round counters into `sink`.
-    ///
-    /// Callers must have seeded `par`, `count`, `acc`, `fun`, `alive` and
-    /// reset `death`/`death_round` for every node in `active` beforehand.
     ///
     /// Telemetry is statically dispatched: every instrumentation site is
     /// guarded by `S::ENABLED`, so with [`crate::obs::NoopSink`] this
     /// compiles to exactly the uninstrumented loop.
-    pub fn contract_with<S: Sink>(
-        &mut self,
-        alg: &A,
-        active: &[u32],
-        seed: u64,
-        sink: &mut S,
-    ) -> RunOutcome<A> {
+    pub fn contract_with<S: Sink>(&mut self, alg: &A, seed: u64, sink: &mut S) -> RunOutcome {
         self.death_order.clear();
-        let mut components = Vec::new();
-        let mut live: Vec<u32> = active.to_vec();
+        let mut live: Vec<u32> = (0..self.par.len() as u32).collect();
         let mut actions: Vec<Action> = Vec::new();
         let mut round = 0;
         let mut counters = EngineCounters::default();
@@ -271,9 +282,8 @@ impl<A: Algebra> Scratch<A> {
                         if S::ENABLED {
                             finishes += 1;
                         }
-                        // lint:allow(panic): callers seed Some acc for every active node
+                        // lint:allow(panic): load() seeds Some acc for every node
                         let val = alg.finish(self.acc[u as usize].as_ref().unwrap());
-                        components.push((NodeId(u), val.clone()));
                         check::must(wlog.record(Cell::Life(u), WriteMode::Exclusive, u as u64));
                         self.kill(u, round, Death::Root(val));
                     }
@@ -282,10 +292,10 @@ impl<A: Algebra> Scratch<A> {
                             rakes += 1;
                         }
                         let p = self.par[u as usize] as usize;
-                        // lint:allow(panic): callers seed Some acc for every active node
+                        // lint:allow(panic): load() seeds Some acc for every node
                         let val = alg.finish(self.acc[u as usize].as_ref().unwrap());
                         let contrib =
-                            // lint:allow(panic): callers seed Some fun for every active node
+                            // lint:allow(panic): load() seeds Some fun for every node
                             alg.apply(self.fun[u as usize].as_ref().unwrap(), val.clone());
                         let slot = self.sib[u as usize];
                         // Sibling rakes hit the same parent cells, but
@@ -297,7 +307,7 @@ impl<A: Algebra> Scratch<A> {
                             u as u64,
                         ));
                         check::must(wlog.record(Cell::Life(u), WriteMode::Exclusive, u as u64));
-                        // lint:allow(panic): the parent of an active node is active (upward closure)
+                        // lint:allow(panic): a raking node's parent is live, and live nodes keep Some acc
                         alg.absorb_at(self.acc[p].as_mut().unwrap(), slot, contrib);
                         self.count[p] -= 1;
                         self.kill(u, round, Death::Raked(val));
@@ -359,7 +369,6 @@ impl<A: Algebra> Scratch<A> {
         }
 
         RunOutcome {
-            components,
             rounds: round,
             counters,
         }
@@ -444,8 +453,8 @@ impl<A: Algebra> Scratch<A> {
     #[inline(always)]
     fn check_round(&self, _round: u32, _live: &[u32], _deaths_before: usize) {}
 
-    /// Extracts the shortcut structure of the last run over nodes `0..n`:
-    /// each node's working parent at death (`up`), plus CSR hop lists
+    /// Extracts the shortcut structure of the last run: each node's working
+    /// parent at death (`up`), plus CSR hop lists
     /// (`hop_off`, `hop_victims`) giving, for every node `x`, the nodes that
     /// were spliced out from directly above it — i.e. the original-tree
     /// ancestors lying strictly between `x` and `up[x]`, in ascending death
@@ -455,12 +464,9 @@ impl<A: Algebra> Scratch<A> {
     /// … therefore reconstructs `x`'s *entire* original ancestor path while
     /// only ever following `O(rounds)` shortcut pointers; this is what the
     /// batch query engine traverses.
-    ///
-    /// Only meaningful after a run whose active set was the full `0..n`
-    /// range (static contraction); a dirty-set run leaves stale entries for
-    /// untouched nodes.
-    pub fn trace_links(&self, n: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        let up = self.death_parent[..n].to_vec();
+    pub fn trace_links(&self) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let n = self.death_parent.len();
+        let up = self.death_parent.clone();
         let mut hop_off = vec![0u32; n + 1];
         for &u in &self.death_order {
             if let Death::Compressed { child, .. } = &self.death[u as usize] {
@@ -485,7 +491,7 @@ impl<A: Algebra> Scratch<A> {
     }
 
     /// Replays the death trace in reverse, writing the final subtree value
-    /// of every active node into `out`.
+    /// of every node into `out`.
     ///
     /// Raked nodes and finished roots knew their value at death; a
     /// compressed node's value is its recorded unary function applied to

@@ -12,7 +12,8 @@
 //!   trace slots whose inputs changed (change propagation with cached
 //!   child aggregates — see the [`Propagate`] trait), and batches of
 //!   [`cut`](DynForest::try_batch_cut) / [`link`](DynForest::try_batch_link)
-//!   edits fall back to re-contracting the dirty set;
+//!   edits rebuild the trace with one full contraction under the same
+//!   coins;
 //! * a **batch query** engine: a [`QueryBatch`] of mixed subtree / path /
 //!   LCA / component queries resolves in a single pass over the
 //!   contraction DAG — one `O(n)` context sweep plus `O(log n)` per query
@@ -80,7 +81,7 @@
 //! assert!(d.try_subtree_value(root).is_err()); // stale until recompute
 //! d.recompute();
 //! assert_eq!(d.subtree_value(root), 33);
-//! let answers = d.query_batch(&batch).unwrap();
+//! let answers = d.query_batch(&batch).unwrap(); // read from the maintained trace
 //! assert_eq!(answers[0], Ok(Answer::Value(32)));
 //! ```
 

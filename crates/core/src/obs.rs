@@ -95,8 +95,8 @@ impl fmt::Display for Phase {
 ///
 /// Conservation invariant (tested): every action retires exactly one node,
 /// so `rakes + splices + finishes` equals the frontier shrinkage from this
-/// round to the next, and their sum over all rounds equals the size of the
-/// active set.
+/// round to the next, and their sum over all rounds equals the number of
+/// nodes contracted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundCounters {
     /// Round number (1-based).
@@ -138,8 +138,9 @@ pub struct EngineCounters {
     pub coin_rejections: u64,
     /// Largest round-start frontier observed.
     pub max_frontier: usize,
-    /// Trace slots re-executed by change propagation (0 for full
-    /// contractions and legacy dirty-set recomputes).
+    /// Trace slots re-executed by a [`DynForest`](crate::DynForest)
+    /// recompute: the affected set of change propagation, or every slot on
+    /// a structural rebuild (0 in a static contraction's totals).
     pub replayed_slots: u64,
     /// Trace slots whose recorded result was reused untouched by change
     /// propagation.
@@ -147,7 +148,7 @@ pub struct EngineCounters {
 }
 
 impl EngineCounters {
-    /// Nodes retired over the whole run; equals the active-set size.
+    /// Nodes retired over the whole run; equals the node count.
     #[inline]
     pub fn retired(&self) -> u64 {
         self.rakes + self.splices + self.finishes
@@ -473,7 +474,7 @@ impl Profile {
         self.totals.absorb_round(c);
     }
 
-    /// Contraction runs observed (a run = one full drain of an active set).
+    /// Contraction runs observed (a run = one contraction of a whole forest).
     pub fn runs(&self) -> u64 {
         self.runs
     }

@@ -23,6 +23,11 @@
 //! slot at most once, and a wave dies out after `O(rounds)` hops — the
 //! depth-independence the static round structure was recorded for.
 //!
+//! Only label edits propagate. A cut or link changes the shape the trace
+//! describes, so the dynamic layer contracts the whole forest again under
+//! the same coins and calls [`Replay::rebuild`]; the trace it then holds is
+//! exactly the one a fresh contraction with that seed records.
+//!
 //! Child aggregates come in two flavours, chosen by
 //! [`Propagate::INVERTIBLE`]:
 //!
@@ -35,7 +40,7 @@
 //!   refolding the other 10⁵ − 1.
 
 use crate::algebra::{Algebra, Propagate};
-use crate::arena::Forest;
+use crate::arena::{ChildCsr, Forest};
 use crate::engine::{Death, Scratch};
 use crate::obs::{Phase, Sink};
 use crate::NodeId;
@@ -148,13 +153,14 @@ pub(crate) struct PropagateOutcome {
 /// The contraction trace reshaped for replay, plus the caches that make
 /// replaying a slot `O(1)`–`O(log degree)` instead of `O(degree)`.
 ///
-/// Built from (and only valid against) one *full* contraction's scratch
-/// state; structural edits go through the legacy dirty-set path and flip
-/// [`Replay::valid`] off, so the next label-only recompute re-anchors with
-/// a fresh contraction before propagating.
+/// Built from one full contraction's scratch state by [`Replay::rebuild`],
+/// and kept valid by [`Replay::propagate`] across label-only batches. A
+/// structural batch changes the shape the tables describe, so the dynamic
+/// layer contracts again and rebuilds them.
 pub(crate) struct Replay<A: Propagate> {
-    /// `false` until [`Replay::rebuild`] runs against a coherent trace.
-    pub valid: bool,
+    /// Child adjacency of the shape the tables were built from; rebuilt in
+    /// place, so a rebuild does not reallocate it.
+    children: ChildCsr,
     /// Cached contribution each raked node delivered to its working
     /// parent (`None` for compressed nodes and roots, which deliver
     /// through composed functions instead).
@@ -174,7 +180,7 @@ pub(crate) struct Replay<A: Propagate> {
 impl<A: Propagate> Replay<A> {
     pub fn new() -> Self {
         Replay {
-            valid: false,
+            children: ChildCsr::default(),
             contrib: Vec::new(),
             victims: Vec::new(),
             kids: Kids::Flat(Vec::new()),
@@ -184,10 +190,11 @@ impl<A: Propagate> Replay<A> {
     }
 
     /// Rebuilds every table from `scratch`, which must hold the completed
-    /// trace of a **full** contraction (every node in the active set).
-    /// `O(n + trace)` using one backsolve sweep for child values.
-    pub fn rebuild(&mut self, alg: &A, children: &[Vec<u32>], scratch: &Scratch<A>) {
-        let n = children.len();
+    /// trace of a full contraction of `forest`. `O(n + trace)` using one
+    /// backsolve sweep for child values.
+    pub fn rebuild(&mut self, alg: &A, forest: &Forest<A::Label>, scratch: &Scratch<A>) {
+        let n = forest.len();
+        self.children.rebuild(forest);
         self.contrib.clear();
         self.contrib.resize(n, None);
         self.victims.clear();
@@ -230,10 +237,11 @@ impl<A: Propagate> Replay<A> {
                 // lint:allow(panic): a full-trace backsolve resolves every node
                 .expect("backsolve resolved every child")
         };
+        let children = &self.children;
         self.kids = if A::INVERTIBLE {
             let mut parts = Vec::with_capacity(n);
-            for (p, kids) in children.iter().enumerate() {
-                let gap = gap_of(p);
+            for p in 0..n {
+                let (kids, gap) = (children.of(p as u32), gap_of(p));
                 let mut part = alg.part_empty();
                 for (i, &c) in kids.iter().enumerate() {
                     if gap == Some(i as u32) {
@@ -247,8 +255,8 @@ impl<A: Propagate> Replay<A> {
             Kids::Flat(parts)
         } else {
             let mut trees = Vec::with_capacity(n);
-            for (p, kids) in children.iter().enumerate() {
-                let gap = gap_of(p);
+            for p in 0..n {
+                let (kids, gap) = (children.of(p as u32), gap_of(p));
                 let leaves: Vec<A::Part> = kids
                     .iter()
                     .enumerate()
@@ -264,15 +272,14 @@ impl<A: Propagate> Replay<A> {
             }
             Kids::Trees(trees)
         };
-        self.valid = true;
     }
 
     /// Replays the trace slots affected by the edited nodes in `dirty`,
     /// updating death records (and caches) in place so that
     /// [`resolve_val`] afterwards returns post-edit values everywhere.
     ///
-    /// Requires `self.valid` — i.e. the trace in `scratch` is the one the
-    /// tables were rebuilt from, modulo earlier propagation passes.
+    /// Requires the trace in `scratch` to be the one the tables were
+    /// rebuilt from, modulo earlier propagation passes.
     pub fn propagate<S: Sink>(
         &mut self,
         alg: &A,
@@ -431,7 +438,7 @@ fn refold_chain<A: Propagate>(
 impl<A: Propagate> Clone for Replay<A> {
     fn clone(&self) -> Self {
         Replay {
-            valid: self.valid,
+            children: self.children.clone(),
             contrib: self.contrib.clone(),
             victims: self.victims.clone(),
             kids: self.kids.clone(),

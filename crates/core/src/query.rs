@@ -59,7 +59,7 @@
 //! ```
 
 use crate::algebra::{Algebra, PathAlgebra};
-use crate::arena::{Forest, NONE};
+use crate::arena::{ChildCsr, Forest, NONE};
 use crate::contract::Contraction;
 use crate::{par, NodeId};
 use std::fmt;
@@ -285,26 +285,7 @@ fn build_ctx<A: PathAlgebra>(
     alg: &A,
 ) -> Ctx<A::PathVal> {
     let n = forest.len();
-    // Child lists in flat CSR form (one allocation, children in id order —
-    // the same order `Forest::build_children` derives).
-    let mut kid_off = vec![0u32; n + 1];
-    for v in 0..n as u32 {
-        let p = forest.parent(NodeId(v));
-        if let Some(p) = p {
-            kid_off[p.index() + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        kid_off[i + 1] += kid_off[i];
-    }
-    let mut cursor = kid_off.clone();
-    let mut kids = vec![0u32; n.saturating_sub(forest.roots().count())];
-    for v in 0..n as u32 {
-        if let Some(p) = forest.parent(NodeId(v)) {
-            kids[cursor[p.index()] as usize] = v;
-            cursor[p.index()] += 1;
-        }
-    }
+    let ChildCsr { off: kid_off, kids } = ChildCsr::new(forest);
 
     let mut tin = vec![0u32; n];
     let mut tout = vec![0u32; n];

@@ -51,12 +51,18 @@ fn validators_accept_shapes_up_to_1e5() {
 }
 
 /// Random edit/recompute churn on a dynamic forest, validating the full
-/// dynamic layer (adjacency symmetry, dirty-set coherence, cached values)
-/// after **every** `recompute()`, plus once mid-batch while dirty.
+/// dynamic layer (edit-mark coherence, and the maintained trace against a
+/// fresh same-seed contraction) after **every** `recompute()`, plus the
+/// marks once mid-batch while dirty.
 fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
     let f = gen::random_tree(n, seed);
     let mut d = DynForest::with_seed(f, SubtreeSum, seed);
-    d.validate().expect("fresh dynamic forest validates");
+    let validate = |d: &DynForest<SubtreeSum>, when: &str| {
+        d.validate()
+            .and_then(|()| d.validate_trace())
+            .unwrap_or_else(|e| panic!("{when}: {e}"));
+    };
+    validate(&d, "fresh dynamic forest");
 
     let mut rng = XorShift64::new(seed | 1);
     for round in 0..rounds {
@@ -78,8 +84,7 @@ fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
 
         let stats = d.recompute();
         assert!(stats.dirty > 0, "round {round}: edits marked nothing dirty");
-        d.validate()
-            .unwrap_or_else(|e| panic!("round {round}: invalid after recompute: {e}"));
+        validate(&d, &format!("round {round}: after recompute"));
 
         // Link the cut component back somewhere legal and re-validate.
         if cut.is_ok() {
@@ -91,9 +96,13 @@ fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
                 d.batch_link(&[(v, p)]);
                 d.recompute();
             }
-            d.validate()
-                .unwrap_or_else(|e| panic!("round {round}: invalid after relink: {e}"));
+            validate(&d, &format!("round {round}: after relink"));
         }
+
+        // A label-only batch propagates over the rebuilt trace.
+        d.batch_update_weights(&bumps);
+        d.recompute();
+        validate(&d, &format!("round {round}: after propagation"));
     }
 }
 

@@ -16,7 +16,7 @@ fn assert_conservation(f: &Forest<i64>, n: u64) {
 
     let rounds = prof.per_round();
     if n > 0 {
-        assert_eq!(rounds[0].frontier, n, "round 1 sees the whole active set");
+        assert_eq!(rounds[0].frontier, n, "round 1 sees every node");
         assert_eq!(prof.max_frontier(), n as usize);
     }
     for (i, r) in rounds.iter().enumerate() {
@@ -145,34 +145,34 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
         assert_eq!(prof.phase_stats(Phase::Backsolve).spans(), 0);
     }
 
-    // The legacy dirty-set path keeps the engine-run counter semantics.
-    d.set_propagation(false);
-    let updates: Vec<(NodeId, i64)> = d
+    // A structural batch rebuilds the trace with one engine run over every
+    // node, and replays every slot.
+    let n = d.len();
+    let cuts: Vec<NodeId> = d
         .forest()
         .node_ids()
+        .filter(|&v| !d.forest().is_root(v))
         .step_by(37)
         .take(50)
-        .map(|v| (v, 9))
         .collect();
-    d.batch_update_weights(&updates);
+    d.batch_cut(&cuts);
     let stats = d.recompute();
     let counters = stats.counters.expect("profiling fills counters");
+    assert_eq!(stats.dirty, cuts.len(), "the moved nodes are the edits");
     assert_eq!(
         counters.retired(),
-        stats.dirty as u64,
-        "per-run retirements must equal the dirty-set size"
+        n as u64,
+        "the rebuild retires every node"
     );
     assert_eq!(counters.rounds, stats.rounds);
-    assert_eq!(counters.max_frontier, stats.dirty);
-    assert_eq!(
-        counters.replayed_slots + counters.reused_slots,
-        0,
-        "legacy engine counters do not track slot reuse"
-    );
+    assert_eq!(counters.max_frontier, n);
+    assert_eq!((stats.replayed_slots, stats.reused_slots), (n, 0));
+    assert_eq!(counters.replayed_slots, n as u64);
+    assert_eq!(counters.reused_slots, 0);
     assert_eq!(
         d.profile().unwrap().runs(),
         1,
-        "one engine run per legacy recompute"
+        "one engine run per structural recompute"
     );
 
     // An empty recompute reports zeroed counters, not None.

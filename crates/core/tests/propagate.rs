@@ -1,7 +1,7 @@
 //! Differential tests for change propagation: the trace-replay path must
-//! produce exactly the values of the legacy dirty-set re-contraction (and
-//! of the sequential oracle) over long random edit scripts, across the
-//! whole shape zoo, for invertible and non-invertible algebras alike.
+//! produce exactly the values of a fresh contraction under the same seed
+//! (and of the sequential oracle) over long random edit scripts, across
+//! the whole shape zoo, for invertible and non-invertible algebras alike.
 
 use dtc_core::gen::{self, ChurnOp, XorShift64};
 use dtc_core::{DynForest, ExprEval, ExprLabel, Forest, MinMax, NodeId, Propagate, SubtreeSum};
@@ -29,9 +29,28 @@ fn shape_zoo(n: usize, seed: u64) -> Vec<(String, Forest<i64>)> {
     ]
 }
 
-/// Applies the same label-edit script to a propagating forest and a
-/// legacy-path twin, checking both against each other and the oracle
-/// after every batch.
+/// Asserts that every maintained value of `d` equals both a fresh
+/// contraction of its forest under the same seed and the sequential fold.
+fn assert_matches_fresh<A>(name: &str, d: &DynForest<A>, alg: &A, seed: u64)
+where
+    A: Propagate,
+    A::Val: std::fmt::Debug,
+{
+    let fresh = d.forest().contraction().seed(seed).run(alg);
+    let oracle = d.forest().sequential_fold(alg);
+    for v in d.forest().node_ids() {
+        let got = d.subtree_value(v);
+        assert_eq!(
+            &got,
+            fresh.subtree_value(v),
+            "{name}: fresh mismatch at {v}"
+        );
+        assert_eq!(got, oracle[v.index()], "{name}: oracle mismatch at {v}");
+    }
+}
+
+/// Applies a random label-edit script, checking the propagated values
+/// against a fresh contraction and the oracle after every batch.
 fn diff_label_script<A>(name: &str, forest: Forest<A::Label>, alg: A, edits: usize, seed: u64)
 where
     A: Propagate<Label = i64>,
@@ -39,10 +58,7 @@ where
 {
     let n = forest.len();
     let mut rng = XorShift64::new(seed);
-    let mut fast = DynForest::with_seed(forest, alg.clone(), 0xFA57);
-    let mut slow = fast.clone();
-    slow.set_propagation(false);
-    assert!(fast.propagation_enabled() && !slow.propagation_enabled());
+    let mut d = DynForest::with_seed(forest, alg.clone(), 0xFA57);
 
     let mut done = 0usize;
     while done < edits {
@@ -56,79 +72,58 @@ where
             })
             .collect();
         done += updates.len();
-        fast.batch_update_weights(&updates);
-        slow.batch_update_weights(&updates);
-        let fstats = fast.recompute();
-        let sstats = slow.recompute();
+        d.batch_update_weights(&updates);
+        let stats = d.recompute();
         assert_eq!(
-            fstats.replayed_slots + fstats.reused_slots,
-            fstats.total,
+            stats.replayed_slots + stats.reused_slots,
+            stats.total,
             "{name}: replay stats must partition the trace"
         );
-        assert_eq!(
-            sstats.replayed_slots + sstats.reused_slots,
-            sstats.total,
-            "{name}: legacy stats must partition the trace"
-        );
-        let oracle = fast.forest().sequential_fold(&alg);
-        for v in fast.forest().node_ids() {
-            let f = fast.subtree_value(v);
-            assert_eq!(f, slow.subtree_value(v), "{name}: paths diverge at {v}");
-            assert_eq!(f, oracle[v.index()], "{name}: oracle mismatch at {v}");
-        }
+        assert_matches_fresh(name, &d, &alg, 0xFA57);
     }
 }
 
 #[test]
-fn propagation_matches_legacy_across_shape_zoo() {
+fn propagation_matches_fresh_contraction_across_shape_zoo() {
     for (name, f) in shape_zoo(600, 0xD1FF) {
         diff_label_script(&name, f, SubtreeSum, 120, 0x5C41A7);
     }
 }
 
 #[test]
-fn propagation_matches_legacy_for_noninvertible_minmax() {
+fn propagation_matches_fresh_contraction_for_noninvertible_minmax() {
     for (name, f) in shape_zoo(400, 0x3A11) {
         diff_label_script(&name, f, MinMax, 80, 0xBEEF);
     }
 }
 
 #[test]
-fn propagation_matches_legacy_for_expressions() {
+fn propagation_matches_fresh_contraction_for_expressions() {
     let f = gen::random_expr(2_000, 9);
     let leaves: Vec<NodeId> = f
         .node_ids()
         .filter(|&v| matches!(f.label(v), ExprLabel::Leaf(_)))
         .collect();
-    let mut fast = DynForest::with_seed(f, ExprEval, 0xE4);
-    let mut slow = fast.clone();
-    slow.set_propagation(false);
+    let mut d = DynForest::with_seed(f, ExprEval, 0xE4);
 
     let mut rng = XorShift64::new(0xAB);
-    for _ in 0..40 {
+    for i in 0..40 {
         let updates: Vec<(NodeId, ExprLabel)> = (0..1 + rng.below(8))
             .map(|_| {
                 let v = leaves[rng.below(leaves.len() as u64) as usize];
                 (v, ExprLabel::Leaf(rng.below(7) as i64 - 3))
             })
             .collect();
-        fast.batch_update_weights(&updates);
-        slow.batch_update_weights(&updates);
-        fast.recompute();
-        slow.recompute();
-        let oracle = fast.forest().sequential_fold(&ExprEval);
-        for v in fast.forest().node_ids() {
-            let got = fast.subtree_value(v);
-            assert_eq!(got, slow.subtree_value(v), "expr paths diverge at {v}");
-            assert_eq!(got, oracle[v.index()], "expr oracle mismatch at {v}");
-        }
+        d.batch_update_weights(&updates);
+        d.recompute();
+        assert_matches_fresh(&format!("expr batch {i}"), &d, &ExprEval, 0xE4);
     }
 }
 
-/// Churn scripts interleave structural edits (which force the legacy
-/// fallback and invalidate the replay tables) with label edits (which
-/// re-anchor on a fresh contraction and then propagate again); values
-/// must stay exact through every transition.
+/// Churn scripts interleave structural edits (whose recompute rebuilds
+/// the trace from a full contraction) with label edits (which propagate
+/// over the rebuilt trace); values must stay exact through every
+/// transition.
 #[test]
 fn propagation_survives_structural_churn_and_reanchors() {
     let (f, script) = gen::churn(500, 200, 0xC08A);
@@ -142,30 +137,27 @@ fn propagation_survives_structural_churn_and_reanchors() {
             }
         }
         d.recompute();
-        let oracle = d.forest().sequential_fold(&SubtreeSum);
-        for v in d.forest().node_ids() {
-            assert_eq!(
-                d.subtree_value(v),
-                oracle[v.index()],
-                "churn chunk {i}: mismatch at {v}"
-            );
-        }
+        assert_matches_fresh(&format!("churn chunk {i}"), &d, &SubtreeSum, 0x11);
     }
-    // A label-only batch after all that churn exercises the re-anchor
-    // (full contraction) and then pure propagation on the new trace.
-    d.batch_update_weights(&[(NodeId::from_index(3), 1_000)]);
+    // A structural batch replays every slot; the label batch after it
+    // propagates over the rebuilt trace.
+    let v = NodeId::from_index(3);
+    if d.forest().is_root(v) {
+        let target = d.forest().node_ids().find(|&u| d.root_of(u) != v).unwrap();
+        d.batch_link(&[(v, target)]);
+    } else {
+        d.batch_cut(&[v]);
+    }
     let stats = d.recompute();
-    assert_eq!(stats.replayed_slots, stats.total, "re-anchor replays all");
-    d.batch_update_weights(&[(NodeId::from_index(3), -7)]);
+    assert_eq!(stats.replayed_slots, stats.total, "a rebuild replays all");
+    assert_eq!(stats.reused_slots, 0);
+    d.batch_update_weights(&[(v, -7)]);
     let stats = d.recompute();
     assert!(
         stats.replayed_slots < stats.total,
-        "post-anchor batches propagate incrementally again"
+        "label batches after a rebuild propagate incrementally"
     );
-    let oracle = d.forest().sequential_fold(&SubtreeSum);
-    for v in d.forest().node_ids() {
-        assert_eq!(d.subtree_value(v), oracle[v.index()]);
-    }
+    assert_matches_fresh("after churn", &d, &SubtreeSum, 0x11);
 }
 
 /// The whole point of the accumulator caches: a small edit batch must not
@@ -215,15 +207,15 @@ fn minmax_cutoff_stops_the_wave() {
     }
 }
 
-/// Bit-identical guarantee, checked by the crate's own validator up to
-/// 10⁵ nodes (`check` feature).
+/// Trace identity with a fresh contraction, checked by the crate's own
+/// validator up to 10⁵ nodes (`check` feature).
 #[cfg(feature = "check")]
 #[test]
 fn validator_confirms_value_identity_at_100k() {
     let n = 100_000usize;
     let mut d = DynForest::with_seed(gen::random_tree(n, 0x51DE), SubtreeSum, 0xF00);
     d.validate().unwrap();
-    d.validate_values().unwrap();
+    d.validate_trace().unwrap();
     let mut rng = XorShift64::new(0xFACE);
     for _ in 0..5 {
         let updates: Vec<(NodeId, i64)> = (0..200)
@@ -237,6 +229,6 @@ fn validator_confirms_value_identity_at_100k() {
         d.batch_update_weights(&updates);
         d.recompute();
         d.validate().unwrap();
-        d.validate_values().unwrap();
+        d.validate_trace().unwrap();
     }
 }

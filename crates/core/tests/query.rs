@@ -359,6 +359,61 @@ fn failed_edit_batches_roll_back_the_shape() {
 }
 
 #[test]
+fn rejected_edit_batches_leave_no_marks() {
+    let mut f = Forest::new();
+    let r = f.add_root(1i64);
+    let a = f.add_child(r, 2);
+    let b = f.add_child(r, 3);
+    let c = f.add_child(a, 4);
+    let e = f.add_root(5);
+    let mut d = DynForest::new(f, SubtreeSum);
+    let nodes = [r, a, b, c, e];
+    let reads = |d: &DynForest<SubtreeSum>| nodes.map(|v| d.try_subtree_value(v));
+    let clean = reads(&d);
+
+    // The third op fails after two valid ones: nothing stays marked.
+    assert_eq!(
+        d.try_batch_cut(&[a, b, r]),
+        Err(EditError::AlreadyRoot { node: r })
+    );
+    assert_eq!(d.pending(), 0);
+    assert!(nodes.iter().all(|&v| !d.is_dirty(v)));
+    assert_eq!(reads(&d), clean, "reads unchanged by a rejected cut");
+
+    d.batch_cut(&[c]);
+    d.recompute();
+    let clean = reads(&d);
+    assert_eq!(
+        d.try_batch_link(&[(c, b), (e, c), (r, e)]),
+        Err(EditError::WouldCycle {
+            child: r,
+            parent: e
+        })
+    );
+    assert_eq!(d.pending(), 0);
+    assert!(nodes.iter().all(|&v| !d.is_dirty(v)));
+    assert_eq!(reads(&d), clean, "reads unchanged by a rejected link");
+
+    // With a label edit pending, a rejected batch keeps exactly that mark.
+    d.batch_update_weights(&[(b, 30)]);
+    assert_eq!(
+        d.try_batch_link(&[(c, b), (e, a), (a, r)]),
+        Err(EditError::NotARoot { node: a })
+    );
+    assert_eq!(d.pending(), 1);
+    assert!(d.is_dirty(b) && !d.is_dirty(c) && !d.is_dirty(e));
+    let stats = d.recompute();
+    assert!(
+        stats.replayed_slots < stats.total,
+        "still a label-only batch"
+    );
+    let oracle = d.forest().sequential_fold(&SubtreeSum);
+    for v in nodes {
+        assert_eq!(d.subtree_value(v), oracle[v.index()]);
+    }
+}
+
+#[test]
 fn interleaved_edits_queries_and_recomputes_match_oracle() {
     let mut d = DynForest::new(gen::random_tree(2_000, 99), SubtreeSum);
     let mut rng = 0xFEED_u64;
@@ -396,7 +451,7 @@ fn interleaved_edits_queries_and_recomputes_match_oracle() {
             let v = pick(&mut rng);
             assert_eq!(d.subtree_value(v), oracle[v.index()], "round {round}");
         }
-        // …and so does a mixed query batch resolved over a fresh trace.
+        // …and so does a mixed query batch resolved over the same trace.
         let mut batch = QueryBatch::new();
         for i in 0..60 {
             let (u, v) = (pick(&mut rng), pick(&mut rng));
@@ -412,7 +467,10 @@ fn interleaved_edits_queries_and_recomputes_match_oracle() {
             let a = a.as_ref().unwrap();
             let f = d.forest();
             match *q {
-                Query::Subtree(v) => assert_eq!(a, &Answer::Value(oracle[v.index()])),
+                Query::Subtree(v) => {
+                    assert_eq!(a, &Answer::Value(oracle[v.index()]));
+                    assert_eq!(a, &Answer::Value(d.try_subtree_value(v).unwrap()));
+                }
                 Query::ComponentValue(v) => {
                     assert_eq!(a, &Answer::Value(oracle[f.root_of(v).index()]))
                 }
@@ -453,10 +511,17 @@ fn ordered_rake_matches_sequential_fold_on_all_shapes() {
 
 #[test]
 fn ordered_rake_survives_dynamic_weight_updates() {
-    // Weight-only edits never perturb child-list order, so the ordered
-    // semantics stay oracle-exact under incremental recomputes.
+    // Ordered semantics stay oracle-exact under incremental recomputes:
+    // weight edits never touch child order, and cuts/links keep children
+    // in id order, the order `sequential_fold` folds them in.
     let alg = OrderedRake(SeqHash);
     let mut d = DynForest::new(gen::random_tree(3_000, 55), alg);
+    let assert_exact = |d: &DynForest<OrderedRake<SeqHash>>, context: &str| {
+        let oracle = d.forest().sequential_fold(&OrderedRake(SeqHash));
+        for v in d.forest().node_ids() {
+            assert_eq!(d.subtree_value(v), oracle[v.index()], "{context}");
+        }
+    };
     let mut rng = 0xBEEF_u64;
     for round in 0..10 {
         let n = d.len();
@@ -468,9 +533,28 @@ fn ordered_rake_survives_dynamic_weight_updates() {
             .collect();
         d.batch_update_weights(&updates);
         d.recompute();
-        let oracle = d.forest().sequential_fold(&OrderedRake(SeqHash));
-        for v in d.forest().node_ids() {
-            assert_eq!(d.subtree_value(v), oracle[v.index()], "round {round}");
+        assert_exact(&d, &format!("weight round {round}"));
+    }
+    // Cut/relink rounds: a round trip must restore every ordered value.
+    for round in 0..20 {
+        let n = d.len();
+        let mut cuts: Vec<NodeId> = Vec::new();
+        for _ in 0..8 {
+            let v = NodeId::from_index((xorshift(&mut rng) % n as u64) as usize);
+            if d.forest().parent(v).is_some() && !cuts.contains(&v) {
+                cuts.push(v);
+            }
         }
+        let parents: Vec<NodeId> = cuts
+            .iter()
+            .map(|&v| d.forest().parent(v).unwrap())
+            .collect();
+        d.try_batch_cut(&cuts).unwrap();
+        d.recompute();
+        assert_exact(&d, &format!("cut round {round}"));
+        let links: Vec<(NodeId, NodeId)> = cuts.iter().copied().zip(parents).collect();
+        d.try_batch_link(&links).unwrap();
+        d.recompute();
+        assert_exact(&d, &format!("relink round {round}"));
     }
 }
