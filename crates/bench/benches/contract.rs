@@ -4,11 +4,11 @@
 //! Shapes (all ~100k nodes): `random` (O(log n) depth), `path` (worst-case
 //! depth), `star` (worst-case degree), `caterpillar` (deep spine + legs),
 //! `binary` (balanced), `broom` (deep handle into a high-degree head).
-//! Each shape is exercised three ways: full contraction, a 1k batch of
-//! cuts, and a 1k batch of weight updates (the latter driven by change
-//! propagation — its records carry `replayed_slots`/`reused_slots`). A
-//! churn bench interleaves structural and label edits to price the
-//! structural rebuilds.
+//! Each shape is exercised by a full contraction, a 1k batch of cuts, a 1k
+//! batch of weight updates (driven by change propagation — its records
+//! carry `replayed_slots`/`reused_slots`), and a 1k-query batch three ways:
+//! static, dynamic, and as individual walks. A churn bench interleaves
+//! structural and label edits to price the structural rebuilds.
 //!
 //! Run with `cargo bench -p dtc-bench`, or `cargo bench -p dtc-bench --
 //! --test` for the CI smoke mode (each bench executes once). Add
@@ -23,6 +23,7 @@ use dtc_core::obs::{Phase, Profile};
 use dtc_core::{
     Answer, Contraction, DynForest, Forest, NodeId, QueryBatch, SubtreeSum, UpdateStats,
 };
+use std::cell::RefCell;
 
 /// A named lazy forest generator.
 type Shape = (&'static str, Box<dyn Fn() -> Forest<i64>>);
@@ -152,13 +153,15 @@ fn main() {
     }
 
     // Batch query engine vs 1k individual naive lookups per shape. The
-    // batch pays one O(n) context pass over the trace and then O(log² n)
-    // per query; the naive baseline pays an O(depth) parent walk per
-    // query. Deep shapes (path, caterpillar) are where batching wins by
-    // orders of magnitude; shallow shapes show the flat cost of the
-    // context pass. Both sides run the same 1k-query mix (250 each of
-    // subtree / path / lca / component-value) and are checked against
-    // each other once outside the measured region.
+    // static batch pays one O(n) shape index over the trace and then
+    // O(log² n) per query; the naive baseline pays an O(depth) parent walk
+    // per query. Deep shapes (path, caterpillar) are where batching wins by
+    // orders of magnitude; shallow shapes show the flat cost of the index.
+    // `dyn_query_1k` prices the same batch on a `DynForest` that keeps its
+    // index across label batches: one backsolve and the hop prefixes per
+    // batch. All sides run the same 1k-query mix (250 each of subtree /
+    // path / lca / component-value) and are checked against each other
+    // once outside the measured region.
     for (shape, make) in shapes() {
         let f = make();
         let contraction = f.contraction().seed(0x5EED).run(&SubtreeSum);
@@ -191,6 +194,33 @@ fn main() {
                 &name,
                 || (),
                 |()| naive_resolve_all(&f, &contraction, &batch),
+            );
+            h.attach(&name, "queries", Json::num(batch.len() as u32));
+        }
+        let name = format!("dyn_query_1k/{shape}");
+        if h.selected(&name) {
+            let d = DynForest::new(f.clone(), SubtreeSum);
+            assert_eq!(
+                d.query_batch(&batch),
+                contraction.query_batch(&f, &SubtreeSum, &batch),
+                "dynamic and static batches must agree on {shape}"
+            );
+            // Each iteration first lands a 16-update label batch, outside
+            // the timed region: the index stays, the values and the hop
+            // prefixes change.
+            let relabel: Vec<NodeId> = f.node_ids().step_by(f.len() / 16).take(16).collect();
+            let d = RefCell::new(d);
+            let mut bump = 0i64;
+            h.bench(
+                &name,
+                || {
+                    bump += 1;
+                    let updates: Vec<(NodeId, i64)> = relabel.iter().map(|&v| (v, bump)).collect();
+                    let mut d = d.borrow_mut();
+                    d.batch_update_weights(&updates);
+                    d.recompute();
+                },
+                |()| d.borrow().query_batch(&batch).unwrap().len(),
             );
             h.attach(&name, "queries", Json::num(batch.len() as u32));
         }

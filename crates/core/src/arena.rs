@@ -254,59 +254,85 @@ impl<L> Forest<L> {
     }
 }
 
-/// Child adjacency derived from a forest's parent pointers, in flat CSR
-/// form: the children of `p` are `kids[off[p]..off[p + 1]]`, in ascending
-/// id order — the order the contraction engine numbers sibling slots in.
-/// [`ChildCsr::rebuild`] re-derives in place, reusing both buffers.
+/// Node ids grouped by node in flat CSR form: group `k` is
+/// `items[off[k]..off[k + 1]]`. It holds a forest's child lists
+/// ([`Csr::rebuild_children`], each in ascending id order — the order the
+/// contraction engine numbers sibling slots in) and a trace's hop lists
+/// ([`Scratch::hop_lists`](crate::engine::Scratch::hop_lists)). Rebuilds
+/// re-derive in place, reusing both buffers.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ChildCsr {
-    /// Offsets into `kids`, length `n + 1`.
+pub(crate) struct Csr {
+    /// Offsets into `items`, length `groups + 1`.
     pub off: Vec<u32>,
-    /// Every non-root, grouped by parent.
-    pub kids: Vec<u32>,
+    /// Every grouped id, group after group.
+    pub items: Vec<u32>,
 }
 
-impl ChildCsr {
+impl Csr {
     /// Derives the child adjacency of `forest`.
-    pub fn new<L>(forest: &Forest<L>) -> Self {
-        let mut csr = ChildCsr::default();
-        csr.rebuild(forest);
+    pub fn children<L>(forest: &Forest<L>) -> Self {
+        let mut csr = Csr::default();
+        csr.rebuild_children(forest);
         csr
     }
 
     /// Re-derives the child adjacency of `forest` into the existing
-    /// buffers. `O(n)`, no allocation once the buffers have grown.
-    pub fn rebuild<L>(&mut self, forest: &Forest<L>) {
-        let n = forest.len();
+    /// buffers: the children of `p` are `of(p)`, in id order.
+    pub fn rebuild_children<L>(&mut self, forest: &Forest<L>) {
+        self.regroup(forest.len(), || {
+            forest
+                .parent
+                .iter()
+                .enumerate()
+                .filter(|&(_, &p)| p != NONE)
+                .map(|(v, &p)| (p, v as u32))
+        });
+    }
+
+    /// Regroups the `(group, id)` pairs `pairs()` yields into `groups`
+    /// groups, each in yield order. `pairs` is called twice: once to count
+    /// and once to fill. `O(groups + pairs)`, no allocation once the
+    /// buffers have grown.
+    pub fn regroup<I>(&mut self, groups: usize, pairs: impl Fn() -> I)
+    where
+        I: Iterator<Item = (u32, u32)>,
+    {
         let off = &mut self.off;
         off.clear();
-        off.resize(n + 1, 0);
-        for &p in &forest.parent {
-            if p != NONE {
-                off[p as usize + 1] += 1;
-            }
+        off.resize(groups + 1, 0);
+        for (g, _) in pairs() {
+            off[g as usize + 1] += 1;
         }
-        for i in 0..n {
+        for i in 0..groups {
             off[i + 1] += off[i];
         }
-        self.kids.clear();
-        self.kids.resize(off[n] as usize, 0);
-        // Fill using `off[p]` as `p`'s cursor. Afterwards `off[p]` holds
-        // where `p`'s children end, which is where `p + 1`'s begin, so one
-        // shift right restores the offsets.
-        for (v, &p) in forest.parent.iter().enumerate() {
-            if p != NONE {
-                let cursor = &mut off[p as usize];
-                self.kids[*cursor as usize] = v as u32;
-                *cursor += 1;
-            }
+        self.items.clear();
+        self.items.resize(off[groups] as usize, 0);
+        // Fill using `off[g]` as `g`'s cursor. Afterwards `off[g]` holds
+        // where `g` ends, which is where `g + 1` begins, so one shift right
+        // restores the offsets.
+        for (g, id) in pairs() {
+            let cursor = &mut off[g as usize];
+            self.items[*cursor as usize] = id;
+            *cursor += 1;
         }
-        off.copy_within(0..n, 1);
+        off.copy_within(0..groups, 1);
         off[0] = 0;
     }
 
-    /// The children of `p`, in id order.
-    pub fn of(&self, p: u32) -> &[u32] {
-        &self.kids[self.off[p as usize] as usize..self.off[p as usize + 1] as usize]
+    /// The `[lo, hi)` range of group `k` in `items`.
+    #[inline]
+    pub fn range(&self, k: u32) -> (usize, usize) {
+        (
+            self.off[k as usize] as usize,
+            self.off[k as usize + 1] as usize,
+        )
+    }
+
+    /// Group `k`.
+    #[inline]
+    pub fn of(&self, k: u32) -> &[u32] {
+        let (lo, hi) = self.range(k);
+        &self.items[lo..hi]
     }
 }

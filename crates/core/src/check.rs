@@ -10,14 +10,14 @@
 //! commutatively-combinable) state. This module turns those proof
 //! obligations into executable checks:
 //!
-//! * **Validators** — with the `check` feature enabled,
-//!   [`Forest::validate`](crate::Forest::validate),
-//!   [`Contraction::validate`](crate::Contraction::validate) and
-//!   [`DynForest::validate`](crate::DynForest::validate) verify the full
-//!   invariant set of their layer (plus
-//!   [`DynForest::validate_trace`](crate::DynForest::validate_trace) for
-//!   the maintained trace) and return a descriptive
-//!   [`InvariantError`] on the first violation. (The arena is append-only —
+//! * **Validators** — with the `check` feature enabled, the `validate()`
+//!   methods of [`Forest`](crate::Forest),
+//!   [`Contraction`](crate::Contraction) and
+//!   [`DynForest`](crate::DynForest) verify the full invariant set of their
+//!   layer (plus `DynForest::validate_trace()` for the maintained trace and
+//!   its query index) and return a descriptive [`InvariantError`] on the
+//!   first violation. The methods exist only in that build, so these docs
+//!   name them without linking. (The arena is append-only —
 //!   there is no free list — so its checks are parent-range, parallel-array
 //!   length, and acyclicity.)
 //! * **Per-round engine hooks** — the engine calls a round validator after

@@ -2,9 +2,10 @@
 //! the sequential oracle.
 
 use crate::algebra::Algebra;
-use crate::arena::{Forest, NONE};
+use crate::arena::{Csr, Forest, NONE};
 use crate::engine::{Death, Scratch};
 use crate::obs::{NoopSink, Phase, Profile, Sink};
+use crate::query::Links;
 use crate::NodeId;
 use std::time::Instant;
 
@@ -29,6 +30,19 @@ pub enum SlotKind {
     Root,
 }
 
+impl SlotKind {
+    /// The kind of slot a completed trace's death record describes.
+    pub(crate) fn of<A: Algebra>(death: &Death<A>) -> SlotKind {
+        match death {
+            Death::Raked(_) => SlotKind::Raked,
+            Death::Compressed { .. } => SlotKind::Compressed,
+            Death::Root(_) => SlotKind::Root,
+            // lint:allow(panic): the engine runs until every node dies
+            Death::None => unreachable!("node survived a full contraction"),
+        }
+    }
+}
+
 /// Result of contracting a whole forest: final subtree values for every
 /// node, per-component aggregates, the round-stamped trace, and the
 /// shortcut structure of the contraction DAG (used by
@@ -41,15 +55,13 @@ pub struct Contraction<A: Algebra> {
     /// Working parent at death; `NONE` for finished roots. Strictly
     /// increases in death round along any chain, so climbing it reaches a
     /// root in at most `rounds` hops.
-    pub(crate) up: Vec<u32>,
-    /// CSR offsets into `hop_victims`, length `n + 1`.
-    pub(crate) hop_off: Vec<u32>,
+    up: Vec<u32>,
     /// For each node `x`, the nodes spliced out from directly above it —
     /// its successive working parents, bottom to top (ascending death
     /// round). Together with the victims' own (recursive) victim lists
     /// these are exactly the original ancestors strictly between `x` and
     /// `up[x]`.
-    pub(crate) hop_victims: Vec<u32>,
+    hops: Csr,
     /// How each node was retired (rake / compress / root finish).
     kinds: Vec<SlotKind>,
     profile: Option<Box<Profile>>,
@@ -108,9 +120,16 @@ impl<A: Algebra> Contraction<A> {
     /// `trace_parent(v)`, … reconstructs the full original ancestor path
     /// of `v` in `O(rounds)` hops.
     pub fn trace_victims(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let lo = self.hop_off[v.index()] as usize;
-        let hi = self.hop_off[v.index() + 1] as usize;
-        self.hop_victims[lo..hi].iter().map(|&u| NodeId(u))
+        self.hops.of(v.raw()).iter().map(|&u| NodeId(u))
+    }
+
+    /// The shortcut structure the query engine climbs.
+    pub(crate) fn links(&self) -> Links<'_> {
+        Links {
+            up: &self.up,
+            hops: &self.hops,
+            death_round: &self.death_round,
+        }
     }
 
     /// Telemetry report collected during the contraction, present only when
@@ -123,7 +142,7 @@ impl<A: Algebra> Contraction<A> {
     /// forest it was built from (`check` feature):
     ///
     /// * parallel arrays sized to the forest, and the hop CSR well-formed
-    ///   (`hop_off` monotone from 0 to `hop_victims.len()`);
+    ///   (offsets monotone from 0 to the victim count);
     /// * **exactly one death per node** — every node carries a round stamp
     ///   ≥ 1 (the engine's kill hook rules out double deaths, and the hop
     ///   lists below rule out duplicate compress records);
@@ -133,7 +152,7 @@ impl<A: Algebra> Contraction<A> {
     ///   by the round count;
     /// * hop-CSR partition integrity: each node appears in at most one hop
     ///   list (a node is spliced out from above at most one surviving
-    ///   child), every victim in `hop_victims(x)` is a proper original
+    ///   child), every victim in the hop list of `x` is a proper original
     ///   ancestor of `x` strictly below `up[x]`, non-root, and listed in
     ///   ascending death round, each dying before `x` itself.
     ///
@@ -148,7 +167,7 @@ impl<A: Algebra> Contraction<A> {
             self.vals.len() == n
                 && self.death_round.len() == n
                 && self.up.len() == n
-                && self.hop_off.len() == n + 1,
+                && self.hops.off.len() == n + 1,
             "trace arrays are not sized to the forest ({n} nodes)"
         );
         let euler = Euler::of(forest)?;
@@ -184,21 +203,17 @@ impl<A: Algebra> Contraction<A> {
             }
         }
 
+        let Csr { off, items } = &self.hops;
         ensure!(
-            self.hop_off[0] == 0 && self.hop_off[n] as usize == self.hop_victims.len(),
+            off[0] == 0 && off[n] as usize == items.len(),
             "hop CSR offsets do not span the victim array"
         );
         let mut hosted = vec![false; n];
         for x in 0..n {
-            ensure!(
-                self.hop_off[x] <= self.hop_off[x + 1],
-                "hop CSR offsets not monotone at n{x}"
-            );
-            let lo = self.hop_off[x] as usize;
-            let hi = self.hop_off[x + 1] as usize;
+            ensure!(off[x] <= off[x + 1], "hop CSR offsets not monotone at n{x}");
             let up = self.up[x];
             let mut prev_round = 0u32;
-            for &victim in &self.hop_victims[lo..hi] {
+            for &victim in self.hops.of(x as u32) {
                 ensure!(
                     (victim as usize) < n,
                     "hop victim n{victim} of n{x} is out of range"
@@ -334,27 +349,17 @@ where
 impl<A: Algebra> Contraction<A> {
     /// Reads a contraction out of the completed trace in `scratch`:
     /// backsolves every value (reported to `sink` as the backsolve phase)
-    /// and extracts the shortcut structure. [`ContractOptions::run`] reads
-    /// its fresh run this way, and
-    /// [`DynForest::query_batch`](crate::DynForest::query_batch) its
-    /// maintained trace.
-    pub(crate) fn from_trace<S: Sink>(alg: &A, scratch: &Scratch<A>, sink: &mut S) -> Self {
-        let n = scratch.death.len();
-        let mut out: Vec<Option<A::Val>> = vec![None; n];
+    /// and extracts the shortcut structure.
+    fn from_trace<S: Sink>(alg: &A, scratch: &Scratch<A>, sink: &mut S) -> Self {
         let backsolve_start = if S::ENABLED {
             Some(Instant::now())
         } else {
             None
         };
-        scratch.backsolve(alg, &mut out);
+        let vals = scratch.backsolve(alg);
         if let Some(t) = backsolve_start {
             sink.phase(Phase::Backsolve, t.elapsed().as_nanos() as u64);
         }
-        let vals: Vec<A::Val> = out
-            .into_iter()
-            // lint:allow(panic): the engine runs until every node dies
-            .map(|v| v.expect("every node contracted"))
-            .collect();
         // Roots finish in death order, the order the engine retired them.
         let components = scratch
             .death_order
@@ -362,18 +367,9 @@ impl<A: Algebra> Contraction<A> {
             .filter(|&&u| matches!(scratch.death[u as usize], Death::Root(_)))
             .map(|&u| (NodeId(u), vals[u as usize].clone()))
             .collect();
-        let (up, hop_off, hop_victims) = scratch.trace_links();
-        let kinds = scratch
-            .death
-            .iter()
-            .map(|d| match d {
-                Death::Raked(_) => SlotKind::Raked,
-                Death::Compressed { .. } => SlotKind::Compressed,
-                Death::Root(_) => SlotKind::Root,
-                // lint:allow(panic): the engine runs until every node dies
-                Death::None => unreachable!("node survived a full contraction"),
-            })
-            .collect();
+        let mut hops = Csr::default();
+        scratch.hop_lists(&mut hops);
+        let kinds = scratch.death.iter().map(SlotKind::of).collect();
 
         Contraction {
             vals,
@@ -381,9 +377,8 @@ impl<A: Algebra> Contraction<A> {
             // The last round retires the last live nodes.
             rounds: scratch.death_round.iter().copied().max().unwrap_or(0),
             death_round: scratch.death_round.clone(),
-            up,
-            hop_off,
-            hop_victims,
+            up: scratch.death_parent.clone(),
+            hops,
             kinds,
             profile: None,
         }

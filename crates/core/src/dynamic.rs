@@ -31,17 +31,21 @@
 //! per-node value cache to keep coherent), which is why reads return
 //! values rather than references and why *any* pending edit makes every
 //! read stale until [`DynForest::recompute`] runs. Batch queries
-//! ([`DynForest::query_batch`]) read the same trace.
+//! ([`DynForest::query_batch`]) read the same trace through a shape index
+//! (Euler intervals, component roots, hop hosts) that is built on the first
+//! query after a structural batch and kept across label-only batches; each
+//! query batch then costs one backsolve, `O(hosts + victims)` hop prefixes
+//! and `O(log² n)` per query.
 
 use crate::algebra::{PathAlgebra, Propagate};
 use crate::arena::{Forest, NONE};
-use crate::contract::Contraction;
 use crate::engine::{RunOutcome, Scratch};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile};
 use crate::propagate::{resolve_val, Replay};
-use crate::query::{QueryBatch, QueryError, QueryOutcome};
+use crate::query::{self, Links, QueryBatch, QueryError, QueryOutcome, Shape};
 use crate::NodeId;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Why a batch edit was rejected by [`DynForest::try_batch_cut`] /
@@ -66,6 +70,13 @@ pub enum EditError {
         /// The requested parent.
         parent: NodeId,
     },
+    /// An op names a node id outside the forest.
+    UnknownNode {
+        /// The offending id.
+        node: NodeId,
+        /// Number of nodes in the forest.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for EditError {
@@ -78,6 +89,9 @@ impl fmt::Display for EditError {
                 "linking {child} under {parent} would create a cycle: \
                  parent is inside child's subtree"
             ),
+            EditError::UnknownNode { node, nodes } => {
+                write!(f, "edit names {node} but the forest has {nodes} nodes")
+            }
         }
     }
 }
@@ -179,6 +193,9 @@ pub struct DynForest<A: Propagate> {
     /// The maintained trace.
     scratch: Scratch<A>,
     replay: Replay<A>,
+    /// The query shape index of the maintained trace: built by the first
+    /// [`DynForest::query_batch`] after a rebuild, cleared by the next one.
+    shape: OnceLock<Shape>,
     /// Coin seed of every contraction this forest runs, fixed for its life.
     seed: u64,
     /// Telemetry collector; `Some` once profiling is enabled. Boxed so the
@@ -206,6 +223,7 @@ impl<A: Propagate> DynForest<A> {
             has_structural: false,
             scratch: Scratch::default(),
             replay: Replay::new(),
+            shape: OnceLock::new(),
             seed,
             profile: None,
         };
@@ -343,6 +361,16 @@ impl<A: Propagate> DynForest<A> {
         }
     }
 
+    /// `Ok` when `v` names a node of the forest.
+    fn known(&self, v: NodeId) -> Result<(), EditError> {
+        let nodes = self.forest.len();
+        if v.index() < nodes {
+            Ok(())
+        } else {
+            Err(EditError::UnknownNode { node: v, nodes })
+        }
+    }
+
     /// Ends a structural batch that moved each `(node, old parent)` in
     /// `moved`, in order. A valid batch marks the moved nodes, so the next
     /// recompute rebuilds the trace; a rejected one restores the old
@@ -372,14 +400,18 @@ impl<A: Propagate> DynForest<A> {
     /// root.
     ///
     /// Ops apply in order; on the first invalid op ([`EditError::AlreadyRoot`],
-    /// including a node cut twice in the same batch) every already-applied
-    /// cut is undone and nothing is marked: the forest is exactly as
-    /// before the call.
+    /// including a node cut twice in the same batch, or
+    /// [`EditError::UnknownNode`]) every already-applied cut is undone and
+    /// nothing is marked: the forest is exactly as before the call.
     pub fn try_batch_cut(&mut self, cuts: &[NodeId]) -> Result<(), EditError> {
         let mark_start = self.profile.as_ref().map(|_| Instant::now());
         let mut moved: Vec<(u32, u32)> = Vec::with_capacity(cuts.len());
         let mut result = Ok(());
         for &v in cuts {
+            if let Err(e) = self.known(v) {
+                result = Err(e);
+                break;
+            }
             let p = self.forest.parent_raw(v.raw());
             if p == NONE {
                 result = Err(EditError::AlreadyRoot { node: v });
@@ -413,14 +445,18 @@ impl<A: Propagate> DynForest<A> {
     ///
     /// Ops apply in order — later links may legally build on earlier ones
     /// (chaining freshly linked components). On the first invalid op
-    /// ([`EditError::NotARoot`] or [`EditError::WouldCycle`]) every
-    /// already-applied link is undone and nothing is marked: the forest
-    /// is exactly as before the call.
+    /// ([`EditError::UnknownNode`], [`EditError::NotARoot`] or
+    /// [`EditError::WouldCycle`]) every already-applied link is undone and
+    /// nothing is marked: the forest is exactly as before the call.
     pub fn try_batch_link(&mut self, links: &[(NodeId, NodeId)]) -> Result<(), EditError> {
         let mark_start = self.profile.as_ref().map(|_| Instant::now());
         let mut moved: Vec<(u32, u32)> = Vec::with_capacity(links.len());
         let mut result = Ok(());
         for &(child, parent) in links {
+            if let Err(e) = self.known(child).and(self.known(parent)) {
+                result = Err(e);
+                break;
+            }
             if !self.forest.is_root(child) {
                 result = Err(EditError::NotARoot { node: child });
                 break;
@@ -470,17 +506,20 @@ impl<A: Propagate> DynForest<A> {
 
     /// Contracts the current forest with the forest's fixed seed and
     /// rebuilds the replay tables from the trace, exactly as a fresh
-    /// `forest.contraction().seed(seed)` run would record it.
+    /// `forest.contraction().seed(seed)` run would record it. Drops the
+    /// query shape index, which the next query batch rebuilds.
     fn rebuild(&mut self) -> RunOutcome {
         let DynForest {
             alg,
             forest,
             scratch,
             replay,
+            shape,
             seed,
             profile,
             ..
         } = self;
+        shape.take();
         scratch.load(alg, forest);
         // Both arms run the same engine code; the profiled arm pays for
         // telemetry, the default arm is compiled with the no-op sink.
@@ -574,12 +613,6 @@ impl<A: Propagate> DynForest<A> {
         stats
     }
 
-    /// The maintained trace read out as a [`Contraction`]: values
-    /// backsolved, shortcut structure extracted. `O(n)`.
-    fn view(&self) -> Contraction<A> {
-        Contraction::from_trace(&self.alg, &self.scratch, &mut NoopSink)
-    }
-
     /// Resolves a [`QueryBatch`] against the current forest shape.
     ///
     /// Requires a clean forest: with edits pending the recorded trace is
@@ -588,9 +621,12 @@ impl<A: Propagate> DynForest<A> {
     /// [`DynForest::recompute`] first.
     ///
     /// Answers come from the maintained trace, which every recompute
-    /// leaves equal to a fresh contraction of the current forest: one
-    /// `O(n)` pass reads it out (values and shortcut structure), then
-    /// each query costs `O(log² n)` on top (see [`Contraction::query_batch`]).
+    /// leaves equal to a fresh contraction of the current forest. The first
+    /// batch after a structural recompute builds the trace's shape index
+    /// in `O(n)`; label-only recomputes keep it. Every batch then pays one
+    /// backsolve for the subtree values, `O(hosts + victims)` for the hop
+    /// prefixes of the current labels, and `O(log² n)` per query (see
+    /// [`Contraction::query_batch`](crate::Contraction::query_batch)).
     pub fn query_batch(&self, batch: &QueryBatch) -> Result<Vec<QueryOutcome<A>>, QueryError>
     where
         A: PathAlgebra + Sync,
@@ -603,7 +639,23 @@ impl<A: Propagate> DynForest<A> {
                 pending: self.dirty_list.len(),
             });
         }
-        self.view().query_batch(&self.forest, &self.alg, batch)
+        let links = Links {
+            up: &self.scratch.death_parent,
+            hops: &self.replay.hops,
+            death_round: &self.scratch.death_round,
+        };
+        let shape = self
+            .shape
+            .get_or_init(|| Shape::new(&self.forest, &self.replay.children, &links));
+        let values = self.scratch.backsolve(&self.alg);
+        Ok(query::resolve(
+            &self.forest,
+            &links,
+            shape,
+            &values,
+            &self.alg,
+            batch,
+        ))
     }
 
     /// Verifies the structural invariants of the dynamic layer
@@ -655,45 +707,70 @@ impl<A: Propagate> DynForest<A> {
 
     /// Verifies (`check` feature) that the maintained trace *is* the trace
     /// a fresh contraction of the current forest records with the same
-    /// seed: equal death rounds, trace parents, slot kinds, hop lists and
-    /// values for every node. Also runs [`Contraction::validate`] on the
-    /// view [`DynForest::query_batch`] answers from. Requires a clean
-    /// forest (no pending edits). `O(n log n)` w.h.p.
+    /// seed: equal death rounds, trace parents, slot kinds, hop lists (the
+    /// replay tables' CSR) and values for every node, after
+    /// [`Contraction::validate`](crate::Contraction::validate) has accepted
+    /// the fresh one. When a query batch has built the shape index, also
+    /// compares it with one built from the fresh contraction. Requires a
+    /// clean forest (no pending edits). `O(n log n)` w.h.p.
     #[cfg(feature = "check")]
     pub fn validate_trace(&self) -> Result<(), crate::check::InvariantError> {
+        use crate::arena::Csr;
         use crate::check::ensure;
+        use crate::contract::SlotKind;
         ensure!(
             self.dirty_list.is_empty(),
             "validate_trace requires a clean forest ({} edits pending)",
             self.dirty_list.len()
         );
-        let kept = self.view();
-        kept.validate(&self.forest)?;
         let fresh = self.forest.contraction().seed(self.seed).run(&self.alg);
+        fresh.validate(&self.forest)?;
+        let values = self.scratch.backsolve(&self.alg);
         for v in self.forest.node_ids() {
+            let vi = v.index();
+            let round = self.scratch.death_round[vi];
             ensure!(
-                kept.death_round(v) == fresh.death_round(v),
-                "{v} dies in round {} of the maintained trace but {} of a fresh one",
-                kept.death_round(v),
+                round == fresh.death_round(v),
+                "{v} dies in round {round} of the maintained trace but {} of a fresh one",
                 fresh.death_round(v)
             );
+            let p = self.scratch.death_parent[vi];
+            let parent = (p != NONE).then_some(NodeId(p));
+            let kind = SlotKind::of(&self.scratch.death[vi]);
             ensure!(
-                kept.trace_parent(v) == fresh.trace_parent(v)
-                    && kept.slot_kind(v) == fresh.slot_kind(v),
-                "{v} retired differently in the maintained trace ({:?} under {:?}) \
+                parent == fresh.trace_parent(v) && kind == fresh.slot_kind(v),
+                "{v} retired differently in the maintained trace ({kind:?} under {parent:?}) \
                  than in a fresh one ({:?} under {:?})",
-                kept.slot_kind(v),
-                kept.trace_parent(v),
                 fresh.slot_kind(v),
                 fresh.trace_parent(v)
             );
             ensure!(
-                kept.trace_victims(v).eq(fresh.trace_victims(v)),
+                self.replay
+                    .hops
+                    .of(v.raw())
+                    .iter()
+                    .map(|&u| NodeId(u))
+                    .eq(fresh.trace_victims(v)),
                 "hop list of {v} differs from a fresh contraction's"
             );
             ensure!(
-                kept.subtree_value(v) == fresh.subtree_value(v),
+                values[vi] == *fresh.subtree_value(v),
                 "maintained value of {v} diverges from a fresh contraction"
+            );
+        }
+        if let Some(kept) = self.shape.get() {
+            let rebuilt = Shape::new(&self.forest, &Csr::children(&self.forest), &fresh.links());
+            ensure!(
+                kept.tin == rebuilt.tin && kept.tout == rebuilt.tout,
+                "the kept query index's Euler intervals differ from a fresh index's"
+            );
+            ensure!(
+                kept.root == rebuilt.root,
+                "the kept query index's component roots differ from a fresh index's"
+            );
+            ensure!(
+                kept.hosts == rebuilt.hosts,
+                "the kept query index's hop hosts differ from a fresh index's"
             );
         }
         Ok(())
@@ -713,6 +790,7 @@ impl<A: Propagate> Clone for DynForest<A> {
             // immediately ready to propagate (benchmarks rely on this).
             scratch: self.scratch.clone(),
             replay: self.replay.clone(),
+            shape: self.shape.clone(),
             seed: self.seed,
             profile: self.profile.clone(),
         }

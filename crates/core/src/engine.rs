@@ -34,7 +34,7 @@
 //! bare loop.
 
 use crate::algebra::Algebra;
-use crate::arena::{Forest, NONE};
+use crate::arena::{Csr, Forest, NONE};
 use crate::check::{self, invariant, Cell, WriteMode};
 use crate::obs::{EngineCounters, Phase, RoundCounters, Sink};
 use crate::par;
@@ -170,9 +170,9 @@ where
 impl<A: Algebra> Scratch<A> {
     /// Sizes every table to `forest` and seeds its pre-contraction state:
     /// each node's parent, live child count and sibling slot (children
-    /// numbered in id order, as [`ChildCsr`](crate::arena::ChildCsr) lists
-    /// them), a fresh accumulator and an identity edge function. Reuses the
-    /// buffers of the previous load.
+    /// numbered in id order, as [`Csr::rebuild_children`] lists them), a
+    /// fresh accumulator and an identity edge function. Reuses the buffers
+    /// of the previous load.
     pub fn load(&mut self, alg: &A, forest: &Forest<A::Label>) {
         let n = forest.len();
         self.par.clear();
@@ -453,66 +453,58 @@ impl<A: Algebra> Scratch<A> {
     #[inline(always)]
     fn check_round(&self, _round: u32, _live: &[u32], _deaths_before: usize) {}
 
-    /// Extracts the shortcut structure of the last run: each node's working
-    /// parent at death (`up`), plus CSR hop lists
-    /// (`hop_off`, `hop_victims`) giving, for every node `x`, the nodes that
-    /// were spliced out from directly above it — i.e. the original-tree
-    /// ancestors lying strictly between `x` and `up[x]`, in ascending death
-    /// round (equivalently, bottom-to-top along the original path).
+    /// Groups the nodes compressed in the last run into hop lists: for
+    /// every node `x`, the nodes that were spliced out from directly above
+    /// it — its successive working parents, i.e. the original-tree
+    /// ancestors lying strictly between `x` and `death_parent[x]`, in
+    /// ascending death round (equivalently, bottom-to-top along the
+    /// original path, the order their functions compose in).
     ///
-    /// Concatenating `x`, `hop_victims(x)`, `up[x]`, `hop_victims(up[x])`,
+    /// Concatenating `x`, `hops.of(x)`, `death_parent[x]`, its hop list,
     /// … therefore reconstructs `x`'s *entire* original ancestor path while
     /// only ever following `O(rounds)` shortcut pointers; this is what the
-    /// batch query engine traverses.
-    pub fn trace_links(&self) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        let n = self.death_parent.len();
-        let up = self.death_parent.clone();
-        let mut hop_off = vec![0u32; n + 1];
-        for &u in &self.death_order {
-            if let Death::Compressed { child, .. } = &self.death[u as usize] {
-                hop_off[*child as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            hop_off[i + 1] += hop_off[i];
-        }
-        let mut cursor = hop_off.clone();
-        let mut hop_victims = vec![0u32; hop_off[n] as usize];
+    /// batch query engine traverses and change propagation refolds.
+    pub fn hop_lists(&self, hops: &mut Csr) {
         // `death_order` is chronological, so each hop list comes out in
-        // ascending death round, which is bottom-to-top along the path.
-        for &u in &self.death_order {
-            if let Death::Compressed { child, .. } = &self.death[u as usize] {
-                let c = *child as usize;
-                hop_victims[cursor[c] as usize] = u;
-                cursor[c] += 1;
-            }
-        }
-        (up, hop_off, hop_victims)
+        // ascending death round without sorting.
+        hops.regroup(self.death.len(), || {
+            self.death_order
+                .iter()
+                .filter_map(|&u| match &self.death[u as usize] {
+                    Death::Compressed { child, .. } => Some((*child, u)),
+                    _ => None,
+                })
+        });
     }
 
-    /// Replays the death trace in reverse, writing the final subtree value
-    /// of every node into `out`.
+    /// Replays the death trace in reverse and returns the final subtree
+    /// value of every node, indexed by node id.
     ///
     /// Raked nodes and finished roots knew their value at death; a
     /// compressed node's value is its recorded unary function applied to
     /// the value of the child that outlived it — which, processed in
     /// reverse death order, is always already solved.
-    pub fn backsolve(&self, alg: &A, out: &mut [Option<A::Val>]) {
+    pub fn backsolve(&self, alg: &A) -> Vec<A::Val> {
+        let known = |d: &Death<A>| match d {
+            Death::Raked(v) | Death::Root(v) => Some(v.clone()),
+            _ => None,
+        };
+        // Every component finishes a root, so a non-empty trace has a known
+        // value; it stands in for compressed nodes until they are solved.
+        let Some(filler) = self.death.iter().find_map(known) else {
+            return Vec::new();
+        };
+        let mut out: Vec<A::Val> = self
+            .death
+            .iter()
+            .map(|d| known(d).unwrap_or_else(|| filler.clone()))
+            .collect();
         for &u in self.death_order.iter().rev() {
-            let val = match &self.death[u as usize] {
-                // lint:allow(panic): kill() records a death for every retired node
-                Death::None => unreachable!("dead node without death record"),
-                Death::Raked(v) | Death::Root(v) => v.clone(),
-                Death::Compressed { child, fun } => {
-                    let child_val = out[*child as usize]
-                        .clone()
-                        // lint:allow(panic): reverse death order solves children first
-                        .expect("compressed child solved before parent");
-                    alg.apply(fun, child_val)
-                }
-            };
-            out[u as usize] = Some(val);
+            if let Death::Compressed { child, fun } = &self.death[u as usize] {
+                out[u as usize] = alg.apply(fun, out[*child as usize].clone());
+            }
         }
+        out
     }
 }
 

@@ -15,10 +15,11 @@
 //!   edits rebuild the trace with one full contraction under the same
 //!   coins;
 //! * a **batch query** engine: a [`QueryBatch`] of mixed subtree / path /
-//!   LCA / component queries resolves in a single pass over the
-//!   contraction DAG — one `O(n)` context sweep plus `O(log n)` per query
-//!   along the trace's shortcut pointers — instead of one tree walk per
-//!   query (see the [`query`] module docs for the construction).
+//!   LCA / component queries resolves over the contraction DAG — an
+//!   `O(n)` shape index per trace shape, per-batch prefix folds over the
+//!   hop lists, then `O(log² n)` per query along the trace's shortcut
+//!   pointers — instead of one tree walk per query (see the [`query`]
+//!   module docs for the construction).
 //!
 //! Value semantics are pluggable through the [`Algebra`] trait; shipped
 //! instances double as correctness oracles against

@@ -40,7 +40,7 @@
 //!   refolding the other 10⁵ − 1.
 
 use crate::algebra::{Algebra, Propagate};
-use crate::arena::{ChildCsr, Forest};
+use crate::arena::{Csr, Forest};
 use crate::engine::{Death, Scratch};
 use crate::obs::{Phase, Sink};
 use crate::NodeId;
@@ -156,19 +156,20 @@ pub(crate) struct PropagateOutcome {
 /// Built from one full contraction's scratch state by [`Replay::rebuild`],
 /// and kept valid by [`Replay::propagate`] across label-only batches. A
 /// structural batch changes the shape the tables describe, so the dynamic
-/// layer contracts again and rebuilds them.
+/// layer contracts again and rebuilds them. Propagation never changes the
+/// two adjacency tables, so the query engine borrows them as well.
 pub(crate) struct Replay<A: Propagate> {
     /// Child adjacency of the shape the tables were built from; rebuilt in
     /// place, so a rebuild does not reallocate it.
-    children: ChildCsr,
+    pub children: Csr,
+    /// For every survivor, the nodes spliced onto it, in ascending death
+    /// round — bottom-to-top along the original path, the order their
+    /// functions compose in ([`Scratch::hop_lists`]).
+    pub hops: Csr,
     /// Cached contribution each raked node delivered to its working
     /// parent (`None` for compressed nodes and roots, which deliver
     /// through composed functions instead).
     contrib: Vec<Option<A::Val>>,
-    /// For every survivor, the nodes spliced onto it, in ascending death
-    /// round — bottom-to-top along the original path, the order their
-    /// functions compose in.
-    victims: Vec<Vec<u32>>,
     /// Aggregated child contributions per node (minus the surviving
     /// chain's slot for compressed nodes).
     kids: Kids<A>,
@@ -180,9 +181,9 @@ pub(crate) struct Replay<A: Propagate> {
 impl<A: Propagate> Replay<A> {
     pub fn new() -> Self {
         Replay {
-            children: ChildCsr::default(),
+            children: Csr::default(),
+            hops: Csr::default(),
             contrib: Vec::new(),
-            victims: Vec::new(),
             kids: Kids::Flat(Vec::new()),
             affected: Vec::new(),
             refold: Vec::new(),
@@ -194,26 +195,16 @@ impl<A: Propagate> Replay<A> {
     /// backsolve sweep for child values.
     pub fn rebuild(&mut self, alg: &A, forest: &Forest<A::Label>, scratch: &Scratch<A>) {
         let n = forest.len();
-        self.children.rebuild(forest);
+        self.children.rebuild_children(forest);
+        scratch.hop_lists(&mut self.hops);
         self.contrib.clear();
         self.contrib.resize(n, None);
-        self.victims.clear();
-        self.victims.resize(n, Vec::new());
         self.affected.clear();
         self.affected.resize(n, false);
         self.refold.clear();
         self.refold.resize(n, false);
 
-        // `death_order` is chronological, so each victim list comes out in
-        // ascending death round without sorting.
-        for &u in &scratch.death_order {
-            if let Death::Compressed { child, .. } = &scratch.death[u as usize] {
-                self.victims[*child as usize].push(u);
-            }
-        }
-
-        let mut vals: Vec<Option<A::Val>> = vec![None; n];
-        scratch.backsolve(alg, &mut vals);
+        let vals = scratch.backsolve(alg);
         for u in 0..n {
             if let Death::Raked(val) = &scratch.death[u] {
                 let fun = scratch.fun[u]
@@ -231,12 +222,6 @@ impl<A: Propagate> Replay<A> {
             Death::Compressed { .. } => Some(scratch.gap[p]),
             _ => None,
         };
-        let child_val = |vals: &[Option<A::Val>], c: u32| {
-            vals[c as usize]
-                .clone()
-                // lint:allow(panic): a full-trace backsolve resolves every node
-                .expect("backsolve resolved every child")
-        };
         let children = &self.children;
         self.kids = if A::INVERTIBLE {
             let mut parts = Vec::with_capacity(n);
@@ -247,7 +232,7 @@ impl<A: Propagate> Replay<A> {
                     if gap == Some(i as u32) {
                         continue;
                     }
-                    let add = alg.part_of(i as u32, child_val(&vals, c));
+                    let add = alg.part_of(i as u32, vals[c as usize].clone());
                     part = alg.part_merge(&part, &add);
                 }
                 parts.push(part);
@@ -264,7 +249,7 @@ impl<A: Propagate> Replay<A> {
                         if gap == Some(i as u32) {
                             alg.part_empty()
                         } else {
-                            alg.part_of(i as u32, child_val(&vals, c))
+                            alg.part_of(i as u32, vals[c as usize].clone())
                         }
                     })
                     .collect();
@@ -294,8 +279,8 @@ impl<A: Propagate> Replay<A> {
             None
         };
         let Replay {
+            hops,
             contrib,
-            victims,
             kids,
             affected,
             refold,
@@ -320,7 +305,7 @@ impl<A: Propagate> Replay<A> {
                 last = stamp;
             }
             if refold[ui] {
-                refold_chain(alg, forest, victims, kids, scratch, u);
+                refold_chain(alg, forest, hops.of(u), kids, scratch, u);
             }
             enum Slot {
                 Raked,
@@ -402,21 +387,21 @@ fn schedule(affected: &mut [bool], heap: &mut BinaryHeap<Reverse<(u32, u32)>>, s
 }
 
 /// Re-derives the composed functions of `x`'s splice chain, exactly as the
-/// engine built them: walking the victims bottom-to-top, each victim's
-/// recorded function becomes `to_fun(acc(victim)) ∘ f` (where `f` is the
-/// composition so far) and `x`'s edge function accumulates
+/// engine built them: walking `x`'s hop list `victims` bottom-to-top, each
+/// victim's recorded function becomes `to_fun(acc(victim)) ∘ f` (where `f`
+/// is the composition so far) and `x`'s edge function accumulates
 /// `fun(victim) ∘ that`. Rewrites the victims' death records and `x`'s
 /// edge function in place.
 fn refold_chain<A: Propagate>(
     alg: &A,
     forest: &Forest<A::Label>,
-    victims: &[Vec<u32>],
+    victims: &[u32],
     kids: &Kids<A>,
     scratch: &mut Scratch<A>,
     x: u32,
 ) {
     let mut f = alg.identity();
-    for &v in &victims[x as usize] {
+    for &v in victims {
         let vi = v as usize;
         let mut acc = alg.init_acc(forest.label(NodeId(v)));
         alg.absorb_part(&mut acc, kids.root(vi));
@@ -439,8 +424,8 @@ impl<A: Propagate> Clone for Replay<A> {
     fn clone(&self) -> Self {
         Replay {
             children: self.children.clone(),
+            hops: self.hops.clone(),
             contrib: self.contrib.clone(),
-            victims: self.victims.clone(),
             kids: self.kids.clone(),
             affected: self.affected.clone(),
             refold: self.refold.clone(),

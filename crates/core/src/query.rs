@@ -18,26 +18,33 @@
 //! shortcut hops plus an `O(log n)`-deep descent through nested victim
 //! lists. Everything a query needs is a walk of that structure:
 //!
-//! * **component root / value** — precomputed for all nodes in the single
-//!   context pass, then `O(1)` per query;
+//! * **component root / value** — read from the shape index (below),
+//!   `O(1)` per query;
 //! * **LCA(u, v)** — climb `u`'s shortcut chain to the first hop whose top
 //!   is an ancestor of `v` (constant-time ancestor tests via Euler
-//!   intervals from the context pass), then descend: binary-search each
+//!   intervals from the shape index), then descend: binary-search each
 //!   victim list for the lowest ancestor of `v` and recurse into the gap
 //!   just below it — the first node of `u`'s ancestor path that is also
 //!   an ancestor of `v` *is* the LCA;
-//! * **path aggregate** — fold labels along both climbs to the LCA. The
-//!   context pass precomputes every victim's *closed weight* (its label
-//!   joined with its entire recursive gap) and per-hop prefix folds of
-//!   those, so a full hop contributes in `O(1)` and the final partial hop
-//!   in an `O(log²)` descent. Requires a [`PathAlgebra`].
+//! * **path aggregate** — fold labels along both climbs to the LCA. Each
+//!   batch first folds every victim's *closed weight* (its label joined
+//!   with its entire recursive gap) into per-hop prefixes, so a full hop
+//!   contributes in `O(1)` and the final partial hop in an `O(log²)`
+//!   descent. Requires a [`PathAlgebra`].
 //!
-//! Resolution cost is one `O(n)` context pass per batch plus `O(log² n)`
-//! per query, so a 1k-query batch on a 100k-node path costs ~`n` work
-//! where 1k naive walks would cost ~`n · k`. Queries are dispatched in
-//! ascending death round of their anchor node (queries touching the same
-//! region of the DAG run together), and the dispatch loop fans out over
-//! scoped threads behind the `parallel` feature.
+//! The context splits by what invalidates it. The **shape index** — Euler
+//! intervals, component roots, and the nodes with a non-empty hop list in
+//! ascending death round — depends only on the forest's shape and the
+//! trace's rounds and hop lists, which label propagation never changes; it
+//! costs one `O(n)` pass. The **hop prefixes** depend on labels and cost
+//! `O(hosts + victims)` per batch. [`Contraction::query_batch`] builds a
+//! shape index per call; [`DynForest::query_batch`](crate::DynForest::query_batch)
+//! keeps one per trace shape, so a batch after label-only edits pays one
+//! backsolve for the values, the prefixes, and `O(log² n)` per query.
+//! Queries are dispatched in ascending death round of their anchor node
+//! (queries touching the same region of the DAG run together), and the
+//! dispatch loop fans out over scoped threads behind the `parallel`
+//! feature.
 //!
 //! The API is uniformly non-panicking: per-query failures (unknown node
 //! ids) come back as per-query `Err`s, cross-component path/LCA queries
@@ -59,7 +66,7 @@
 //! ```
 
 use crate::algebra::{Algebra, PathAlgebra};
-use crate::arena::{ChildCsr, Forest, NONE};
+use crate::arena::{Csr, Forest, NONE};
 use crate::contract::Contraction;
 use crate::{par, NodeId};
 use std::fmt;
@@ -255,22 +262,89 @@ impl std::error::Error for QueryError {}
 pub type QueryOutcome<A> =
     Result<Answer<<A as Algebra>::Val, <A as PathAlgebra>::PathVal>, QueryError>;
 
-/// Per-batch context: one `O(n)` pass over the forest + trace, shared by
-/// every query in the batch.
-struct Ctx<P> {
-    /// Euler entry time (ancestor tests in O(1)).
-    tin: Vec<u32>,
-    /// Euler exit time.
-    tout: Vec<u32>,
-    /// Component root of every node.
-    root: Vec<u32>,
-    /// Prefix folds of victim *closed weights* (label ⊕ entire recursive
-    /// gap) within each hop's victim segment, aligned with
-    /// `Contraction::hop_victims`.
-    hop_pref: Vec<P>,
+/// The trace's shortcut structure as the resolver reads it, borrowed from a
+/// [`Contraction`] or from a [`DynForest`](crate::DynForest)'s maintained
+/// trace.
+pub(crate) struct Links<'a> {
+    /// Working parent at death (`NONE` for finished roots).
+    pub up: &'a [u32],
+    /// For every node, the nodes spliced out from directly above it,
+    /// bottom to top.
+    pub hops: &'a Csr,
+    /// Death round of every node.
+    pub death_round: &'a [u32],
 }
 
-impl<P> Ctx<P> {
+/// The label-independent half of the query context: what the resolver
+/// needs of the forest's and the trace's *shape*. Label propagation never
+/// changes death rounds, death parents or hop lists, so a shape index stays
+/// valid until a structural batch rebuilds the trace.
+#[derive(Clone)]
+pub(crate) struct Shape {
+    /// Euler entry time (ancestor tests in O(1)).
+    pub tin: Vec<u32>,
+    /// Euler exit time.
+    pub tout: Vec<u32>,
+    /// Component root of every node.
+    pub root: Vec<u32>,
+    /// The nodes with a non-empty hop list, in ascending death round. A
+    /// victim dies strictly before its host, so in this order every
+    /// victim's own hop list comes before its host's.
+    pub hosts: Vec<u32>,
+}
+
+impl Shape {
+    /// Indexes `forest`, whose child lists are `children`, and its trace.
+    /// `O(n)`.
+    pub fn new<L>(forest: &Forest<L>, children: &Csr, links: &Links<'_>) -> Shape {
+        let n = forest.len();
+        let mut tin = vec![0u32; n];
+        let mut tout = vec![0u32; n];
+        let mut root = vec![0u32; n];
+        let mut clock = 0u32;
+        let mut stack: Vec<(u32, u32)> = Vec::new();
+        for r in forest.roots() {
+            let rr = r.raw();
+            tin[rr as usize] = clock;
+            clock += 1;
+            root[rr as usize] = rr;
+            stack.push((rr, children.off[rr as usize]));
+            while let Some((u, ci)) = stack.last_mut() {
+                let u = *u;
+                if *ci < children.off[u as usize + 1] {
+                    let k = children.items[*ci as usize];
+                    *ci += 1;
+                    tin[k as usize] = clock;
+                    clock += 1;
+                    root[k as usize] = rr;
+                    stack.push((k, children.off[k as usize]));
+                } else {
+                    tout[u as usize] = clock;
+                    clock += 1;
+                    stack.pop();
+                }
+            }
+        }
+        if crate::check::ENABLED {
+            check_euler(forest, &tin, &tout);
+        }
+
+        // Rounds are few, so a counting sort orders the hosts.
+        let (hops, death_round) = (links.hops, links.death_round);
+        let hosts = || (0..n as u32).filter(|&x| !hops.of(x).is_empty());
+        let rounds = hosts().map(|x| death_round[x as usize]).max().unwrap_or(0);
+        let mut by_round = Csr::default();
+        by_round.regroup(rounds as usize + 1, || {
+            hosts().map(|x| (death_round[x as usize], x))
+        });
+        Shape {
+            tin,
+            tout,
+            root,
+            hosts: by_round.items,
+        }
+    }
+
     /// `true` iff `a` is an ancestor of `b` (or equal).
     #[inline]
     fn is_anc(&self, a: u32, b: u32) -> bool {
@@ -279,98 +353,10 @@ impl<P> Ctx<P> {
     }
 }
 
-fn build_ctx<A: PathAlgebra>(
-    forest: &Forest<A::Label>,
-    c: &Contraction<A>,
-    alg: &A,
-) -> Ctx<A::PathVal> {
-    let n = forest.len();
-    let ChildCsr { off: kid_off, kids } = ChildCsr::new(forest);
-
-    let mut tin = vec![0u32; n];
-    let mut tout = vec![0u32; n];
-    let mut root = vec![0u32; n];
-    let mut clock = 0u32;
-    let mut stack: Vec<(u32, u32)> = Vec::new();
-    for r in forest.roots() {
-        let rr = r.raw();
-        tin[rr as usize] = clock;
-        clock += 1;
-        root[rr as usize] = rr;
-        stack.push((rr, kid_off[rr as usize]));
-        while let Some((u, ci)) = stack.last_mut() {
-            let u = *u;
-            if *ci < kid_off[u as usize + 1] {
-                let k = kids[*ci as usize];
-                *ci += 1;
-                tin[k as usize] = clock;
-                clock += 1;
-                root[k as usize] = rr;
-                stack.push((k, kid_off[k as usize]));
-            } else {
-                tout[u as usize] = clock;
-                clock += 1;
-                stack.pop();
-            }
-        }
-    }
-    if crate::check::ENABLED {
-        check_euler(forest, &tin, &tout);
-    }
-
-    // Closed weight of a victim `y`: C(y) = label(y) ⊕ G(y), where
-    // G(y) folds the closed weights of y's own victims — i.e. everything
-    // strictly between y and up[y], recursively. A victim dies strictly
-    // before its host (the host still has a live child when the victim is
-    // spliced), so one sweep in ascending death round completes every G
-    // before it is read. Rounds are small, so counting sort.
-    let mut host = vec![NONE; n];
-    for x in 0..n {
-        let (lo, hi) = (c.hop_off[x] as usize, c.hop_off[x + 1] as usize);
-        for &vt in &c.hop_victims[lo..hi] {
-            host[vt as usize] = x as u32;
-        }
-    }
-    let rounds = c.rounds() as usize;
-    let mut by_round: Vec<Vec<u32>> = vec![Vec::new(); rounds + 1];
-    for (v, &h) in host.iter().enumerate() {
-        if h != NONE {
-            by_round[c.death_round(NodeId(v as u32)) as usize].push(v as u32);
-        }
-    }
-    let mut gap: Vec<A::PathVal> = (0..n).map(|_| alg.path_empty()).collect();
-    let mut closed: Vec<A::PathVal> = (0..n).map(|_| alg.path_empty()).collect();
-    for bucket in &by_round {
-        for &y in bucket {
-            let yi = y as usize;
-            let cy = alg.path_concat(&alg.path_of(forest.label(NodeId(y))), &gap[yi]);
-            let h = host[yi] as usize;
-            gap[h] = alg.path_concat(&gap[h], &cy);
-            closed[yi] = cy;
-        }
-    }
-    let mut hop_pref: Vec<A::PathVal> = Vec::with_capacity(c.hop_victims.len());
-    for x in 0..n {
-        let (lo, hi) = (c.hop_off[x] as usize, c.hop_off[x + 1] as usize);
-        let mut acc = alg.path_empty();
-        for &vt in &c.hop_victims[lo..hi] {
-            acc = alg.path_concat(&acc, &closed[vt as usize]);
-            hop_pref.push(acc.clone());
-        }
-    }
-
-    Ctx {
-        tin,
-        tout,
-        root,
-        hop_pref,
-    }
-}
-
 /// Euler-interval nesting sweep (`check` feature): every interval is
 /// non-empty and every non-root's interval lies strictly inside its
 /// parent's — the property the batch engine's `O(1)` ancestor tests and
-/// victim-list binary searches rest on. `O(n)` per batch context.
+/// victim-list binary searches rest on. `O(n)` per shape index.
 #[cfg(feature = "check")]
 fn check_euler<L>(forest: &Forest<L>, tin: &[u32], tout: &[u32]) {
     use crate::check::invariant;
@@ -395,184 +381,255 @@ fn check_euler<L>(forest: &Forest<L>, tin: &[u32], tout: &[u32]) {
 #[inline(always)]
 fn check_euler<L>(_forest: &Forest<L>, _tin: &[u32], _tout: &[u32]) {}
 
-/// Lowest common ancestor via the shortcut chain: climb from `u` until the
-/// hop's top is an ancestor of `v`; the LCA then lies in that hop's gap
-/// (or is the hop top itself). Within a victim list, "is an ancestor of
-/// `v`" is monotone bottom-to-top, so binary-search the first ancestor —
-/// but the true LCA may sit *inside* the recursive gap just below it, so
-/// descend into the preceding victim's own list and repeat. Each descent
-/// moves to a strictly earlier death round, bounding the depth by the
-/// round count.
-fn lca_raw<A: Algebra, P>(c: &Contraction<A>, ctx: &Ctx<P>, u: u32, v: u32) -> Option<u32> {
-    if ctx.root[u as usize] != ctx.root[v as usize] {
-        return None;
-    }
-    if ctx.is_anc(u, v) {
-        return Some(u);
-    }
-    if ctx.is_anc(v, u) {
-        return Some(v);
-    }
-    let mut x = u;
-    let mut fallback = loop {
-        let nxt = c.up[x as usize];
-        debug_assert!(nxt != NONE, "climb passed the component root");
-        if ctx.is_anc(nxt, v) {
-            break nxt;
+/// Prefix folds of victim *closed weights* within each hop list, aligned
+/// with `hops.items`. A victim's closed weight is its label joined with its
+/// gap — the ancestors strictly between it and the next hop up, which are
+/// exactly the nodes its own hop list covers, recursively — so it is the
+/// victim's label joined with the last prefix of its own hop list. A victim
+/// dies before its host, so walking the hosts in ascending death round
+/// finds that prefix already final. `O(hosts + victims)`.
+fn hop_prefixes<A: PathAlgebra>(
+    forest: &Forest<A::Label>,
+    hops: &Csr,
+    hosts: &[u32],
+    alg: &A,
+) -> Vec<A::PathVal> {
+    let mut pref = vec![alg.path_empty(); hops.items.len()];
+    for &x in hosts {
+        let (lo, hi) = hops.range(x);
+        let mut acc = alg.path_empty();
+        for i in lo..hi {
+            let y = hops.items[i];
+            let mut closed = alg.path_of(forest.label(NodeId(y)));
+            let (ylo, yhi) = hops.range(y);
+            if ylo < yhi {
+                closed = alg.path_concat(&closed, &pref[yhi - 1]);
+            }
+            acc = alg.path_concat(&acc, &closed);
+            pref[i] = acc.clone();
         }
-        x = nxt;
-    };
-    // The LCA is the lowest ancestor of `v` in gap(x) ∪ {fallback}.
-    loop {
-        let (lo, hi) = (
-            c.hop_off[x as usize] as usize,
-            c.hop_off[x as usize + 1] as usize,
-        );
-        let seg = &c.hop_victims[lo..hi];
-        let idx = seg.partition_point(|&vt| !ctx.is_anc(vt, v));
-        if idx == 0 {
-            // Nothing lies strictly between a node and its first victim
-            // (resp. its shortcut parent, when the list is empty).
-            return Some(if seg.is_empty() { fallback } else { seg[0] });
-        }
-        if idx < seg.len() {
-            fallback = seg[idx];
-        }
-        x = seg[idx - 1];
     }
+    pref
 }
 
-/// Fold of the labels on `[u, w)` — `u` inclusive, the ancestor `w`
-/// exclusive — along the shortcut chain; `None` when `u == w`. Full hops
-/// cost `O(1)` via the closed-weight prefix aggregates; once `w` falls
-/// within a hop's gap, descend through the nested victim lists. All
-/// chain nodes are ancestors of `u` and hence pairwise comparable, so
-/// "strictly below `w`" is just an Euler `tin` comparison, monotone along
-/// each victim list (which ascends the tree, i.e. has decreasing `tin`).
-fn seg_to_excl<A: PathAlgebra>(
-    forest: &Forest<A::Label>,
-    c: &Contraction<A>,
-    ctx: &Ctx<A::PathVal>,
-    alg: &A,
-    u: u32,
-    w: u32,
-) -> Option<A::PathVal> {
-    if u == w {
-        return None;
+/// One batch's view of a trace: its links and shape index, the subtree
+/// values, and the hop prefixes of the current labels.
+struct Resolver<'a, A: PathAlgebra> {
+    forest: &'a Forest<A::Label>,
+    links: &'a Links<'a>,
+    shape: &'a Shape,
+    values: &'a [A::Val],
+    hop_pref: Vec<A::PathVal>,
+    alg: &'a A,
+}
+
+impl<A: PathAlgebra> Resolver<'_, A> {
+    /// Lowest common ancestor via the shortcut chain: climb from `u` until
+    /// the hop's top is an ancestor of `v`; the LCA then lies in that
+    /// hop's gap (or is the hop top itself). Within a victim list, "is an
+    /// ancestor of `v`" is monotone bottom-to-top, so binary-search the
+    /// first ancestor — but the true LCA may sit *inside* the recursive
+    /// gap just below it, so descend into the preceding victim's own list
+    /// and repeat. Each descent moves to a strictly earlier death round,
+    /// bounding the depth by the round count.
+    fn lca(&self, u: u32, v: u32) -> Option<u32> {
+        let (shape, links) = (self.shape, self.links);
+        if shape.root[u as usize] != shape.root[v as usize] {
+            return None;
+        }
+        if shape.is_anc(u, v) {
+            return Some(u);
+        }
+        if shape.is_anc(v, u) {
+            return Some(v);
+        }
+        let mut x = u;
+        let mut fallback = loop {
+            let nxt = links.up[x as usize];
+            debug_assert!(nxt != NONE, "climb passed the component root");
+            if shape.is_anc(nxt, v) {
+                break nxt;
+            }
+            x = nxt;
+        };
+        // The LCA is the lowest ancestor of `v` in gap(x) ∪ {fallback}.
+        loop {
+            let seg = links.hops.of(x);
+            let idx = seg.partition_point(|&vt| !shape.is_anc(vt, v));
+            if idx == 0 {
+                // Nothing lies strictly between a node and its first victim
+                // (resp. its shortcut parent, when the list is empty).
+                return Some(if seg.is_empty() { fallback } else { seg[0] });
+            }
+            if idx < seg.len() {
+                fallback = seg[idx];
+            }
+            x = seg[idx - 1];
+        }
     }
-    let mut x = u;
-    let mut acc = alg.path_of(forest.label(NodeId(u)));
-    // Climb full hops while `w` is above the hop top.
-    loop {
-        let nxt = c.up[x as usize];
-        debug_assert!(nxt != NONE, "segment climb passed the component root");
-        let (lo, hi) = (
-            c.hop_off[x as usize] as usize,
-            c.hop_off[x as usize + 1] as usize,
-        );
-        if nxt == w {
-            // The whole gap lies strictly below `w`.
+
+    /// Fold of the labels on `[u, w)` — `u` inclusive, the ancestor `w`
+    /// exclusive — along the shortcut chain; `None` when `u == w`. Full
+    /// hops cost `O(1)` via the closed-weight prefixes; once `w` falls
+    /// within a hop's gap, descend through the nested victim lists. All
+    /// chain nodes are ancestors of `u` and hence pairwise comparable, so
+    /// "strictly below `w`" is just an Euler `tin` comparison, monotone
+    /// along each victim list (which ascends the tree, i.e. has decreasing
+    /// `tin`).
+    fn seg_to_excl(&self, u: u32, w: u32) -> Option<A::PathVal> {
+        if u == w {
+            return None;
+        }
+        let (alg, shape, links, pref) = (self.alg, self.shape, self.links, &self.hop_pref);
+        let label = |x: u32| alg.path_of(self.forest.label(NodeId(x)));
+        let mut x = u;
+        let mut acc = label(u);
+        // Climb full hops while `w` is above the hop top.
+        loop {
+            let nxt = links.up[x as usize];
+            debug_assert!(nxt != NONE, "segment climb passed the component root");
+            let (lo, hi) = links.hops.range(x);
+            if nxt == w {
+                // The whole gap lies strictly below `w`.
+                if hi > lo {
+                    acc = alg.path_concat(&acc, &pref[hi - 1]);
+                }
+                return Some(acc);
+            }
+            if shape.is_anc(nxt, w) {
+                // `w` sits strictly inside gap(x): stop climbing and descend.
+                break;
+            }
             if hi > lo {
-                acc = alg.path_concat(&acc, &ctx.hop_pref[hi - 1]);
+                acc = alg.path_concat(&acc, &pref[hi - 1]);
             }
-            return Some(acc);
+            acc = alg.path_concat(&acc, &label(nxt));
+            x = nxt;
         }
-        if ctx.is_anc(nxt, w) {
-            // `w` sits strictly inside gap(x): stop climbing and descend.
-            break;
-        }
-        if hi > lo {
-            acc = alg.path_concat(&acc, &ctx.hop_pref[hi - 1]);
-        }
-        acc = alg.path_concat(&acc, &alg.path_of(forest.label(NodeId(nxt))));
-        x = nxt;
-    }
-    // `w` is strictly between `x` and `up[x]`; fold the part of the gap
-    // below `w`, descending into nested victim lists as needed.
-    loop {
-        let (lo, hi) = (
-            c.hop_off[x as usize] as usize,
-            c.hop_off[x as usize + 1] as usize,
-        );
-        let seg = &c.hop_victims[lo..hi];
-        // Victims strictly below `w` (deeper ⇒ larger tin on a chain).
-        let idx = seg.partition_point(|&vt| ctx.tin[vt as usize] > ctx.tin[w as usize]);
-        if idx < seg.len() && seg[idx] == w {
-            // Everything below `w` in this gap: the closed prefix.
-            if idx > 0 {
-                acc = alg.path_concat(&acc, &ctx.hop_pref[lo + idx - 1]);
+        // `w` is strictly between `x` and `up[x]`; fold the part of the gap
+        // below `w`, descending into nested victim lists as needed.
+        loop {
+            let (lo, _) = links.hops.range(x);
+            let seg = links.hops.of(x);
+            // Victims strictly below `w` (deeper ⇒ larger tin on a chain).
+            let idx = seg.partition_point(|&vt| shape.tin[vt as usize] > shape.tin[w as usize]);
+            if idx < seg.len() && seg[idx] == w {
+                // Everything below `w` in this gap: the closed prefix.
+                if idx > 0 {
+                    acc = alg.path_concat(&acc, &pref[lo + idx - 1]);
+                }
+                return Some(acc);
             }
-            return Some(acc);
+            // `w` nests inside the gap of the victim just below it. `idx ≥ 1`:
+            // nothing lies strictly between `x` and its first victim, so `w`
+            // below `seg[0]` is impossible here.
+            debug_assert!(idx >= 1, "exclusive bound escaped the gap");
+            if idx >= 2 {
+                acc = alg.path_concat(&acc, &pref[lo + idx - 2]);
+            }
+            acc = alg.path_concat(&acc, &label(seg[idx - 1]));
+            x = seg[idx - 1];
         }
-        // `w` nests inside the gap of the victim just below it. `idx ≥ 1`:
-        // nothing lies strictly between `x` and its first victim, so `w`
-        // below `seg[0]` is impossible here.
-        debug_assert!(idx >= 1, "exclusive bound escaped the gap");
-        if idx >= 2 {
-            acc = alg.path_concat(&acc, &ctx.hop_pref[lo + idx - 2]);
-        }
-        acc = alg.path_concat(&acc, &alg.path_of(forest.label(NodeId(seg[idx - 1]))));
-        x = seg[idx - 1];
     }
-}
 
-fn resolve_one<A: PathAlgebra>(
-    forest: &Forest<A::Label>,
-    c: &Contraction<A>,
-    ctx: &Ctx<A::PathVal>,
-    alg: &A,
-    q: &Query,
-) -> QueryOutcome<A> {
-    let n = forest.len();
-    let check = |v: NodeId| -> Result<u32, QueryError> {
-        if v.index() < n {
-            Ok(v.raw())
-        } else {
-            Err(QueryError::UnknownNode { node: v, nodes: n })
-        }
-    };
-    match *q {
-        Query::Subtree(v) => {
-            let v = check(v)?;
-            Ok(Answer::Value(c.values()[v as usize].clone()))
-        }
-        Query::ComponentRoot(v) => {
-            let v = check(v)?;
-            Ok(Answer::Node(NodeId(ctx.root[v as usize])))
-        }
-        Query::ComponentValue(v) => {
-            let v = check(v)?;
-            Ok(Answer::Value(
-                c.values()[ctx.root[v as usize] as usize].clone(),
-            ))
-        }
-        Query::Lca(u, v) => {
-            let (u, v) = (check(u)?, check(v)?);
-            Ok(match lca_raw(c, ctx, u, v) {
+    /// Answers one query; an unknown id is a per-query `Err`.
+    fn one(&self, q: &Query) -> QueryOutcome<A> {
+        let n = self.forest.len();
+        let check = |v: NodeId| -> Result<u32, QueryError> {
+            if v.index() < n {
+                Ok(v.raw())
+            } else {
+                Err(QueryError::UnknownNode { node: v, nodes: n })
+            }
+        };
+        let root = |v: u32| self.shape.root[v as usize];
+        match *q {
+            Query::Subtree(v) => Ok(Answer::Value(self.values[check(v)? as usize].clone())),
+            Query::ComponentRoot(v) => Ok(Answer::Node(NodeId(root(check(v)?)))),
+            Query::ComponentValue(v) => {
+                Ok(Answer::Value(self.values[root(check(v)?) as usize].clone()))
+            }
+            Query::Lca(u, v) => Ok(match self.lca(check(u)?, check(v)?) {
                 Some(w) => Answer::Node(NodeId(w)),
                 None => Answer::NotConnected,
-            })
-        }
-        Query::Path(u, v) => {
-            let (u, v) = (check(u)?, check(v)?);
-            let Some(w) = lca_raw(c, ctx, u, v) else {
-                return Ok(Answer::NotConnected);
-            };
-            let mut agg = alg.path_of(forest.label(NodeId(w)));
-            if let Some(s) = seg_to_excl(forest, c, ctx, alg, u, w) {
-                agg = alg.path_concat(&agg, &s);
+            }),
+            Query::Path(u, v) => {
+                let (u, v) = (check(u)?, check(v)?);
+                let Some(w) = self.lca(u, v) else {
+                    return Ok(Answer::NotConnected);
+                };
+                let alg = self.alg;
+                let mut agg = alg.path_of(self.forest.label(NodeId(w)));
+                if let Some(s) = self.seg_to_excl(u, w) {
+                    agg = alg.path_concat(&agg, &s);
+                }
+                if let Some(s) = self.seg_to_excl(v, w) {
+                    agg = alg.path_concat(&agg, &s);
+                }
+                Ok(Answer::PathValue(agg))
             }
-            if let Some(s) = seg_to_excl(forest, c, ctx, alg, v, w) {
-                agg = alg.path_concat(&agg, &s);
-            }
-            Ok(Answer::PathValue(agg))
         }
     }
+}
+
+/// Resolves `batch` against one trace: `links` and `shape` describe its
+/// structure, `values` are its backsolved subtree values. Computes this
+/// batch's hop prefixes, then answers every query in `O(log² n)`.
+///
+/// Queries are dispatched in ascending death round of their anchor node, so
+/// queries entering the trace at the same rounds run adjacently; with the
+/// `parallel` feature the dispatch loop fans out over scoped threads.
+pub(crate) fn resolve<A>(
+    forest: &Forest<A::Label>,
+    links: &Links<'_>,
+    shape: &Shape,
+    values: &[A::Val],
+    alg: &A,
+    batch: &QueryBatch,
+) -> Vec<QueryOutcome<A>>
+where
+    A: PathAlgebra + Sync,
+    A::Label: Sync,
+    A::Val: Send + Sync,
+    A::PathVal: Send + Sync,
+{
+    let resolver = Resolver {
+        forest,
+        links,
+        shape,
+        values,
+        hop_pref: hop_prefixes(forest, links.hops, &shape.hosts, alg),
+        alg,
+    };
+    let n = forest.len();
+    let queries = batch.queries();
+    let mut slots: Vec<(u32, Option<QueryOutcome<A>>)> =
+        (0..queries.len() as u32).map(|i| (i, None)).collect();
+    slots.sort_by_key(|&(i, _)| {
+        let a = queries[i as usize].anchor();
+        if a.index() < n {
+            links.death_round[a.index()]
+        } else {
+            u32::MAX
+        }
+    });
+    par::for_each_indexed(&mut slots, |_, (qi, slot)| {
+        *slot = Some(resolver.one(&queries[*qi as usize]));
+    });
+
+    let mut out: Vec<Option<QueryOutcome<A>>> = (0..queries.len()).map(|_| None).collect();
+    for (qi, slot) in slots {
+        out[qi as usize] = slot;
+    }
+    out.into_iter()
+        // lint:allow(panic): the fan-out fills every slot exactly once
+        .map(|o| o.expect("every query resolved"))
+        .collect()
 }
 
 impl<A: Algebra> Contraction<A> {
-    /// Resolves a whole [`QueryBatch`] in one pass over the recorded
-    /// contraction trace.
+    /// Resolves a whole [`QueryBatch`] against the recorded contraction
+    /// trace.
     ///
     /// `forest` must be the forest this contraction was computed from, and
     /// `alg` the same algebra (both are needed for labels and path folds;
@@ -583,11 +640,13 @@ impl<A: Algebra> Contraction<A> {
     /// surface as per-query `Err`s; path/LCA queries across components
     /// answer [`Answer::NotConnected`]. Nothing panics.
     ///
-    /// Queries are dispatched in ascending death round of their anchor
-    /// node, so queries touching the same region of the trace resolve
-    /// together; with the `parallel` feature the dispatch loop fans out
-    /// over scoped threads in query chunks (hence the `Send + Sync`
-    /// bounds, which every shipped algebra satisfies).
+    /// Each call indexes the forest's shape in `O(n)` and then answers
+    /// every query in `O(log² n)`. Queries are dispatched in ascending
+    /// death round of their anchor node, so queries touching the same
+    /// region of the trace resolve together; with the `parallel` feature
+    /// the dispatch loop fans out over scoped threads in query chunks
+    /// (hence the `Send + Sync` bounds, which every shipped algebra
+    /// satisfies).
     pub fn query_batch(
         &self,
         forest: &Forest<A::Label>,
@@ -607,33 +666,8 @@ impl<A: Algebra> Contraction<A> {
                 contraction_nodes: n,
             });
         }
-        let ctx = build_ctx(forest, self, alg);
-        let queries = batch.queries();
-
-        // Dispatch in ascending death round of each query's anchor so
-        // queries entering the trace at the same rounds run adjacently.
-        let mut slots: Vec<(u32, Option<QueryOutcome<A>>)> =
-            (0..queries.len() as u32).map(|i| (i, None)).collect();
-        slots.sort_by_key(|&(i, _)| {
-            let a = queries[i as usize].anchor();
-            if a.index() < n {
-                self.death_round(a)
-            } else {
-                u32::MAX
-            }
-        });
-        par::for_each_indexed(&mut slots, |_, (qi, slot)| {
-            *slot = Some(resolve_one(forest, self, &ctx, alg, &queries[*qi as usize]));
-        });
-
-        let mut out: Vec<Option<QueryOutcome<A>>> = (0..queries.len()).map(|_| None).collect();
-        for (qi, slot) in slots {
-            out[qi as usize] = slot;
-        }
-        Ok(out
-            .into_iter()
-            // lint:allow(panic): the fan-out fills every slot exactly once
-            .map(|o| o.expect("every query resolved"))
-            .collect())
+        let links = self.links();
+        let shape = Shape::new(forest, &Csr::children(forest), &links);
+        Ok(resolve(forest, &links, &shape, self.values(), alg, batch))
     }
 }

@@ -51,13 +51,25 @@ fn validators_accept_shapes_up_to_1e5() {
 }
 
 /// Random edit/recompute churn on a dynamic forest, validating the full
-/// dynamic layer (edit-mark coherence, and the maintained trace against a
-/// fresh same-seed contraction) after **every** `recompute()`, plus the
-/// marks once mid-batch while dirty.
+/// dynamic layer (edit-mark coherence, the maintained trace against a
+/// fresh same-seed contraction, and the kept query index against a fresh
+/// one) after **every** `recompute()`, plus the marks once mid-batch while
+/// dirty.
 fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
     let f = gen::random_tree(n, seed);
     let mut d = DynForest::with_seed(f, SubtreeSum, seed);
+    let ids = [0, n / 3, n / 2, n - 1].map(NodeId::from_index);
+    let mut batch = QueryBatch::new();
+    batch
+        .subtree(ids[1])
+        .path(ids[3], ids[1])
+        .lca(ids[2], ids[3])
+        .component_root(ids[0]);
     let validate = |d: &DynForest<SubtreeSum>, when: &str| {
+        // The query batch builds the query index if the last recompute
+        // dropped it, so `validate_trace` always has one to check.
+        d.query_batch(&batch)
+            .unwrap_or_else(|e| panic!("{when}: query batch refused: {e}"));
         d.validate()
             .and_then(|()| d.validate_trace())
             .unwrap_or_else(|e| panic!("{when}: {e}"));
@@ -120,9 +132,9 @@ fn dynamic_validates_under_heavy_churn() {
 #[test]
 #[cfg_attr(miri, ignore = "large shapes; the smoke_ tests cover miri")]
 fn query_batch_exercises_euler_nesting_sweep() {
-    // `build_ctx` re-derives Euler intervals per batch and, under `check`,
-    // sweeps their nesting; a mixed batch over a non-trivial forest drives
-    // that path end to end.
+    // `Contraction::query_batch` indexes the shape per batch and, under
+    // `check`, sweeps the Euler intervals' nesting; a mixed batch over a
+    // non-trivial forest drives that path end to end.
     let f = gen::random_forest(20_000, 16, 99);
     let c = f.contraction().run(&SubtreeSum);
     c.validate(&f).expect("trace validates");

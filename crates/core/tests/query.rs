@@ -4,7 +4,7 @@
 
 use dtc_core::{
     gen, Answer, DynForest, EditError, ExprEval, Forest, MinMax, NodeId, OrderedRake, PathAlgebra,
-    Query, QueryBatch, QueryError, SeqHash, SubtreeSum,
+    Propagate, Query, QueryBatch, QueryError, SeqHash, SubtreeSum,
 };
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -380,6 +380,20 @@ fn rejected_edit_batches_leave_no_marks() {
     assert!(nodes.iter().all(|&v| !d.is_dirty(v)));
     assert_eq!(reads(&d), clean, "reads unchanged by a rejected cut");
 
+    // An id outside the forest is an error, not a panic, wherever it sits.
+    let unknown = NodeId::from_index(150);
+    let err = Err(EditError::UnknownNode {
+        node: unknown,
+        nodes: 5,
+    });
+    assert_eq!(d.try_batch_cut(&[a, b, unknown]), err);
+    assert_eq!(d.try_batch_link(&[(e, c), (unknown, r)]), err);
+    assert_eq!(d.try_batch_link(&[(e, c), (c, unknown)]), err);
+    assert_eq!(d.pending(), 0);
+    assert!(nodes.iter().all(|&v| !d.is_dirty(v)));
+    assert_eq!(reads(&d), clean, "reads unchanged by unknown ids");
+    assert_eq!(d.forest().parent(e), None, "link of `e` rolled back");
+
     d.batch_cut(&[c]);
     d.recompute();
     let clean = reads(&d);
@@ -413,82 +427,115 @@ fn rejected_edit_batches_leave_no_marks() {
     }
 }
 
-#[test]
-fn interleaved_edits_queries_and_recomputes_match_oracle() {
-    let mut d = DynForest::new(gen::random_tree(2_000, 99), SubtreeSum);
+/// Interleaves edit batches, recomputes and query batches on one
+/// `DynForest`, checking every answer against a fresh fold and naive walks.
+/// Two rounds in three are label-only, so consecutive query batches share
+/// one trace shape with label edits between them; every third round also
+/// cuts and links, which changes the shape.
+fn interleave_and_check<A>(name: &str, forest: Forest<i64>, alg: A)
+where
+    A: Propagate<Label = i64> + PathAlgebra + Sync,
+    A::Val: Send + Sync + std::fmt::Debug,
+    A::PathVal: Send + Sync + PartialEq + std::fmt::Debug,
+{
+    let mut d = DynForest::new(forest, alg.clone());
     let mut rng = 0xFEED_u64;
-    for round in 0..20 {
+    for round in 0..21 {
         let n = d.len();
         let pick = |rng: &mut u64| NodeId::from_index((xorshift(rng) % n as u64) as usize);
-        // A mixed batch of valid edits: cut non-roots, link roots under
-        // nodes outside their subtree, and bump weights.
-        let mut cuts = Vec::new();
-        for _ in 0..8 {
-            let v = pick(&mut rng);
-            if d.forest().parent(v).is_some() && !cuts.contains(&v) {
-                cuts.push(v);
+        let structural = round % 3 == 2;
+        if structural {
+            // Valid structural edits: cut non-roots, then link roots under
+            // nodes outside their subtree, one link at a time so each sees
+            // the shape the earlier ones left.
+            let mut cuts = Vec::new();
+            for _ in 0..8 {
+                let v = pick(&mut rng);
+                if d.forest().parent(v).is_some() && !cuts.contains(&v) {
+                    cuts.push(v);
+                }
+            }
+            d.try_batch_cut(&cuts).unwrap();
+            for _ in 0..4 {
+                let child = d.forest().root_of(pick(&mut rng));
+                let parent = pick(&mut rng);
+                if d.forest().root_of(parent) != child {
+                    d.try_batch_link(&[(child, parent)]).unwrap();
+                }
             }
         }
-        d.try_batch_cut(&cuts).unwrap();
-        let mut links = Vec::new();
-        for _ in 0..4 {
-            let child = d.forest().root_of(pick(&mut rng));
-            let parent = pick(&mut rng);
-            if d.forest().root_of(parent) != child && !links.iter().any(|&(c, _)| c == child) {
-                links.push((child, parent));
-            }
-        }
-        d.try_batch_link(&links).unwrap();
-        let updates: Vec<(NodeId, i64)> = (0..6)
+        let updates: Vec<(NodeId, i64)> = (0..16)
             .map(|_| (pick(&mut rng), (xorshift(&mut rng) % 1_000) as i64))
             .collect();
         d.batch_update_weights(&updates);
-        d.recompute();
+        let stats = d.recompute();
+        assert_eq!(
+            stats.reused_slots == 0,
+            structural,
+            "{name} round {round}: rebuilds exactly on structural rounds"
+        );
 
         // Cached values match a from-scratch fold of the edited shape…
-        let oracle = d.forest().sequential_fold(&SubtreeSum);
+        let f = d.forest();
+        let oracle = f.sequential_fold(&alg);
         for _ in 0..50 {
             let v = pick(&mut rng);
-            assert_eq!(d.subtree_value(v), oracle[v.index()], "round {round}");
+            assert_eq!(
+                d.subtree_value(v),
+                oracle[v.index()],
+                "{name} round {round}"
+            );
         }
         // …and so does a mixed query batch resolved over the same trace.
         let mut batch = QueryBatch::new();
         for i in 0..60 {
             let (u, v) = (pick(&mut rng), pick(&mut rng));
-            match i % 4 {
+            match i % 5 {
                 0 => batch.subtree(u),
                 1 => batch.path(u, v),
                 2 => batch.lca(u, v),
+                3 => batch.component_root(u),
                 _ => batch.component_value(u),
             };
         }
         let answers = d.query_batch(&batch).unwrap();
         for (q, a) in batch.queries().iter().zip(&answers) {
             let a = a.as_ref().unwrap();
-            let f = d.forest();
+            let at = format!("{name} round {round}: {q:?}");
             match *q {
                 Query::Subtree(v) => {
-                    assert_eq!(a, &Answer::Value(oracle[v.index()]));
-                    assert_eq!(a, &Answer::Value(d.try_subtree_value(v).unwrap()));
+                    assert_eq!(a, &Answer::Value(oracle[v.index()].clone()), "{at}");
+                    assert_eq!(a, &Answer::Value(d.subtree_value(v)), "{at}");
                 }
-                Query::ComponentValue(v) => {
-                    assert_eq!(a, &Answer::Value(oracle[f.root_of(v).index()]))
-                }
+                Query::ComponentRoot(v) => assert_eq!(a, &Answer::Node(f.root_of(v)), "{at}"),
+                Query::ComponentValue(v) => assert_eq!(
+                    a,
+                    &Answer::Value(oracle[f.root_of(v).index()].clone()),
+                    "{at}"
+                ),
                 Query::Lca(u, v) => match naive_lca(f, u, v) {
-                    Some(w) => assert_eq!(a, &Answer::Node(w)),
-                    None => assert_eq!(a, &Answer::NotConnected),
+                    Some(w) => assert_eq!(a, &Answer::Node(w), "{at}"),
+                    None => assert_eq!(a, &Answer::NotConnected, "{at}"),
                 },
                 Query::Path(u, v) => match naive_path_nodes(f, u, v) {
                     Some(nodes) => {
-                        let sum: i64 = nodes.iter().map(|&w| *f.label(w)).sum();
-                        assert_eq!(a, &Answer::PathValue(sum));
+                        let agg = nodes.iter().fold(alg.path_empty(), |agg, &w| {
+                            alg.path_concat(&agg, &alg.path_of(f.label(w)))
+                        });
+                        assert_eq!(a, &Answer::PathValue(agg), "{at}");
                     }
-                    None => assert_eq!(a, &Answer::NotConnected),
+                    None => assert_eq!(a, &Answer::NotConnected, "{at}"),
                 },
-                Query::ComponentRoot(_) => unreachable!(),
             }
         }
     }
+}
+
+#[test]
+fn interleaved_edits_queries_and_recomputes_match_oracle() {
+    interleave_and_check("random", gen::random_tree(2_000, 99), SubtreeSum);
+    interleave_and_check("path", gen::path(2_000, 98), SubtreeSum);
+    interleave_and_check("broom", gen::broom(1_000, 1_000, 97), MinMax);
 }
 
 #[test]
