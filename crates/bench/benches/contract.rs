@@ -8,7 +8,11 @@
 //! batch of weight updates (driven by change propagation — its records
 //! carry `replayed_slots`/`reused_slots`), and a 1k-query batch three ways:
 //! static, dynamic, and as individual walks. A churn bench interleaves
-//! structural and label edits to price the structural rebuilds.
+//! structural and label edits to price the structural rebuilds. The batch
+//! records run `SubtreeSum`, whose propagation patches flat child
+//! aggregates; the `_minmax` batch records repeat the star and broom under
+//! `MinMax`, which is not invertible, so propagation and rebuilds go
+//! through the sibling trees instead.
 //!
 //! Run with `cargo bench -p dtc-bench`, or `cargo bench -p dtc-bench --
 //! --test` for the CI smoke mode (each bench executes once). Add
@@ -21,7 +25,8 @@ use dtc_core::gen;
 use dtc_core::gen::ChurnOp;
 use dtc_core::obs::{Phase, Profile};
 use dtc_core::{
-    Answer, Contraction, DynForest, Forest, NodeId, QueryBatch, SubtreeSum, UpdateStats,
+    Answer, Contraction, DynForest, Forest, MinMax, NodeId, Propagate, QueryBatch, SubtreeSum,
+    UpdateStats,
 };
 use std::cell::RefCell;
 
@@ -72,52 +77,10 @@ fn main() {
         bench_contract(&h, &format!("contract/{shape}"), make.as_ref());
     }
 
-    // Batches of 1k edits against each ~100k-node shape: the state is built
-    // once and cloned per iteration so only edit + recompute are measured
-    // (clone cost is part of setup, which the harness excludes).
     for (shape, make) in shapes() {
-        let base = DynForest::new(make(), SubtreeSum);
-        let cuts: Vec<NodeId> = base
-            .forest()
-            .node_ids()
-            .filter(|v| !base.forest().is_root(*v))
-            .step_by(97)
-            .take(1_000)
-            .collect();
-        let updates: Vec<(NodeId, i64)> = cuts.iter().map(|&v| (v, 1)).collect();
-
-        let name = format!("batch_cut_1k/{shape}");
-        if h.selected(&name) {
-            h.bench(
-                &name,
-                || base.clone(),
-                |d| {
-                    d.batch_cut(&cuts);
-                    d.recompute()
-                },
-            );
-            let mut probe = base.clone();
-            probe.enable_profiling();
-            probe.batch_cut(&cuts);
-            let stats = probe.recompute();
-            attach_dyn_report(&h, &name, &stats, probe.profile().unwrap());
-        }
-
-        let name = format!("batch_update_1k/{shape}");
-        if h.selected(&name) {
-            h.bench(
-                &name,
-                || base.clone(),
-                |d| {
-                    d.batch_update_weights(&updates);
-                    d.recompute()
-                },
-            );
-            let mut probe = base.clone();
-            probe.enable_profiling();
-            probe.batch_update_weights(&updates);
-            let stats = probe.recompute();
-            attach_dyn_report(&h, &name, &stats, probe.profile().unwrap());
+        bench_batches(&h, shape, "", make(), SubtreeSum);
+        if matches!(shape, "star_100k" | "broom_100k") {
+            bench_batches(&h, shape, "_minmax", make(), MinMax);
         }
     }
 
@@ -227,6 +190,57 @@ fn main() {
     }
 
     h.finish();
+}
+
+/// Batches of 1k edits against a ~100k-node `forest` under `alg`: records
+/// `batch_cut_1k{suffix}/{shape}` and `batch_update_1k{suffix}/{shape}`.
+/// The state is built once and cloned per iteration so only edit +
+/// recompute are measured (clone cost is part of setup, which the harness
+/// excludes). One profiled probe per record, outside the measured region,
+/// supplies its report and is checked against `sequential_fold`.
+fn bench_batches<A>(h: &Harness, shape: &str, suffix: &str, forest: Forest<i64>, alg: A)
+where
+    A: Propagate<Label = i64>,
+    A::Val: std::fmt::Debug,
+{
+    let base = DynForest::new(forest, alg.clone());
+    let cuts: Vec<NodeId> = base
+        .forest()
+        .node_ids()
+        .filter(|v| !base.forest().is_root(*v))
+        .step_by(97)
+        .take(1_000)
+        .collect();
+    let updates: Vec<(NodeId, i64)> = cuts.iter().map(|&v| (v, 1)).collect();
+    let run = |kind: &str, edit: &dyn Fn(&mut DynForest<A>)| {
+        let name = format!("{kind}{suffix}/{shape}");
+        if !h.selected(&name) {
+            return;
+        }
+        h.bench(
+            &name,
+            || base.clone(),
+            |d| {
+                edit(d);
+                d.recompute()
+            },
+        );
+        let mut probe = base.clone();
+        probe.enable_profiling();
+        edit(&mut probe);
+        let stats = probe.recompute();
+        let oracle = probe.forest().sequential_fold(&alg);
+        for v in probe.forest().node_ids() {
+            assert_eq!(
+                probe.subtree_value(v),
+                oracle[v.index()],
+                "{name}: recomputed value of {v} differs from sequential_fold"
+            );
+        }
+        attach_dyn_report(h, &name, &stats, probe.profile().unwrap());
+    };
+    run("batch_cut_1k", &|d| d.batch_cut(&cuts));
+    run("batch_update_1k", &|d| d.batch_update_weights(&updates));
 }
 
 /// A reproducible 1k-query mix: equal parts subtree, path, LCA, and

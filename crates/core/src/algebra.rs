@@ -81,26 +81,6 @@ pub trait Algebra: Clone {
     fn apply(&self, f: &Self::Fun, x: Self::Val) -> Self::Val;
 }
 
-/// Algebras whose [`Algebra::absorb`] can be undone: removing one child's
-/// contribution from an accumulator without refolding the others.
-///
-/// Change propagation uses this for the subtract/re-add fast path on
-/// high-degree nodes: when one child of a 10⁵-ary star changes, the
-/// parent's accumulator is patched in `O(1)` instead of re-absorbing every
-/// clean sibling. Law: `unabsorb(absorb(acc, x), x) == acc` for any
-/// reachable accumulator.
-pub trait Invertible: Algebra {
-    /// Removes a previously absorbed child contribution from `acc`.
-    fn unabsorb(&self, acc: &mut Self::Acc, child: Self::Val);
-}
-
-impl Invertible for SubtreeSum {
-    #[inline]
-    fn unabsorb(&self, acc: &mut i64, child: i64) {
-        *acc = acc.wrapping_sub(child);
-    }
-}
-
 /// Extension required by [`DynForest`](crate::DynForest) change
 /// propagation: a *partial aggregate* over a contiguous slot range of a
 /// node's children, so a dirty parent can rebuild its accumulator from

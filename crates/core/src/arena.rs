@@ -57,9 +57,9 @@ impl std::fmt::Display for NodeId {
 
 /// A rooted forest over arena-allocated nodes with labels of type `L`.
 ///
-/// The forest only stores parent pointers; child lists are derived on demand
-/// by the contraction engine and by [`DynForest`](crate::DynForest). Nodes
-/// are append-only: build the shape with [`Forest::add_root`] and
+/// The forest only stores parent pointers; the contraction engine derives
+/// the child lists once per run, into the trace it records. Nodes are
+/// append-only: build the shape with [`Forest::add_root`] and
 /// [`Forest::add_child`], then contract it or wrap it in a `DynForest` for
 /// batch-dynamic edits.
 ///
@@ -126,6 +126,10 @@ impl<L> Forest<L> {
     }
 
     /// Adds a new root (a node with no parent) and returns its id.
+    ///
+    /// # Panics
+    /// Panics if the forest already holds `u32::MAX` nodes: ids are `u32`,
+    /// and `u32::MAX` is reserved to mean "no parent".
     pub fn add_root(&mut self, label: L) -> NodeId {
         self.push(label, NONE)
     }
@@ -133,7 +137,9 @@ impl<L> Forest<L> {
     /// Adds a new child of `parent` and returns its id.
     ///
     /// # Panics
-    /// Panics if `parent` is not a node of this forest.
+    /// Panics if `parent` is not a node of this forest, or if the forest
+    /// already holds `u32::MAX` nodes (ids are `u32`, and `u32::MAX` is
+    /// reserved to mean "no parent").
     pub fn add_child(&mut self, parent: NodeId, label: L) -> NodeId {
         assert!(
             parent.index() < self.labels.len(),
@@ -255,12 +261,12 @@ impl<L> Forest<L> {
 }
 
 /// Node ids grouped by node in flat CSR form: group `k` is
-/// `items[off[k]..off[k + 1]]`. It holds a forest's child lists
-/// ([`Csr::rebuild_children`], each in ascending id order — the order the
-/// contraction engine numbers sibling slots in) and a trace's hop lists
-/// ([`Scratch::hop_lists`](crate::engine::Scratch::hop_lists)). Rebuilds
-/// re-derive in place, reusing both buffers.
-#[derive(Debug, Clone, Default)]
+/// `items[off[k]..off[k + 1]]`. A trace holds two: the loaded forest's child
+/// lists, built once per load by
+/// [`Scratch::load`](crate::engine::Scratch::load) in id order (the order
+/// the contraction engine numbers sibling slots in), and its hop lists,
+/// built once per run. Rebuilds re-derive in place, reusing both buffers.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Csr {
     /// Offsets into `items`, length `groups + 1`.
     pub off: Vec<u32>,
@@ -269,26 +275,6 @@ pub(crate) struct Csr {
 }
 
 impl Csr {
-    /// Derives the child adjacency of `forest`.
-    pub fn children<L>(forest: &Forest<L>) -> Self {
-        let mut csr = Csr::default();
-        csr.rebuild_children(forest);
-        csr
-    }
-
-    /// Re-derives the child adjacency of `forest` into the existing
-    /// buffers: the children of `p` are `of(p)`, in id order.
-    pub fn rebuild_children<L>(&mut self, forest: &Forest<L>) {
-        self.regroup(forest.len(), || {
-            forest
-                .parent
-                .iter()
-                .enumerate()
-                .filter(|&(_, &p)| p != NONE)
-                .map(|(v, &p)| (p, v as u32))
-        });
-    }
-
     /// Regroups the `(group, id)` pairs `pairs()` yields into `groups`
     /// groups, each in yield order. `pairs` is called twice: once to count
     /// and once to fill. `O(groups + pairs)`, no allocation once the

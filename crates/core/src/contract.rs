@@ -1,69 +1,28 @@
 //! Static (whole-forest) contraction, the [`ContractOptions`] builder, and
 //! the sequential oracle.
+//!
+//! A [`Contraction`] owns the [`Trace`] its run recorded — the same type a
+//! [`DynForest`](crate::DynForest) maintains — next to the backsolved
+//! values, and answers queries from that trace's links.
 
 use crate::algebra::Algebra;
-use crate::arena::{Csr, Forest, NONE};
-use crate::engine::{Death, Scratch};
+use crate::arena::Forest;
+use crate::engine::{Death, Scratch, Trace};
 use crate::obs::{NoopSink, Phase, Profile, Sink};
-use crate::query::Links;
 use crate::NodeId;
 use std::time::Instant;
 
 /// Default coin seed used when [`ContractOptions::seed`] is not called.
 pub(crate) const DEFAULT_SEED: u64 = 0x5EED;
 
-/// How a node was retired by the contraction — the *kind* of trace slot it
-/// occupies in the replayable contraction DAG.
-///
-/// Change propagation dispatches on this: a raked slot is re-executed by
-/// refolding the node's children and re-delivering its contribution; a
-/// compressed slot by re-composing the unary chain; a root slot by
-/// re-finishing the component value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SlotKind {
-    /// Retired as a childless non-root: folded into its parent.
-    Raked,
-    /// Spliced out of a unary chain; its value is a recorded unary
-    /// function of the surviving child.
-    Compressed,
-    /// Finished as a component root.
-    Root,
-}
-
-impl SlotKind {
-    /// The kind of slot a completed trace's death record describes.
-    pub(crate) fn of<A: Algebra>(death: &Death<A>) -> SlotKind {
-        match death {
-            Death::Raked(_) => SlotKind::Raked,
-            Death::Compressed { .. } => SlotKind::Compressed,
-            Death::Root(_) => SlotKind::Root,
-            // lint:allow(panic): the engine runs until every node dies
-            Death::None => unreachable!("node survived a full contraction"),
-        }
-    }
-}
-
 /// Result of contracting a whole forest: final subtree values for every
-/// node, per-component aggregates, the round-stamped trace, and the
-/// shortcut structure of the contraction DAG (used by
-/// [`Contraction::query_batch`]).
+/// node, per-component aggregates, and the round-stamped trace the run
+/// recorded (read by [`Contraction::query_batch`]).
 pub struct Contraction<A: Algebra> {
     vals: Vec<A::Val>,
     components: Vec<(NodeId, A::Val)>,
     rounds: u32,
-    death_round: Vec<u32>,
-    /// Working parent at death; `NONE` for finished roots. Strictly
-    /// increases in death round along any chain, so climbing it reaches a
-    /// root in at most `rounds` hops.
-    up: Vec<u32>,
-    /// For each node `x`, the nodes spliced out from directly above it —
-    /// its successive working parents, bottom to top (ascending death
-    /// round). Together with the victims' own (recursive) victim lists
-    /// these are exactly the original ancestors strictly between `x` and
-    /// `up[x]`.
-    hops: Csr,
-    /// How each node was retired (rake / compress / root finish).
-    kinds: Vec<SlotKind>,
+    pub(crate) trace: Trace<A>,
     profile: Option<Box<Profile>>,
 }
 
@@ -91,45 +50,7 @@ impl<A: Algebra> Contraction<A> {
     /// Round (1-based) in which `v` was contracted away — the node's stamp
     /// in the contraction DAG.
     pub fn death_round(&self, v: NodeId) -> u32 {
-        self.death_round[v.index()]
-    }
-
-    /// `v`'s working parent at the moment it was contracted away, or
-    /// `None` if `v` finished as a component root.
-    ///
-    /// These pointers form a shortcut tree of depth ≤ [`Contraction::rounds`]
-    /// over the original forest: each hop skips exactly the nodes that were
-    /// compressed out from above `v`. The batch query engine climbs them to
-    /// answer root/LCA/path queries in `O(rounds)` per query.
-    pub fn trace_parent(&self, v: NodeId) -> Option<NodeId> {
-        let p = self.up[v.index()];
-        (p != NONE).then_some(NodeId(p))
-    }
-
-    /// The kind of trace slot `v` occupies in the replayable contraction
-    /// DAG: how the engine retired it.
-    pub fn slot_kind(&self, v: NodeId) -> SlotKind {
-        self.kinds[v.index()]
-    }
-
-    /// The nodes that were spliced out from directly above `v` — `v`'s
-    /// successive working parents, bottom to top (ascending death round).
-    ///
-    /// Together with [`Contraction::trace_parent`] this exposes the trace
-    /// as a replayable structure: `v`, `trace_victims(v)`,
-    /// `trace_parent(v)`, … reconstructs the full original ancestor path
-    /// of `v` in `O(rounds)` hops.
-    pub fn trace_victims(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.hops.of(v.raw()).iter().map(|&u| NodeId(u))
-    }
-
-    /// The shortcut structure the query engine climbs.
-    pub(crate) fn links(&self) -> Links<'_> {
-        Links {
-            up: &self.up,
-            hops: &self.hops,
-            death_round: &self.death_round,
-        }
+        self.trace.links.round[v.index()]
     }
 
     /// Telemetry report collected during the contraction, present only when
@@ -138,11 +59,13 @@ impl<A: Algebra> Contraction<A> {
         self.profile.as_deref()
     }
 
-    /// Verifies the structural invariants of the recorded trace against the
-    /// forest it was built from (`check` feature):
+    /// Verifies the structural invariants of the recorded trace's links
+    /// against the forest it was built from (`check` feature):
     ///
-    /// * parallel arrays sized to the forest, and the hop CSR well-formed
-    ///   (offsets monotone from 0 to the victim count);
+    /// * parallel arrays sized to the forest, and both CSRs well-formed
+    ///   (offsets monotone from 0 to the item count);
+    /// * the child lists list every non-root exactly once, under its
+    ///   parent, in id order;
     /// * **exactly one death per node** — every node carries a round stamp
     ///   ≥ 1 (the engine's kill hook rules out double deaths, and the hop
     ///   lists below rule out duplicate compress records);
@@ -150,7 +73,7 @@ impl<A: Algebra> Contraction<A> {
     ///   `up[v]` is an original-tree ancestor of `v` with a **strictly
     ///   larger death round** — the monotonicity that bounds query climbs
     ///   by the round count;
-    /// * hop-CSR partition integrity: each node appears in at most one hop
+    /// * hop-list partition integrity: each node appears in at most one hop
     ///   list (a node is spliced out from above at most one surviving
     ///   child), every victim in the hop list of `x` is a proper original
     ///   ancestor of `x` strictly below `up[x]`, non-root, and listed in
@@ -161,59 +84,75 @@ impl<A: Algebra> Contraction<A> {
     /// forest.
     #[cfg(feature = "check")]
     pub fn validate<L>(&self, forest: &Forest<L>) -> Result<(), crate::check::InvariantError> {
+        use crate::arena::{Csr, NONE};
         use crate::check::{ensure, Euler};
         let n = forest.len();
+        let links = &self.trace.links;
+        let (round, up) = (&links.round, &links.up);
         ensure!(
-            self.vals.len() == n
-                && self.death_round.len() == n
-                && self.up.len() == n
-                && self.hops.off.len() == n + 1,
+            self.vals.len() == n && round.len() == n && up.len() == n,
             "trace arrays are not sized to the forest ({n} nodes)"
         );
+        for (name, Csr { off, items }) in [("child", &links.children), ("hop", &links.hops)] {
+            ensure!(
+                off.len() == n + 1 && off[0] == 0 && off[n] as usize == items.len(),
+                "{name} CSR offsets do not span its items"
+            );
+            ensure!(
+                off.windows(2).all(|w| w[0] <= w[1]),
+                "{name} CSR offsets are not monotone"
+            );
+        }
         let euler = Euler::of(forest)?;
 
+        let mut non_roots = 0;
         for v in 0..n as u32 {
             let vi = v as usize;
-            ensure!(
-                self.death_round[vi] >= 1,
-                "node n{v} never died (death round 0)"
-            );
-            let up = self.up[vi];
+            let mut prev = None;
+            for &c in links.children.of(v) {
+                ensure!(
+                    (c as usize) < n && forest.parent_raw(c) == v && prev < Some(c),
+                    "child list of n{v} holds n{c} out of place"
+                );
+                prev = Some(c);
+            }
+            ensure!(round[vi] >= 1, "node n{v} never died (death round 0)");
+            let p = up[vi];
             if forest.parent_raw(v) == NONE {
                 ensure!(
-                    up == NONE,
-                    "original root n{v} has trace parent n{up} instead of NONE"
+                    p == NONE,
+                    "original root n{v} has trace parent n{p} instead of NONE"
                 );
-            } else {
-                ensure!(up != NONE, "non-root n{v} finished without a trace parent");
-                ensure!(
-                    (up as usize) < n,
-                    "trace parent of n{v} ({up}) is out of range"
-                );
-                ensure!(
-                    euler.is_anc(up, v) && up != v,
-                    "trace parent n{up} of n{v} is not a proper ancestor"
-                );
-                ensure!(
-                    self.death_round[up as usize] > self.death_round[vi],
-                    "death rounds not strictly increasing along up[]: n{v} (round {}) -> n{up} (round {})",
-                    self.death_round[vi],
-                    self.death_round[up as usize]
-                );
+                continue;
             }
+            non_roots += 1;
+            ensure!(p != NONE, "non-root n{v} finished without a trace parent");
+            ensure!(
+                (p as usize) < n,
+                "trace parent of n{v} ({p}) is out of range"
+            );
+            ensure!(
+                euler.is_anc(p, v) && p != v,
+                "trace parent n{p} of n{v} is not a proper ancestor"
+            );
+            ensure!(
+                round[p as usize] > round[vi],
+                "death rounds not strictly increasing along up[]: n{v} (round {}) -> n{p} (round {})",
+                round[vi],
+                round[p as usize]
+            );
         }
-
-        let Csr { off, items } = &self.hops;
         ensure!(
-            off[0] == 0 && off[n] as usize == items.len(),
-            "hop CSR offsets do not span the victim array"
+            links.children.items.len() == non_roots,
+            "child lists hold {} entries for {non_roots} non-roots",
+            links.children.items.len()
         );
+
         let mut hosted = vec![false; n];
         for x in 0..n {
-            ensure!(off[x] <= off[x + 1], "hop CSR offsets not monotone at n{x}");
-            let up = self.up[x];
+            let top = up[x];
             let mut prev_round = 0u32;
-            for &victim in self.hops.of(x as u32) {
+            for &victim in links.hops.of(x as u32) {
                 ensure!(
                     (victim as usize) < n,
                     "hop victim n{victim} of n{x} is out of range"
@@ -232,18 +171,18 @@ impl<A: Algebra> Contraction<A> {
                     "hop victim n{victim} is not a proper ancestor of its host n{x}"
                 );
                 ensure!(
-                    up != NONE && euler.is_anc(up, victim) && up != victim,
+                    top != NONE && euler.is_anc(top, victim) && top != victim,
                     "hop victim n{victim} of n{x} is not strictly below up[n{x}]"
                 );
-                let vr = self.death_round[victim as usize];
+                let vr = round[victim as usize];
                 ensure!(
                     vr > prev_round,
                     "hop list of n{x} not in strictly ascending death round"
                 );
                 ensure!(
-                    vr < self.death_round[x],
+                    vr < round[x],
                     "hop victim n{victim} (round {vr}) outlived its surviving child n{x} (round {})",
-                    self.death_round[x]
+                    round[x]
                 );
                 prev_round = vr;
             }
@@ -334,7 +273,9 @@ impl<'f, L> ContractOptions<'f, L> {
     }
 }
 
-/// The shared contraction runner behind every [`ContractOptions`] path.
+/// The shared contraction runner behind every [`ContractOptions`] path:
+/// records the trace, backsolves every value (reported to `sink` as the
+/// backsolve phase) and moves the trace into the result.
 fn run_contraction<L, A, S>(forest: &Forest<L>, alg: &A, seed: u64, sink: &mut S) -> Contraction<A>
 where
     A: Algebra<Label = L>,
@@ -342,46 +283,30 @@ where
 {
     let mut scratch: Scratch<A> = Scratch::default();
     scratch.load(alg, forest);
-    scratch.contract_with(alg, seed, sink);
-    Contraction::from_trace(alg, &scratch, sink)
-}
-
-impl<A: Algebra> Contraction<A> {
-    /// Reads a contraction out of the completed trace in `scratch`:
-    /// backsolves every value (reported to `sink` as the backsolve phase)
-    /// and extracts the shortcut structure.
-    fn from_trace<S: Sink>(alg: &A, scratch: &Scratch<A>, sink: &mut S) -> Self {
-        let backsolve_start = if S::ENABLED {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let vals = scratch.backsolve(alg);
-        if let Some(t) = backsolve_start {
-            sink.phase(Phase::Backsolve, t.elapsed().as_nanos() as u64);
-        }
-        // Roots finish in death order, the order the engine retired them.
-        let components = scratch
-            .death_order
-            .iter()
-            .filter(|&&u| matches!(scratch.death[u as usize], Death::Root(_)))
-            .map(|&u| (NodeId(u), vals[u as usize].clone()))
-            .collect();
-        let mut hops = Csr::default();
-        scratch.hop_lists(&mut hops);
-        let kinds = scratch.death.iter().map(SlotKind::of).collect();
-
-        Contraction {
-            vals,
-            components,
-            // The last round retires the last live nodes.
-            rounds: scratch.death_round.iter().copied().max().unwrap_or(0),
-            death_round: scratch.death_round.clone(),
-            up: scratch.death_parent.clone(),
-            hops,
-            kinds,
-            profile: None,
-        }
+    let rounds = scratch.contract_with(alg, seed, sink).rounds;
+    let trace = scratch.trace;
+    let backsolve_start = if S::ENABLED {
+        Some(Instant::now())
+    } else {
+        None
+    };
+    let vals = trace.backsolve(alg);
+    if let Some(t) = backsolve_start {
+        sink.phase(Phase::Backsolve, t.elapsed().as_nanos() as u64);
+    }
+    // Roots finish in death order, the order the engine retired them.
+    let components = trace
+        .order
+        .iter()
+        .filter(|&&u| matches!(trace.death[u as usize], Death::Root(_)))
+        .map(|&u| (NodeId(u), vals[u as usize].clone()))
+        .collect();
+    Contraction {
+        vals,
+        components,
+        rounds,
+        trace,
+        profile: None,
     }
 }
 

@@ -1,6 +1,7 @@
 //! Batch-dynamic forests via change propagation over the contraction trace.
 //!
-//! [`DynForest`] keeps one round-stamped death trace and treats it as a
+//! [`DynForest`] owns one round-stamped trace — the same `Trace` type a
+//! [`Contraction`](crate::Contraction) owns — and treats it as a
 //! dependency DAG (see `propagate.rs`). After every
 //! [`DynForest::recompute`] that trace is exactly the one a fresh
 //! contraction of the current forest records under the forest's fixed coin
@@ -22,7 +23,7 @@
 //!   [`DynForest::try_batch_link`] pending) change the shape the trace
 //!   describes. The edits only flip parent pointers and mark the moved
 //!   nodes; recompute then contracts the whole forest again with the same
-//!   seed and rebuilds the replay tables from that trace, `O(n)` per
+//!   seed and rebuilds the replay caches from that trace, `O(n)` per
 //!   batch. Children are always numbered in id order, the order
 //!   [`Forest::sequential_fold`] folds them in, so ordered algebras stay
 //!   exact across cuts and links.
@@ -31,18 +32,18 @@
 //! per-node value cache to keep coherent), which is why reads return
 //! values rather than references and why *any* pending edit makes every
 //! read stale until [`DynForest::recompute`] runs. Batch queries
-//! ([`DynForest::query_batch`]) read the same trace through a shape index
-//! (Euler intervals, component roots, hop hosts) that is built on the first
-//! query after a structural batch and kept across label-only batches; each
-//! query batch then costs one backsolve, `O(hosts + victims)` hop prefixes
-//! and `O(log² n)` per query.
+//! ([`DynForest::query_batch`]) read the same trace's links through a shape
+//! index (Euler intervals, component roots, hop hosts) that is built on the
+//! first query after a structural batch and kept across label-only
+//! batches; each query batch then costs one backsolve, `O(hosts + victims)`
+//! hop prefixes and `O(log² n)` per query.
 
 use crate::algebra::{PathAlgebra, Propagate};
 use crate::arena::{Forest, NONE};
 use crate::engine::{RunOutcome, Scratch};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile};
 use crate::propagate::{resolve_val, Replay};
-use crate::query::{self, Links, QueryBatch, QueryError, QueryOutcome, Shape};
+use crate::query::{self, QueryBatch, QueryError, QueryOutcome, Shape};
 use crate::NodeId;
 use std::fmt;
 use std::sync::OnceLock;
@@ -182,6 +183,7 @@ impl fmt::Display for UpdateStats {
 /// assert!(stats.replayed_slots <= stats.total);
 /// assert_eq!(d.subtree_value(r), 123);
 /// ```
+#[derive(Clone)]
 pub struct DynForest<A: Propagate> {
     alg: A,
     forest: Forest<A::Label>,
@@ -190,8 +192,12 @@ pub struct DynForest<A: Propagate> {
     /// `true` once a cut/link landed since the last recompute: the trace
     /// no longer matches the shape, so the next recompute rebuilds it.
     has_structural: bool,
-    /// The maintained trace.
+    /// The engine's buffers, kept so rebuilds reuse them, and the
+    /// maintained trace (`scratch.trace`).
     scratch: Scratch<A>,
+    /// Replay caches over the maintained trace. Both clone with the forest,
+    /// so a cloned forest is immediately ready to propagate (benchmarks
+    /// rely on this).
     replay: Replay<A>,
     /// The query shape index of the maintained trace: built by the first
     /// [`DynForest::query_batch`] after a rebuild, cleared by the next one.
@@ -205,7 +211,7 @@ pub struct DynForest<A: Propagate> {
 
 impl<A: Propagate> DynForest<A> {
     /// Wraps `forest` and runs the initial full contraction (which also
-    /// builds the replay tables, so a freshly constructed forest is ready
+    /// builds the replay caches, so a freshly constructed forest is ready
     /// to propagate).
     pub fn new(forest: Forest<A::Label>, alg: A) -> Self {
         Self::with_seed(forest, alg, 0xD15EA5E)
@@ -312,7 +318,7 @@ impl<A: Propagate> DynForest<A> {
         if !self.dirty_list.is_empty() {
             return Err(QueryError::Stale { node: v });
         }
-        Ok(resolve_val(&self.alg, &self.scratch.death, v.raw()))
+        Ok(resolve_val(&self.alg, &self.scratch.trace.death, v.raw()))
     }
 
     /// Final subtree value of `v` as of the last recompute.
@@ -505,7 +511,7 @@ impl<A: Propagate> DynForest<A> {
     }
 
     /// Contracts the current forest with the forest's fixed seed and
-    /// rebuilds the replay tables from the trace, exactly as a fresh
+    /// rebuilds the replay caches from the trace, exactly as a fresh
     /// `forest.contraction().seed(seed)` run would record it. Drops the
     /// query shape index, which the next query batch rebuilds.
     fn rebuild(&mut self) -> RunOutcome {
@@ -527,7 +533,7 @@ impl<A: Propagate> DynForest<A> {
             Some(p) => scratch.contract_with(alg, *seed, p.as_mut()),
             None => scratch.contract_with(alg, *seed, &mut NoopSink),
         };
-        replay.rebuild(alg, forest, scratch);
+        replay.rebuild(alg, &scratch.trace);
         outcome
     }
 
@@ -590,9 +596,10 @@ impl<A: Propagate> DynForest<A> {
                 profile,
                 ..
             } = self;
+            let trace = &mut scratch.trace;
             let outcome = match profile {
-                Some(p) => replay.propagate(alg, forest, scratch, dirty_list, p.as_mut()),
-                None => replay.propagate(alg, forest, scratch, dirty_list, &mut NoopSink),
+                Some(p) => replay.propagate(alg, forest, trace, dirty_list, p.as_mut()),
+                None => replay.propagate(alg, forest, trace, dirty_list, &mut NoopSink),
             };
             let reused = n - outcome.replayed;
             UpdateStats {
@@ -639,18 +646,14 @@ impl<A: Propagate> DynForest<A> {
                 pending: self.dirty_list.len(),
             });
         }
-        let links = Links {
-            up: &self.scratch.death_parent,
-            hops: &self.replay.hops,
-            death_round: &self.scratch.death_round,
-        };
+        let trace = &self.scratch.trace;
         let shape = self
             .shape
-            .get_or_init(|| Shape::new(&self.forest, &self.replay.children, &links));
-        let values = self.scratch.backsolve(&self.alg);
+            .get_or_init(|| Shape::new(&self.forest, &trace.links));
+        let values = trace.backsolve(&self.alg);
         Ok(query::resolve(
             &self.forest,
-            &links,
+            &trace.links,
             shape,
             &values,
             &self.alg,
@@ -707,17 +710,17 @@ impl<A: Propagate> DynForest<A> {
 
     /// Verifies (`check` feature) that the maintained trace *is* the trace
     /// a fresh contraction of the current forest records with the same
-    /// seed: equal death rounds, trace parents, slot kinds, hop lists (the
-    /// replay tables' CSR) and values for every node, after
-    /// [`Contraction::validate`](crate::Contraction::validate) has accepted
-    /// the fresh one. When a query batch has built the shape index, also
-    /// compares it with one built from the fresh contraction. Requires a
-    /// clean forest (no pending edits). `O(n log n)` w.h.p.
+    /// seed. The fresh one must first pass
+    /// [`Contraction::validate`](crate::Contraction::validate); then the
+    /// two traces are compared field by field — child lists, death rounds,
+    /// death parents, hop lists, slot kinds and backsolved values — and the
+    /// first node that differs is named. When a query batch has built the
+    /// shape index, also compares it with one built from the fresh trace.
+    /// Requires a clean forest (no pending edits). `O(n log n)` w.h.p.
     #[cfg(feature = "check")]
     pub fn validate_trace(&self) -> Result<(), crate::check::InvariantError> {
-        use crate::arena::Csr;
-        use crate::check::ensure;
-        use crate::contract::SlotKind;
+        use crate::check::{ensure, InvariantError};
+        use crate::engine::Death;
         ensure!(
             self.dirty_list.is_empty(),
             "validate_trace requires a clean forest ({} edits pending)",
@@ -725,74 +728,55 @@ impl<A: Propagate> DynForest<A> {
         );
         let fresh = self.forest.contraction().seed(self.seed).run(&self.alg);
         fresh.validate(&self.forest)?;
-        let values = self.scratch.backsolve(&self.alg);
-        for v in self.forest.node_ids() {
-            let vi = v.index();
-            let round = self.scratch.death_round[vi];
-            ensure!(
-                round == fresh.death_round(v),
-                "{v} dies in round {round} of the maintained trace but {} of a fresh one",
-                fresh.death_round(v)
-            );
-            let p = self.scratch.death_parent[vi];
-            let parent = (p != NONE).then_some(NodeId(p));
-            let kind = SlotKind::of(&self.scratch.death[vi]);
-            ensure!(
-                parent == fresh.trace_parent(v) && kind == fresh.slot_kind(v),
-                "{v} retired differently in the maintained trace ({kind:?} under {parent:?}) \
-                 than in a fresh one ({:?} under {:?})",
-                fresh.slot_kind(v),
-                fresh.trace_parent(v)
-            );
-            ensure!(
-                self.replay
-                    .hops
-                    .of(v.raw())
-                    .iter()
-                    .map(|&u| NodeId(u))
-                    .eq(fresh.trace_victims(v)),
-                "hop list of {v} differs from a fresh contraction's"
-            );
-            ensure!(
-                values[vi] == *fresh.subtree_value(v),
-                "maintained value of {v} diverges from a fresh contraction"
-            );
+        let (kept, fresh) = (&self.scratch.trace, &fresh.trace);
+        let n = self.forest.len();
+        let (k, f) = (&kept.links, &fresh.links);
+        ensure!(
+            kept.death.len() == n
+                && k.round.len() == n
+                && k.up.len() == n
+                && k.children.off.len() == n + 1
+                && k.hops.off.len() == n + 1,
+            "the maintained trace is not sized to the forest ({n} nodes)"
+        );
+        let kind = |d: &Death<A>| match d {
+            Death::None => "alive",
+            Death::Raked(_) => "raked",
+            Death::Compressed { .. } => "compressed",
+            Death::Root(_) => "root",
+        };
+        let (kept_vals, fresh_vals) = (kept.backsolve(&self.alg), fresh.backsolve(&self.alg));
+        for v in 0..n as u32 {
+            let vi = v as usize;
+            let differs = [
+                ("child list", k.children.of(v) != f.children.of(v)),
+                ("death round", k.round[vi] != f.round[vi]),
+                ("death parent", k.up[vi] != f.up[vi]),
+                ("hop list", k.hops.of(v) != f.hops.of(v)),
+                ("slot kind", kind(&kept.death[vi]) != kind(&fresh.death[vi])),
+                ("value", kept_vals[vi] != fresh_vals[vi]),
+            ];
+            if let Some((what, _)) = differs.iter().find(|(_, d)| *d) {
+                return Err(InvariantError::new(format!(
+                    "n{v}: the maintained trace's {what} differs from a fresh contraction's \
+                     (maintained: {} in round {}, fresh: {} in round {})",
+                    kind(&kept.death[vi]),
+                    k.round[vi],
+                    kind(&fresh.death[vi]),
+                    f.round[vi]
+                )));
+            }
         }
-        if let Some(kept) = self.shape.get() {
-            let rebuilt = Shape::new(&self.forest, &Csr::children(&self.forest), &fresh.links());
+        ensure!(
+            *k == *f,
+            "the maintained trace's links differ from a fresh contraction's"
+        );
+        if let Some(index) = self.shape.get() {
             ensure!(
-                kept.tin == rebuilt.tin && kept.tout == rebuilt.tout,
-                "the kept query index's Euler intervals differ from a fresh index's"
-            );
-            ensure!(
-                kept.root == rebuilt.root,
-                "the kept query index's component roots differ from a fresh index's"
-            );
-            ensure!(
-                kept.hosts == rebuilt.hosts,
-                "the kept query index's hop hosts differ from a fresh index's"
+                *index == Shape::new(&self.forest, f),
+                "the kept query index differs from one built from a fresh contraction"
             );
         }
         Ok(())
-    }
-}
-
-impl<A: Propagate> Clone for DynForest<A> {
-    fn clone(&self) -> Self {
-        DynForest {
-            alg: self.alg.clone(),
-            forest: self.forest.clone(),
-            dirty: self.dirty.clone(),
-            dirty_list: self.dirty_list.clone(),
-            has_structural: self.has_structural,
-            // The scratch carries the live trace and the replay tables
-            // index into it, so both clone — a cloned forest is
-            // immediately ready to propagate (benchmarks rely on this).
-            scratch: self.scratch.clone(),
-            replay: self.replay.clone(),
-            shape: self.shape.clone(),
-            seed: self.seed,
-            profile: self.profile.clone(),
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! The engine runs classic Miller–Reif tree contraction over every node of
 //! a forest loaded into a [`Scratch`]. Static contraction and the dynamic
 //! layer's structural rebuilds run the same code on the same input, so
-//! under one coin seed both record the same trace.
+//! under one coin seed both record the same [`Trace`].
 //!
 //! Each round proceeds in two phases:
 //!
@@ -21,11 +21,17 @@
 //!    victim's unary function into the surviving edge and reattaches the
 //!    child to its grandparent.
 //!
-//! Every node death is stamped with its round and recorded in a trace
-//! (`Death`), forming the round-stamped contraction DAG. A reverse replay
-//! of the trace ([`Scratch::backsolve`]) recovers the final subtree value of
-//! *every* node, not just the roots — the values the dynamic layer's replay
-//! tables and the query engine start from.
+//! A run records into one [`Trace`], the only record of a contraction the
+//! crate keeps: [`Scratch::load`] builds the loaded forest's child lists,
+//! every death is stamped with its round (`Death`), forming the
+//! round-stamped contraction DAG, and the run ends by grouping the
+//! compressed nodes into hop lists. The trace's algebra-independent part,
+//! [`Links`], is what the query engine reads. A reverse replay of the trace
+//! ([`Trace::backsolve`]) recovers the final subtree value of *every* node,
+//! not just the roots — the values the dynamic layer's replay caches and
+//! the query engine start from. [`Contraction`](crate::Contraction) and
+//! [`DynForest`](crate::DynForest) both own a `Trace`; the rest of
+//! [`Scratch`] is per-run working state.
 //!
 //! The run loop reports into a statically-dispatched [`Sink`]: per-round
 //! `plan`/`apply` spans and a [`RoundCounters`] record (frontier size,
@@ -40,10 +46,6 @@ use crate::obs::{EngineCounters, Phase, RoundCounters, Sink};
 use crate::par;
 use crate::rng::coin;
 use std::time::Instant;
-
-/// Hard cap on contraction rounds; with rake + randomized compress the
-/// expected round count is `O(log n)`, so hitting this indicates a bug.
-const MAX_ROUNDS: u32 = 10_000;
 
 /// Per-round action chosen by a live node during the plan phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,33 +87,48 @@ pub(crate) struct RunOutcome {
     pub counters: EngineCounters,
 }
 
-/// Reusable per-node working state, indexed by raw node id.
-///
-/// [`Scratch::load`] sizes every vector to a forest and seeds it; after a
-/// run the death records, round stamps, death parents and death order are
-/// the recorded trace, which stays readable until the next load.
-pub(crate) struct Scratch<A: Algebra> {
-    /// Working copy of parent pointers (mutated by splices).
-    pub par: Vec<u32>,
-    /// Live child count.
-    pub count: Vec<u32>,
-    /// Partial accumulator.
-    pub acc: Vec<Option<A::Acc>>,
-    /// Edge function towards the current parent.
-    pub fun: Vec<Option<A::Fun>>,
-    /// Liveness flag.
-    pub alive: Vec<bool>,
-    /// Death record per node.
-    pub death: Vec<Death<A>>,
+/// The algebra-independent part of a [`Trace`]: the loaded forest's child
+/// lists and the contraction's shortcut structure, indexed by raw node id.
+/// It holds no values or functions, so the query engine can share it
+/// across threads whatever the algebra.
+#[derive(Clone, Default, PartialEq)]
+pub(crate) struct Links {
+    /// Child lists of the loaded forest, each in id order — the order that
+    /// numbers the sibling slots.
+    pub children: Csr,
     /// Round stamp per death (1-based; 0 = untouched).
-    pub death_round: Vec<u32>,
-    /// Nodes in death order; reversing it yields a valid backsolve order.
-    pub death_order: Vec<u32>,
+    pub round: Vec<u32>,
     /// Working parent at the moment of death (`NONE` for finished roots).
     /// Because a node's working parent always strictly outlives it, these
     /// pointers form a shortcut tree of depth ≤ rounds — the spine of the
     /// contraction DAG that the batch query engine climbs.
-    pub death_parent: Vec<u32>,
+    pub up: Vec<u32>,
+    /// Hop lists: for every node `x`, the nodes that were spliced out from
+    /// directly above it — its successive working parents, i.e. the
+    /// original-tree ancestors lying strictly between `x` and `up[x]`, in
+    /// ascending death round (equivalently, bottom-to-top along the
+    /// original path, the order their functions compose in).
+    ///
+    /// Concatenating `x`, `hops.of(x)`, `up[x]`, its hop list, … therefore
+    /// reconstructs `x`'s *entire* original ancestor path while only ever
+    /// following `O(rounds)` shortcut pointers; this is what the batch
+    /// query engine traverses and change propagation refolds.
+    pub hops: Csr,
+}
+
+/// The record of one contraction run: per-node death records and the
+/// state each node died with, plus its [`Links`]. Indexed by raw node id.
+#[derive(Clone)]
+pub(crate) struct Trace<A: Algebra> {
+    /// Child lists, death rounds, death parents and hop lists.
+    pub links: Links,
+    /// Death record per node.
+    pub death: Vec<Death<A>>,
+    /// Nodes in death order; reversing it yields a valid backsolve order.
+    pub order: Vec<u32>,
+    /// Edge function towards the node's working parent, as it stood when
+    /// the node died.
+    pub fun: Vec<A::Fun>,
     /// Sibling index of each node in its (original) parent's child list.
     /// Passed to [`Algebra::absorb_at`] so ordered (non-commutative)
     /// algebras can reassemble children in child-list order even though
@@ -126,113 +143,179 @@ pub(crate) struct Scratch<A: Algebra> {
     pub gap: Vec<u32>,
 }
 
-impl<A: Algebra> Default for Scratch<A> {
+impl<A: Algebra> Default for Trace<A> {
     fn default() -> Self {
-        Scratch {
-            par: Vec::new(),
-            count: Vec::new(),
-            acc: Vec::new(),
-            fun: Vec::new(),
-            alive: Vec::new(),
+        Trace {
+            links: Links::default(),
             death: Vec::new(),
-            death_round: Vec::new(),
-            death_order: Vec::new(),
-            death_parent: Vec::new(),
+            order: Vec::new(),
+            fun: Vec::new(),
             sib: Vec::new(),
             gap: Vec::new(),
         }
     }
 }
 
-impl<A: Algebra> Clone for Scratch<A>
-where
-    A::Acc: Clone,
-    A::Fun: Clone,
-    A::Val: Clone,
-{
-    fn clone(&self) -> Self {
+impl<A: Algebra> Trace<A> {
+    /// Replays the death trace in reverse and returns the final subtree
+    /// value of every node, indexed by node id.
+    ///
+    /// Raked nodes and finished roots knew their value at death; a
+    /// compressed node's value is its recorded unary function applied to
+    /// the value of the child that outlived it — which, processed in
+    /// reverse death order, is always already solved.
+    pub fn backsolve(&self, alg: &A) -> Vec<A::Val> {
+        let known = |d: &Death<A>| match d {
+            Death::Raked(v) | Death::Root(v) => Some(v.clone()),
+            _ => None,
+        };
+        // Every component finishes a root, so a non-empty trace has a known
+        // value; it stands in for compressed nodes until they are solved.
+        let Some(filler) = self.death.iter().find_map(known) else {
+            return Vec::new();
+        };
+        let mut out: Vec<A::Val> = self
+            .death
+            .iter()
+            .map(|d| known(d).unwrap_or_else(|| filler.clone()))
+            .collect();
+        for &u in self.order.iter().rev() {
+            if let Death::Compressed { child, fun } = &self.death[u as usize] {
+                out[u as usize] = alg.apply(fun, out[*child as usize].clone());
+            }
+        }
+        out
+    }
+}
+
+/// Reusable per-run working state, indexed by raw node id, and the
+/// [`Trace`] the run records into.
+///
+/// [`Scratch::load`] sizes every vector to a forest and seeds it; after a
+/// run `trace` is the completed trace, which stays readable until the next
+/// load.
+#[derive(Clone)]
+pub(crate) struct Scratch<A: Algebra> {
+    /// Working copy of parent pointers (mutated by splices).
+    par: Vec<u32>,
+    /// Live child count.
+    count: Vec<u32>,
+    /// Partial accumulator.
+    acc: Vec<A::Acc>,
+    /// Liveness flag.
+    alive: Vec<bool>,
+    /// What the run records.
+    pub trace: Trace<A>,
+}
+
+impl<A: Algebra> Default for Scratch<A> {
+    fn default() -> Self {
         Scratch {
-            par: self.par.clone(),
-            count: self.count.clone(),
-            acc: self.acc.clone(),
-            fun: self.fun.clone(),
-            alive: self.alive.clone(),
-            death: self.death.clone(),
-            death_round: self.death_round.clone(),
-            death_order: self.death_order.clone(),
-            death_parent: self.death_parent.clone(),
-            sib: self.sib.clone(),
-            gap: self.gap.clone(),
+            par: Vec::new(),
+            count: Vec::new(),
+            acc: Vec::new(),
+            alive: Vec::new(),
+            trace: Trace::default(),
         }
     }
 }
 
 impl<A: Algebra> Scratch<A> {
     /// Sizes every table to `forest` and seeds its pre-contraction state:
-    /// each node's parent, live child count and sibling slot (children
-    /// numbered in id order, as [`Csr::rebuild_children`] lists them), a
-    /// fresh accumulator and an identity edge function. Reuses the buffers
-    /// of the previous load.
+    /// each node's parent, live child count and sibling slot, the child
+    /// lists (children numbered in id order), a fresh accumulator and an
+    /// identity edge function. Reuses the buffers of the previous load.
     pub fn load(&mut self, alg: &A, forest: &Forest<A::Label>) {
         let n = forest.len();
+        let Trace {
+            links,
+            death,
+            fun,
+            sib,
+            gap,
+            ..
+        } = &mut self.trace;
         self.par.clear();
         self.count.clear();
         self.count.resize(n, 0);
-        self.sib.clear();
-        self.sib.resize(n, 0);
+        sib.clear();
+        sib.resize(n, 0);
         for v in 0..n as u32 {
             let p = forest.parent_raw(v);
             self.par.push(p);
             if p != NONE {
                 // Children appear in id order, so the running count is
                 // exactly the node's position among its parent's children.
-                self.sib[v as usize] = self.count[p as usize];
+                sib[v as usize] = self.count[p as usize];
                 self.count[p as usize] += 1;
             }
         }
+        // The child lists follow from the same pass: the counts give the
+        // offsets, and each node's slot is its place in its parent's list.
+        let Csr { off, items } = &mut links.children;
+        off.clear();
+        off.push(0);
+        let mut total = 0;
+        for &c in &self.count {
+            total += c;
+            off.push(total);
+        }
+        items.clear();
+        items.resize(total as usize, 0);
+        for (v, &p) in self.par.iter().enumerate() {
+            if p != NONE {
+                items[(off[p as usize] + sib[v]) as usize] = v as u32;
+            }
+        }
         self.acc.clear();
-        self.acc.extend(
-            forest
-                .node_ids()
-                .map(|v| Some(alg.init_acc(forest.label(v)))),
-        );
-        self.fun.clear();
-        self.fun.resize(n, Some(alg.identity()));
+        self.acc
+            .extend(forest.node_ids().map(|v| alg.init_acc(forest.label(v))));
+        fun.clear();
+        fun.resize(n, alg.identity());
         self.alive.clear();
         self.alive.resize(n, true);
         // A run kills every node, overwriting its death record, round stamp
-        // and death parent (and the gap of every compressed node), so these
-        // only need the right length.
-        self.death.resize_with(n, Death::default);
-        self.death_round.resize(n, 0);
-        self.death_parent.resize(n, NONE);
-        self.gap.resize(n, 0);
+        // and death parent (and the gap of every compressed node), and
+        // regroups the hop lists, so these only need the right length.
+        death.resize_with(n, Death::default);
+        links.round.resize(n, 0);
+        links.up.resize(n, NONE);
+        gap.resize(n, 0);
     }
 
     /// Runs rake/compress rounds until every loaded node has died,
-    /// reporting phase spans and per-round counters into `sink`.
+    /// reporting phase spans and per-round counters into `sink`, then
+    /// builds the trace's hop lists.
     ///
     /// Telemetry is statically dispatched: every instrumentation site is
     /// guarded by `S::ENABLED`, so with [`crate::obs::NoopSink`] this
     /// compiles to exactly the uninstrumented loop.
     pub fn contract_with<S: Sink>(&mut self, alg: &A, seed: u64, sink: &mut S) -> RunOutcome {
-        self.death_order.clear();
+        self.trace.order.clear();
         let mut live: Vec<u32> = (0..self.par.len() as u32).collect();
         let mut actions: Vec<Action> = Vec::new();
-        let mut round = 0;
+        let mut round: u32 = 0;
         let mut counters = EngineCounters::default();
         // Shadow write-log for the conflict detector; field-less no-op
         // without the `check` feature (see `check.rs`).
         let mut wlog = check::WriteLog::new();
 
+        // The loop needs no round cap, and `round` cannot overflow. Every
+        // round retires every live childless node: `decide` returns
+        // `Finish` or `Rake` whenever `count == 0`, apply executes both,
+        // and such a node is never a splice victim (a victim is the parent
+        // of the child that splices it). A node's working children are
+        // original descendants, so by induction on height a node of
+        // original height `h` dies by round `h + 1`: every descendant has
+        // height below `h` and has died by round `h`, leaving the node
+        // childless. A run therefore takes at most height + 1 ≤ n rounds,
+        // and n < u32::MAX because node ids are `u32` with `NONE` reserved.
+        // Under `check`, `check_round` asserts that each round retired a
+        // node.
         while !live.is_empty() {
             round += 1;
-            assert!(
-                round <= MAX_ROUNDS,
-                "contraction failed to converge after {MAX_ROUNDS} rounds"
-            );
             let frontier = live.len();
-            let deaths_before = self.death_order.len();
+            let deaths_before = self.trace.order.len();
             wlog.begin_round(round);
 
             // Plan: pure reads of the pre-round state; each slot is owned by
@@ -271,6 +354,7 @@ impl<A: Algebra> Scratch<A> {
                 (0u32, 0u32, 0u32, 0u32);
             for (i, &action) in actions.iter().enumerate() {
                 let u = live[i];
+                let ui = u as usize;
                 match action {
                     Action::None => {}
                     Action::CoinReject => {
@@ -282,8 +366,7 @@ impl<A: Algebra> Scratch<A> {
                         if S::ENABLED {
                             finishes += 1;
                         }
-                        // lint:allow(panic): load() seeds Some acc for every node
-                        let val = alg.finish(self.acc[u as usize].as_ref().unwrap());
+                        let val = alg.finish(&self.acc[ui]);
                         check::must(wlog.record(Cell::Life(u), WriteMode::Exclusive, u as u64));
                         self.kill(u, round, Death::Root(val));
                     }
@@ -291,13 +374,10 @@ impl<A: Algebra> Scratch<A> {
                         if S::ENABLED {
                             rakes += 1;
                         }
-                        let p = self.par[u as usize] as usize;
-                        // lint:allow(panic): load() seeds Some acc for every node
-                        let val = alg.finish(self.acc[u as usize].as_ref().unwrap());
-                        let contrib =
-                            // lint:allow(panic): load() seeds Some fun for every node
-                            alg.apply(self.fun[u as usize].as_ref().unwrap(), val.clone());
-                        let slot = self.sib[u as usize];
+                        let p = self.par[ui] as usize;
+                        let val = alg.finish(&self.acc[ui]);
+                        let contrib = alg.apply(&self.trace.fun[ui], val.clone());
+                        let slot = self.trace.sib[ui];
                         // Sibling rakes hit the same parent cells, but
                         // absorb/decrement commute — recorded as such.
                         check::must(wlog.record(Cell::Acc(p as u32), WriteMode::Absorb, u as u64));
@@ -307,8 +387,7 @@ impl<A: Algebra> Scratch<A> {
                             u as u64,
                         ));
                         check::must(wlog.record(Cell::Life(u), WriteMode::Exclusive, u as u64));
-                        // lint:allow(panic): a raking node's parent is live, and live nodes keep Some acc
-                        alg.absorb_at(self.acc[p].as_mut().unwrap(), slot, contrib);
+                        alg.absorb_at(&mut self.acc[p], slot, contrib);
                         self.count[p] -= 1;
                         self.kill(u, round, Death::Raked(val));
                     }
@@ -320,27 +399,23 @@ impl<A: Algebra> Scratch<A> {
                         if S::ENABLED {
                             splices += 1;
                         }
-                        let v = self.par[u as usize];
-                        let gp = self.par[v as usize];
-                        // lint:allow(panic): live nodes carry Some acc/fun by seeding
-                        let tf = alg.to_fun(self.acc[v as usize].as_ref().unwrap());
-                        // lint:allow(panic): live nodes carry Some acc/fun by seeding
-                        let g = alg.compose(&tf, self.fun[u as usize].as_ref().unwrap());
-                        // lint:allow(panic): live nodes carry Some acc/fun by seeding
-                        let new_fun = alg.compose(self.fun[v as usize].as_ref().unwrap(), &g);
+                        let v = self.par[ui];
+                        let vi = v as usize;
+                        let Trace { fun, sib, gap, .. } = &mut self.trace;
+                        let g = alg.compose(&alg.to_fun(&self.acc[vi]), &fun[ui]);
                         check::must(wlog.record(Cell::Fun(u), WriteMode::Exclusive, u as u64));
                         check::must(wlog.record(Cell::Par(u), WriteMode::Exclusive, u as u64));
                         check::must(wlog.record(Cell::Sib(u), WriteMode::Exclusive, u as u64));
                         check::must(wlog.record(Cell::Life(v), WriteMode::Exclusive, u as u64));
-                        self.fun[u as usize] = Some(new_fun);
-                        self.par[u as usize] = gp;
+                        fun[ui] = alg.compose(&fun[vi], &g);
+                        self.par[ui] = self.par[vi];
                         // The victim remembers which of its own child slots
                         // the surviving chain occupies (change propagation
                         // rebuilds its accumulator around that gap), then
                         // `u` inherits the victim's slot in the grandparent's
                         // child order, keeping ordered rakes well-indexed.
-                        self.gap[v as usize] = self.sib[u as usize];
-                        self.sib[u as usize] = self.sib[v as usize];
+                        gap[vi] = sib[ui];
+                        sib[ui] = sib[vi];
                         self.kill(v, round, Death::Compressed { child: u, fun: g });
                     }
                 }
@@ -368,6 +443,20 @@ impl<A: Algebra> Scratch<A> {
             }
         }
 
+        // `order` is chronological, so each hop list comes out in
+        // ascending death round without sorting.
+        let Trace {
+            links,
+            death,
+            order,
+            ..
+        } = &mut self.trace;
+        links.hops.regroup(death.len(), || {
+            order.iter().filter_map(|&u| match &death[u as usize] {
+                Death::Compressed { child, .. } => Some((*child, u)),
+                _ => None,
+            })
+        });
         RunOutcome {
             rounds: round,
             counters,
@@ -375,44 +464,51 @@ impl<A: Algebra> Scratch<A> {
     }
 
     fn kill(&mut self, u: u32, round: u32, death: Death<A>) {
+        let ui = u as usize;
         if check::ENABLED {
-            invariant!(
-                self.alive[u as usize],
-                "second death of node n{u} in round {round}"
-            );
+            invariant!(self.alive[ui], "second death of node n{u} in round {round}");
         }
-        self.alive[u as usize] = false;
-        self.death[u as usize] = death;
-        self.death_round[u as usize] = round;
-        self.death_parent[u as usize] = self.par[u as usize];
-        self.death_order.push(u);
+        self.alive[ui] = false;
+        let trace = &mut self.trace;
+        trace.death[ui] = death;
+        trace.links.round[ui] = round;
+        trace.links.up[ui] = self.par[ui];
+        trace.order.push(u);
     }
 
-    /// Post-round invariant sweep (`check` feature): every node killed this
-    /// round carries a coherent, round-stamped death record whose recorded
-    /// parent survived the round, and every survivor has live state — a
-    /// present accumulator and edge function, a live working parent, and a
-    /// `count` that matches its actual number of live children. `O(frontier)`
-    /// per round.
+    /// Post-round invariant sweep (`check` feature): the round retired at
+    /// least one node (the argument in `contract_with` that bounds the
+    /// round count), every node killed this round carries a coherent,
+    /// round-stamped death record whose recorded parent survived the
+    /// round, and every survivor has a live working parent and a `count`
+    /// that matches its actual number of live children.
+    /// `O(frontier)` per round.
     #[cfg(feature = "check")]
     fn check_round(&self, round: u32, live: &[u32], deaths_before: usize) {
         use std::collections::HashMap;
-        for &u in &self.death_order[deaths_before..] {
+        let Trace {
+            links,
+            death,
+            order,
+            ..
+        } = &self.trace;
+        invariant!(order.len() > deaths_before, "round {round} retired no node");
+        for &u in &order[deaths_before..] {
             let ui = u as usize;
             invariant!(
                 !self.alive[ui],
                 "node n{u} died in round {round} but is still flagged alive"
             );
             invariant!(
-                self.death_round[ui] == round,
+                links.round[ui] == round,
                 "node n{u} killed in round {round} is stamped with round {}",
-                self.death_round[ui]
+                links.round[ui]
             );
             invariant!(
-                !matches!(self.death[ui], Death::None),
+                !matches!(death[ui], Death::None),
                 "node n{u} died in round {round} without a death record"
             );
-            let dp = self.death_parent[ui];
+            let dp = links.up[ui];
             invariant!(
                 dp == NONE || self.alive[dp as usize],
                 "death parent n{dp} of n{u} did not survive round {round}"
@@ -422,14 +518,6 @@ impl<A: Algebra> Scratch<A> {
         for &u in live {
             let ui = u as usize;
             invariant!(self.alive[ui], "retained node n{u} is not alive");
-            invariant!(
-                self.acc[ui].is_some(),
-                "live node n{u} lost its accumulator in round {round}"
-            );
-            invariant!(
-                self.fun[ui].is_some(),
-                "live node n{u} lost its edge function in round {round}"
-            );
             let p = self.par[ui];
             if p != NONE {
                 invariant!(
@@ -452,60 +540,6 @@ impl<A: Algebra> Scratch<A> {
     #[cfg(not(feature = "check"))]
     #[inline(always)]
     fn check_round(&self, _round: u32, _live: &[u32], _deaths_before: usize) {}
-
-    /// Groups the nodes compressed in the last run into hop lists: for
-    /// every node `x`, the nodes that were spliced out from directly above
-    /// it — its successive working parents, i.e. the original-tree
-    /// ancestors lying strictly between `x` and `death_parent[x]`, in
-    /// ascending death round (equivalently, bottom-to-top along the
-    /// original path, the order their functions compose in).
-    ///
-    /// Concatenating `x`, `hops.of(x)`, `death_parent[x]`, its hop list,
-    /// … therefore reconstructs `x`'s *entire* original ancestor path while
-    /// only ever following `O(rounds)` shortcut pointers; this is what the
-    /// batch query engine traverses and change propagation refolds.
-    pub fn hop_lists(&self, hops: &mut Csr) {
-        // `death_order` is chronological, so each hop list comes out in
-        // ascending death round without sorting.
-        hops.regroup(self.death.len(), || {
-            self.death_order
-                .iter()
-                .filter_map(|&u| match &self.death[u as usize] {
-                    Death::Compressed { child, .. } => Some((*child, u)),
-                    _ => None,
-                })
-        });
-    }
-
-    /// Replays the death trace in reverse and returns the final subtree
-    /// value of every node, indexed by node id.
-    ///
-    /// Raked nodes and finished roots knew their value at death; a
-    /// compressed node's value is its recorded unary function applied to
-    /// the value of the child that outlived it — which, processed in
-    /// reverse death order, is always already solved.
-    pub fn backsolve(&self, alg: &A) -> Vec<A::Val> {
-        let known = |d: &Death<A>| match d {
-            Death::Raked(v) | Death::Root(v) => Some(v.clone()),
-            _ => None,
-        };
-        // Every component finishes a root, so a non-empty trace has a known
-        // value; it stands in for compressed nodes until they are solved.
-        let Some(filler) = self.death.iter().find_map(known) else {
-            return Vec::new();
-        };
-        let mut out: Vec<A::Val> = self
-            .death
-            .iter()
-            .map(|d| known(d).unwrap_or_else(|| filler.clone()))
-            .collect();
-        for &u in self.death_order.iter().rev() {
-            if let Death::Compressed { child, fun } = &self.death[u as usize] {
-                out[u as usize] = alg.apply(fun, out[*child as usize].clone());
-            }
-        }
-        out
-    }
 }
 
 /// Picks the action for live node `u` from the pre-round snapshot.

@@ -21,6 +21,11 @@
 //!   pointers — instead of one tree walk per query (see the [`query`]
 //!   module docs for the construction).
 //!
+//! A run records its trace once, and both [`Contraction`] and
+//! [`DynForest`] own one of the same type: death records, edge functions
+//! and sibling slots, plus the algebra-independent links (child lists,
+//! death rounds, death parents and hop lists) that the query engine reads.
+//!
 //! Value semantics are pluggable through the [`Algebra`] trait; shipped
 //! instances double as correctness oracles against
 //! [`Forest::sequential_fold`]:
@@ -104,11 +109,11 @@ pub mod query;
 mod rng;
 
 pub use algebra::{
-    Affine, Algebra, ExprAcc, ExprEval, ExprLabel, ExprOp, Extrema, Invertible, MinMax,
-    PathAlgebra, Propagate, SubtreeSum,
+    Affine, Algebra, ExprAcc, ExprEval, ExprLabel, ExprOp, Extrema, MinMax, PathAlgebra, Propagate,
+    SubtreeSum,
 };
 pub use arena::{Forest, NodeId};
-pub use contract::{ContractOptions, Contraction, SlotKind};
+pub use contract::{ContractOptions, Contraction};
 pub use dynamic::{DynForest, EditError, UpdateStats};
 pub use obs::Profile;
 pub use ordered::{HashSeq, OrderedRake, RunsPart, Sandwich, SeqAcc, SeqHash, SeqMonoid};

@@ -3,10 +3,11 @@
 //! The round-stamped death trace left behind by a full contraction is a
 //! dependency DAG: every rake delivered a contribution to the victim's
 //! working parent, and every splice folded a victim's unary function into
-//! the surviving chain. [`Replay`] materializes that DAG once — per-slot
-//! cached results plus, for every node, an aggregate of its children's
-//! contributions — and then re-executes **only the slots whose inputs
-//! changed** when a batch of label edits lands:
+//! the surviving chain. [`Replay`] caches what replaying a slot needs on
+//! top of that [`Trace`] — per-slot contributions plus, for every node, an
+//! aggregate of its children's contributions — and then re-executes **only
+//! the slots whose inputs changed** when a batch of label edits lands,
+//! rewriting the trace in place:
 //!
 //! 1. every edited node is seeded into a priority queue keyed by its death
 //!    round;
@@ -34,14 +35,14 @@
 //! * **flat** — invertible algebras (e.g. [`SubtreeSum`](crate::SubtreeSum))
 //!   keep one merged `Part` per node and patch a changed child by
 //!   subtract/re-add in `O(1)`;
-//! * **sibling tree** — non-invertible algebras keep a balanced binary
-//!   tree over the child slots ([`SibTree`]) and replay an `O(log degree)`
-//!   leaf-to-root path, so even a 10⁵-ary star patches one child without
-//!   refolding the other 10⁵ − 1.
+//! * **sibling trees** — non-invertible algebras keep a balanced binary
+//!   tree over each node's child slots, all laid out in one buffer, and
+//!   replay an `O(log degree)` leaf-to-root path, so even a 10⁵-ary star
+//!   patches one child without refolding the other 10⁵ − 1.
 
 use crate::algebra::{Algebra, Propagate};
-use crate::arena::{Csr, Forest};
-use crate::engine::{Death, Scratch};
+use crate::arena::Forest;
+use crate::engine::{Death, Trace};
 use crate::obs::{Phase, Sink};
 use crate::NodeId;
 use std::cmp::Reverse;
@@ -71,62 +72,32 @@ pub(crate) fn resolve_val<A: Algebra>(alg: &A, death: &[Death<A>], v: u32) -> A:
     }
 }
 
-/// Balanced sibling-accumulation tree over one node's child slots.
-///
-/// A 1-based heap-shaped array: leaves live at `size + slot` (padded to a
-/// power of two with [`Propagate::part_empty`]), internal nodes hold the
-/// merge of their children with lower slots on the left, so the root is
-/// the in-order aggregate of every slot. Patching one slot remerges only
-/// the leaf-to-root path: `O(log degree)`.
-#[derive(Clone)]
-pub(crate) struct SibTree<P> {
-    /// Leaf capacity (power of two, ≥ 1); the root sits at index 1.
-    size: usize,
-    nodes: Vec<P>,
-}
-
-impl<P: Clone> SibTree<P> {
-    fn build<A: Propagate<Part = P>>(alg: &A, leaves: Vec<P>) -> Self {
-        let size = leaves.len().next_power_of_two().max(1);
-        let mut nodes = vec![alg.part_empty(); 2 * size];
-        for (i, leaf) in leaves.into_iter().enumerate() {
-            nodes[size + i] = leaf;
-        }
-        for i in (1..size).rev() {
-            nodes[i] = alg.part_merge(&nodes[2 * i], &nodes[2 * i + 1]);
-        }
-        SibTree { size, nodes }
-    }
-
-    fn set<A: Propagate<Part = P>>(&mut self, alg: &A, slot: u32, part: P) {
-        let mut i = self.size + slot as usize;
-        self.nodes[i] = part;
-        while i > 1 {
-            i >>= 1;
-            self.nodes[i] = alg.part_merge(&self.nodes[2 * i], &self.nodes[2 * i + 1]);
-        }
-    }
-
-    fn root(&self) -> &P {
-        &self.nodes[1]
-    }
-}
-
 /// Per-node aggregates of child contributions, strategy picked at build
 /// time by [`Propagate::INVERTIBLE`].
 #[derive(Clone)]
 pub(crate) enum Kids<A: Propagate> {
     /// One merged `Part` per node; patched by subtract/re-add.
     Flat(Vec<A::Part>),
-    /// One sibling tree per node; patched along a leaf-to-root path.
-    Trees(Vec<SibTree<A::Part>>),
+    /// One balanced sibling-accumulation tree per node, all in one buffer:
+    /// node `p`'s tree is `parts[off[p]..off[p + 1]]`, a 0-based heap of
+    /// `2 × size − 1` entries (`size` the degree rounded up to a power of
+    /// two, 1 for a childless node) with the leaf of child slot `s` at
+    /// `size − 1 + s`, padded with [`Propagate::part_empty`]. Entry `i`
+    /// merges entries `2i + 1` and `2i + 2`, lower slots on the left, so
+    /// entry 0 is the in-order aggregate of every slot, and patching one
+    /// slot remerges only its leaf-to-root path: `O(log degree)`. The trees
+    /// hold up to about `5n` parts, so the offsets are `usize`.
+    Trees {
+        off: Vec<usize>,
+        parts: Vec<A::Part>,
+    },
 }
 
 impl<A: Propagate> Kids<A> {
     fn root(&self, u: usize) -> &A::Part {
         match self {
             Kids::Flat(parts) => &parts[u],
-            Kids::Trees(trees) => trees[u].root(),
+            Kids::Trees { off, parts } => &parts[off[u]],
         }
     }
 
@@ -137,7 +108,15 @@ impl<A: Propagate> Kids<A> {
                 let add = alg.part_of(slot, new);
                 parts[u] = alg.part_merge(&parts[u], &add);
             }
-            Kids::Trees(trees) => trees[u].set(alg, slot, alg.part_of(slot, new)),
+            Kids::Trees { off, parts } => {
+                let tree = &mut parts[off[u]..off[u + 1]];
+                let mut i = tree.len() / 2 + slot as usize;
+                tree[i] = alg.part_of(slot, new);
+                while i > 0 {
+                    i = (i - 1) / 2;
+                    tree[i] = alg.part_merge(&tree[2 * i + 1], &tree[2 * i + 2]);
+                }
+            }
         }
     }
 }
@@ -150,22 +129,15 @@ pub(crate) struct PropagateOutcome {
     pub rounds: u32,
 }
 
-/// The contraction trace reshaped for replay, plus the caches that make
-/// replaying a slot `O(1)`–`O(log degree)` instead of `O(degree)`.
+/// The caches that make replaying a slot of a [`Trace`] `O(1)`–
+/// `O(log degree)` instead of `O(degree)`.
 ///
-/// Built from one full contraction's scratch state by [`Replay::rebuild`],
-/// and kept valid by [`Replay::propagate`] across label-only batches. A
-/// structural batch changes the shape the tables describe, so the dynamic
-/// layer contracts again and rebuilds them. Propagation never changes the
-/// two adjacency tables, so the query engine borrows them as well.
+/// Built from one full contraction's trace by [`Replay::rebuild`], and kept
+/// valid by [`Replay::propagate`] across label-only batches. A structural
+/// batch changes the shape the trace describes, so the dynamic layer
+/// contracts again and rebuilds the caches.
+#[derive(Clone)]
 pub(crate) struct Replay<A: Propagate> {
-    /// Child adjacency of the shape the tables were built from; rebuilt in
-    /// place, so a rebuild does not reallocate it.
-    pub children: Csr,
-    /// For every survivor, the nodes spliced onto it, in ascending death
-    /// round — bottom-to-top along the original path, the order their
-    /// functions compose in ([`Scratch::hop_lists`]).
-    pub hops: Csr,
     /// Cached contribution each raked node delivered to its working
     /// parent (`None` for compressed nodes and roots, which deliver
     /// through composed functions instead).
@@ -181,8 +153,6 @@ pub(crate) struct Replay<A: Propagate> {
 impl<A: Propagate> Replay<A> {
     pub fn new() -> Self {
         Replay {
-            children: Csr::default(),
-            hops: Csr::default(),
             contrib: Vec::new(),
             kids: Kids::Flat(Vec::new()),
             affected: Vec::new(),
@@ -190,13 +160,11 @@ impl<A: Propagate> Replay<A> {
         }
     }
 
-    /// Rebuilds every table from `scratch`, which must hold the completed
-    /// trace of a full contraction of `forest`. `O(n + trace)` using one
-    /// backsolve sweep for child values.
-    pub fn rebuild(&mut self, alg: &A, forest: &Forest<A::Label>, scratch: &Scratch<A>) {
-        let n = forest.len();
-        self.children.rebuild_children(forest);
-        scratch.hop_lists(&mut self.hops);
+    /// Rebuilds every cache from `trace`, which must be the completed trace
+    /// of a full contraction. `O(n + trace)` using one backsolve sweep for
+    /// child values.
+    pub fn rebuild(&mut self, alg: &A, trace: &Trace<A>) {
+        let n = trace.death.len();
         self.contrib.clear();
         self.contrib.resize(n, None);
         self.affected.clear();
@@ -204,25 +172,21 @@ impl<A: Propagate> Replay<A> {
         self.refold.clear();
         self.refold.resize(n, false);
 
-        let vals = scratch.backsolve(alg);
+        let vals = trace.backsolve(alg);
         for u in 0..n {
-            if let Death::Raked(val) = &scratch.death[u] {
-                let fun = scratch.fun[u]
-                    .as_ref()
-                    // lint:allow(panic): every raked node carried an edge function at death
-                    .expect("raked node has an edge function");
-                self.contrib[u] = Some(alg.apply(fun, val.clone()));
+            if let Death::Raked(val) = &trace.death[u] {
+                self.contrib[u] = Some(alg.apply(&trace.fun[u], val.clone()));
             }
         }
 
         // A compressed node's aggregate excludes the slot of the chain
         // that spliced it out — that chain outlives it and contributes at
         // the grandparent instead.
-        let gap_of = |p: usize| match &scratch.death[p] {
-            Death::Compressed { .. } => Some(scratch.gap[p]),
+        let gap_of = |p: usize| match &trace.death[p] {
+            Death::Compressed { .. } => Some(trace.gap[p]),
             _ => None,
         };
-        let children = &self.children;
+        let children = &trace.links.children;
         self.kids = if A::INVERTIBLE {
             let mut parts = Vec::with_capacity(n);
             for p in 0..n {
@@ -239,37 +203,41 @@ impl<A: Propagate> Replay<A> {
             }
             Kids::Flat(parts)
         } else {
-            let mut trees = Vec::with_capacity(n);
+            let mut off = Vec::with_capacity(n + 1);
+            off.push(0);
+            for p in 0..n {
+                let size = children.of(p as u32).len().next_power_of_two();
+                off.push(off[p] + 2 * size - 1);
+            }
+            let mut parts = vec![alg.part_empty(); off[n]];
             for p in 0..n {
                 let (kids, gap) = (children.of(p as u32), gap_of(p));
-                let leaves: Vec<A::Part> = kids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| {
-                        if gap == Some(i as u32) {
-                            alg.part_empty()
-                        } else {
-                            alg.part_of(i as u32, vals[c as usize].clone())
-                        }
-                    })
-                    .collect();
-                trees.push(SibTree::build(alg, leaves));
+                let tree = &mut parts[off[p]..off[p + 1]];
+                let first_leaf = tree.len() / 2;
+                for (i, &c) in kids.iter().enumerate() {
+                    if gap != Some(i as u32) {
+                        tree[first_leaf + i] = alg.part_of(i as u32, vals[c as usize].clone());
+                    }
+                }
+                for i in (0..first_leaf).rev() {
+                    tree[i] = alg.part_merge(&tree[2 * i + 1], &tree[2 * i + 2]);
+                }
             }
-            Kids::Trees(trees)
+            Kids::Trees { off, parts }
         };
     }
 
     /// Replays the trace slots affected by the edited nodes in `dirty`,
-    /// updating death records (and caches) in place so that
+    /// rewriting death records and edge functions in place so that
     /// [`resolve_val`] afterwards returns post-edit values everywhere.
     ///
-    /// Requires the trace in `scratch` to be the one the tables were
-    /// rebuilt from, modulo earlier propagation passes.
+    /// Requires `trace` to be the one the caches were rebuilt from, modulo
+    /// earlier propagation passes.
     pub fn propagate<S: Sink>(
         &mut self,
         alg: &A,
         forest: &Forest<A::Label>,
-        scratch: &mut Scratch<A>,
+        trace: &mut Trace<A>,
         dirty: &[u32],
         sink: &mut S,
     ) -> PropagateOutcome {
@@ -279,20 +247,25 @@ impl<A: Propagate> Replay<A> {
             None
         };
         let Replay {
-            hops,
             contrib,
             kids,
             affected,
             refold,
-            ..
         } = self;
+        let Trace {
+            links,
+            death,
+            fun,
+            sib,
+            ..
+        } = trace;
 
         // Min-heap on (death round, node): dependencies always point to a
         // strictly later round, so one ascending drain visits each
         // affected slot exactly once.
         let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
         for &u in dirty {
-            schedule(affected, &mut heap, scratch.death_round[u as usize], u);
+            schedule(affected, &mut heap, links.round[u as usize], u);
         }
 
         let mut processed: Vec<u32> = Vec::new();
@@ -305,14 +278,14 @@ impl<A: Propagate> Replay<A> {
                 last = stamp;
             }
             if refold[ui] {
-                refold_chain(alg, forest, hops.of(u), kids, scratch, u);
+                refold_chain(alg, forest, links.hops.of(u), kids, death, fun, u);
             }
             enum Slot {
                 Raked,
                 Compressed(u32),
                 Root,
             }
-            let slot = match &scratch.death[ui] {
+            let slot = match &death[ui] {
                 Death::Raked(_) => Slot::Raked,
                 Death::Compressed { child, .. } => Slot::Compressed(*child),
                 Death::Root(_) => Slot::Root,
@@ -324,22 +297,16 @@ impl<A: Propagate> Replay<A> {
                     let mut acc = alg.init_acc(forest.label(NodeId(u)));
                     alg.absorb_part(&mut acc, kids.root(ui));
                     let val = alg.finish(&acc);
-                    let new = alg.apply(
-                        scratch.fun[ui]
-                            .as_ref()
-                            // lint:allow(panic): every raked node carried an edge function at death
-                            .expect("raked node has an edge function"),
-                        val.clone(),
-                    );
-                    scratch.death[ui] = Death::Raked(val);
+                    let new = alg.apply(&fun[ui], val.clone());
+                    death[ui] = Death::Raked(val);
                     if contrib[ui].as_ref() != Some(&new) {
                         let old = contrib[ui]
                             .replace(new.clone())
                             // lint:allow(panic): rebuild caches a contribution for every raked node
                             .expect("raked node has a cached contribution");
-                        let p = scratch.death_parent[ui];
-                        kids.update(alg, p as usize, scratch.sib[ui], old, new);
-                        schedule(affected, &mut heap, scratch.death_round[p as usize], p);
+                        let p = links.up[ui];
+                        kids.update(alg, p as usize, sib[ui], old, new);
+                        schedule(affected, &mut heap, links.round[p as usize], p);
                     }
                     // else: the recorded result still holds — the wave cuts
                     // off and everything above is reused as-is.
@@ -349,17 +316,12 @@ impl<A: Propagate> Replay<A> {
                     // composed function; re-derive the whole chain when the
                     // survivor drains (it dies strictly later).
                     refold[child as usize] = true;
-                    schedule(
-                        affected,
-                        &mut heap,
-                        scratch.death_round[child as usize],
-                        child,
-                    );
+                    schedule(affected, &mut heap, links.round[child as usize], child);
                 }
                 Slot::Root => {
                     let mut acc = alg.init_acc(forest.label(NodeId(u)));
                     alg.absorb_part(&mut acc, kids.root(ui));
-                    scratch.death[ui] = Death::Root(alg.finish(&acc));
+                    death[ui] = Death::Root(alg.finish(&acc));
                 }
             }
         }
@@ -397,7 +359,8 @@ fn refold_chain<A: Propagate>(
     forest: &Forest<A::Label>,
     victims: &[u32],
     kids: &Kids<A>,
-    scratch: &mut Scratch<A>,
+    death: &mut [Death<A>],
+    fun: &mut [A::Fun],
     x: u32,
 ) {
     let mut f = alg.identity();
@@ -406,29 +369,8 @@ fn refold_chain<A: Propagate>(
         let mut acc = alg.init_acc(forest.label(NodeId(v)));
         alg.absorb_part(&mut acc, kids.root(vi));
         let g = alg.compose(&alg.to_fun(&acc), &f);
-        let fv = scratch.fun[vi]
-            .as_ref()
-            // lint:allow(panic): every victim carried an edge function at death
-            .expect("victim has an edge function")
-            .clone();
-        scratch.death[vi] = Death::Compressed {
-            child: x,
-            fun: g.clone(),
-        };
-        f = alg.compose(&fv, &g);
+        f = alg.compose(&fun[vi], &g);
+        death[vi] = Death::Compressed { child: x, fun: g };
     }
-    scratch.fun[x as usize] = Some(f);
-}
-
-impl<A: Propagate> Clone for Replay<A> {
-    fn clone(&self) -> Self {
-        Replay {
-            children: self.children.clone(),
-            hops: self.hops.clone(),
-            contrib: self.contrib.clone(),
-            kids: self.kids.clone(),
-            affected: self.affected.clone(),
-            refold: self.refold.clone(),
-        }
-    }
+    fun[x as usize] = f;
 }

@@ -6,11 +6,11 @@
 //! of walking the tree once per query.
 //!
 //! The enabling observation: the engine records, for every node, its
-//! *working parent at death* ([`Contraction::trace_parent`]). Those
-//! pointers form a shortcut tree of depth ≤ rounds (`O(log n)` w.h.p.),
-//! and each shortcut hop `x → up(x)` skips the chain of `x`'s successive
-//! working parents that were compressed out from directly above it — its
-//! *victims*, which the trace records bottom-to-top. The skipped gap is
+//! *working parent at death* in the trace's links. Those pointers form a
+//! shortcut tree of depth ≤ rounds (`O(log n)` w.h.p.), and each shortcut
+//! hop `x → up(x)` skips the chain of `x`'s successive working parents
+//! that were compressed out from directly above it — its *victims*, which
+//! the trace records bottom-to-top. The skipped gap is
 //! recursive: between two consecutive victims of `x` lie the earlier
 //! victim's own victims, and so on. Since a victim always dies strictly
 //! before its host, the nesting depth is bounded by the round count, so
@@ -36,11 +36,15 @@
 //! intervals, component roots, and the nodes with a non-empty hop list in
 //! ascending death round — depends only on the forest's shape and the
 //! trace's rounds and hop lists, which label propagation never changes; it
-//! costs one `O(n)` pass. The **hop prefixes** depend on labels and cost
-//! `O(hosts + victims)` per batch. [`Contraction::query_batch`] builds a
-//! shape index per call; [`DynForest::query_batch`](crate::DynForest::query_batch)
-//! keeps one per trace shape, so a batch after label-only edits pays one
-//! backsolve for the values, the prefixes, and `O(log² n)` per query.
+//! costs one `O(n)` pass over the child lists the trace already holds. The
+//! **hop prefixes** depend on labels and cost `O(hosts + victims)` per
+//! batch. Both [`Contraction::query_batch`] and
+//! [`DynForest::query_batch`](crate::DynForest::query_batch) read the
+//! algebra-independent links of the trace they own;
+//! `Contraction::query_batch` builds a shape index per call, while
+//! `DynForest::query_batch` keeps one per trace shape, so a batch after
+//! label-only edits pays one backsolve for the values, the prefixes, and
+//! `O(log² n)` per query.
 //! Queries are dispatched in ascending death round of their anchor node
 //! (queries touching the same region of the DAG run together), and the
 //! dispatch loop fans out over scoped threads behind the `parallel`
@@ -68,6 +72,7 @@
 use crate::algebra::{Algebra, PathAlgebra};
 use crate::arena::{Csr, Forest, NONE};
 use crate::contract::Contraction;
+use crate::engine::Links;
 use crate::{par, NodeId};
 use std::fmt;
 
@@ -262,42 +267,29 @@ impl std::error::Error for QueryError {}
 pub type QueryOutcome<A> =
     Result<Answer<<A as Algebra>::Val, <A as PathAlgebra>::PathVal>, QueryError>;
 
-/// The trace's shortcut structure as the resolver reads it, borrowed from a
-/// [`Contraction`] or from a [`DynForest`](crate::DynForest)'s maintained
-/// trace.
-pub(crate) struct Links<'a> {
-    /// Working parent at death (`NONE` for finished roots).
-    pub up: &'a [u32],
-    /// For every node, the nodes spliced out from directly above it,
-    /// bottom to top.
-    pub hops: &'a Csr,
-    /// Death round of every node.
-    pub death_round: &'a [u32],
-}
-
 /// The label-independent half of the query context: what the resolver
 /// needs of the forest's and the trace's *shape*. Label propagation never
 /// changes death rounds, death parents or hop lists, so a shape index stays
 /// valid until a structural batch rebuilds the trace.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub(crate) struct Shape {
     /// Euler entry time (ancestor tests in O(1)).
-    pub tin: Vec<u32>,
+    tin: Vec<u32>,
     /// Euler exit time.
-    pub tout: Vec<u32>,
+    tout: Vec<u32>,
     /// Component root of every node.
-    pub root: Vec<u32>,
+    root: Vec<u32>,
     /// The nodes with a non-empty hop list, in ascending death round. A
     /// victim dies strictly before its host, so in this order every
     /// victim's own hop list comes before its host's.
-    pub hosts: Vec<u32>,
+    hosts: Vec<u32>,
 }
 
 impl Shape {
-    /// Indexes `forest`, whose child lists are `children`, and its trace.
-    /// `O(n)`.
-    pub fn new<L>(forest: &Forest<L>, children: &Csr, links: &Links<'_>) -> Shape {
+    /// Indexes `forest` and the links of its trace. `O(n)`.
+    pub fn new<L>(forest: &Forest<L>, links: &Links) -> Shape {
         let n = forest.len();
+        let children = &links.children;
         let mut tin = vec![0u32; n];
         let mut tout = vec![0u32; n];
         let mut root = vec![0u32; n];
@@ -330,7 +322,7 @@ impl Shape {
         }
 
         // Rounds are few, so a counting sort orders the hosts.
-        let (hops, death_round) = (links.hops, links.death_round);
+        let (hops, death_round) = (&links.hops, &links.round);
         let hosts = || (0..n as u32).filter(|&x| !hops.of(x).is_empty());
         let rounds = hosts().map(|x| death_round[x as usize]).max().unwrap_or(0);
         let mut by_round = Csr::default();
@@ -416,7 +408,7 @@ fn hop_prefixes<A: PathAlgebra>(
 /// values, and the hop prefixes of the current labels.
 struct Resolver<'a, A: PathAlgebra> {
     forest: &'a Forest<A::Label>,
-    links: &'a Links<'a>,
+    links: &'a Links,
     shape: &'a Shape,
     values: &'a [A::Val],
     hop_pref: Vec<A::PathVal>,
@@ -581,7 +573,7 @@ impl<A: PathAlgebra> Resolver<'_, A> {
 /// `parallel` feature the dispatch loop fans out over scoped threads.
 pub(crate) fn resolve<A>(
     forest: &Forest<A::Label>,
-    links: &Links<'_>,
+    links: &Links,
     shape: &Shape,
     values: &[A::Val],
     alg: &A,
@@ -598,7 +590,7 @@ where
         links,
         shape,
         values,
-        hop_pref: hop_prefixes(forest, links.hops, &shape.hosts, alg),
+        hop_pref: hop_prefixes(forest, &links.hops, &shape.hosts, alg),
         alg,
     };
     let n = forest.len();
@@ -608,7 +600,7 @@ where
     slots.sort_by_key(|&(i, _)| {
         let a = queries[i as usize].anchor();
         if a.index() < n {
-            links.death_round[a.index()]
+            links.round[a.index()]
         } else {
             u32::MAX
         }
@@ -640,7 +632,7 @@ impl<A: Algebra> Contraction<A> {
     /// surface as per-query `Err`s; path/LCA queries across components
     /// answer [`Answer::NotConnected`]. Nothing panics.
     ///
-    /// Each call indexes the forest's shape in `O(n)` and then answers
+    /// Each call indexes the trace's shape in `O(n)` and then answers
     /// every query in `O(log² n)`. Queries are dispatched in ascending
     /// death round of their anchor node, so queries touching the same
     /// region of the trace resolve together; with the `parallel` feature
@@ -666,8 +658,8 @@ impl<A: Algebra> Contraction<A> {
                 contraction_nodes: n,
             });
         }
-        let links = self.links();
-        let shape = Shape::new(forest, &Csr::children(forest), &links);
-        Ok(resolve(forest, &links, &shape, self.values(), alg, batch))
+        let links = &self.trace.links;
+        let shape = Shape::new(forest, links);
+        Ok(resolve(forest, links, &shape, self.values(), alg, batch))
     }
 }

@@ -111,8 +111,11 @@ fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
             validate(&d, &format!("round {round}: after relink"));
         }
 
-        // A label-only batch propagates over the rebuilt trace.
-        d.batch_update_weights(&bumps);
+        // A label-only batch propagates over the rebuilt trace. New
+        // values, so the replayed slots (and compressed chains' refolds)
+        // change what the trace records.
+        let relabel: Vec<(NodeId, i64)> = bumps.iter().map(|&(v, w)| (v, w + 1)).collect();
+        d.batch_update_weights(&relabel);
         d.recompute();
         validate(&d, &format!("round {round}: after propagation"));
     }

@@ -73,3 +73,44 @@ fn forest_of_disconnected_components() {
     assert_eq!(c.components().len(), 37);
     assert_eq!(c.values(), &oracle[..]);
 }
+
+#[test]
+fn rounds_never_exceed_height_plus_one() {
+    // Every round retires every childless node, so a node of height `h`
+    // dies by round `h + 1`, and a run takes at most height + 1 ≤ n rounds:
+    // the bound that lets the engine count rounds in a `u32` without a cap.
+    fn height(f: &Forest<i64>) -> u32 {
+        // Generated forests add every parent before its children.
+        let mut depth = vec![0u32; f.len()];
+        for v in f.node_ids() {
+            if let Some(p) = f.parent(v) {
+                depth[v.index()] = depth[p.index()] + 1;
+            }
+        }
+        depth.into_iter().max().unwrap_or(0)
+    }
+    for n in [1, 2, 3, 100, 10_000] {
+        for seed in 1..=3u64 {
+            let shapes = [
+                ("random", gen::random_tree(n, seed)),
+                ("path", gen::path(n, seed)),
+                ("star", gen::star(n, seed)),
+                ("caterpillar", gen::caterpillar(n.div_ceil(4), 3, seed)),
+                ("binary", gen::binary_tree(n, seed)),
+                ("broom", gen::broom(n.div_ceil(2), n / 2, seed)),
+                ("forest", gen::random_forest(n, 1 + n / 50, seed)),
+            ];
+            for (name, f) in shapes {
+                let rounds = f.contraction().seed(seed).run(&SubtreeSum).rounds();
+                let h = height(&f);
+                assert!(
+                    rounds <= h + 1,
+                    "{name}({n}), seed {seed}: {rounds} rounds for height {h}"
+                );
+                if name == "star" {
+                    assert!(rounds <= 2, "star({n}), seed {seed}: {rounds} rounds");
+                }
+            }
+        }
+    }
+}
