@@ -100,11 +100,14 @@ fn main() {
                     let mut last = None;
                     for chunk in script.chunks(16) {
                         for op in chunk {
-                            match *op {
-                                ChurnOp::Cut(v) => d.batch_cut(&[v]),
-                                ChurnOp::Link { child, parent } => d.batch_link(&[(child, parent)]),
+                            let edited = match *op {
+                                ChurnOp::Cut(v) => d.try_batch_cut(&[v]),
+                                ChurnOp::Link { child, parent } => {
+                                    d.try_batch_link(&[(child, parent)])
+                                }
                                 ChurnOp::Weight(v, w) => d.batch_update_weights(&[(v, w)]),
-                            }
+                            };
+                            edited.unwrap();
                         }
                         last = Some(d.recompute());
                     }
@@ -180,7 +183,7 @@ fn main() {
                     bump += 1;
                     let updates: Vec<(NodeId, i64)> = relabel.iter().map(|&v| (v, bump)).collect();
                     let mut d = d.borrow_mut();
-                    d.batch_update_weights(&updates);
+                    d.batch_update_weights(&updates).unwrap();
                     d.recompute();
                 },
                 |()| d.borrow().query_batch(&batch).unwrap().len(),
@@ -232,15 +235,17 @@ where
         let oracle = probe.forest().sequential_fold(&alg);
         for v in probe.forest().node_ids() {
             assert_eq!(
-                probe.subtree_value(v),
+                probe.try_subtree_value(v).unwrap(),
                 oracle[v.index()],
                 "{name}: recomputed value of {v} differs from sequential_fold"
             );
         }
         attach_dyn_report(h, &name, &stats, probe.profile().unwrap());
     };
-    run("batch_cut_1k", &|d| d.batch_cut(&cuts));
-    run("batch_update_1k", &|d| d.batch_update_weights(&updates));
+    run("batch_cut_1k", &|d| d.try_batch_cut(&cuts).unwrap());
+    run("batch_update_1k", &|d| {
+        d.batch_update_weights(&updates).unwrap()
+    });
 }
 
 /// A reproducible 1k-query mix: equal parts subtree, path, LCA, and

@@ -22,8 +22,9 @@ use crate::check::invariant;
 /// Value semantics for tree contraction.
 ///
 /// Laws the engine relies on (for labels actually used in a forest):
-/// * `absorb` must be commutative across sibling values: siblings may be
-///   raked in any order within a round.
+/// * absorbing a node's children with `absorb_at` must give the same
+///   accumulator in any arrival order: siblings may be raked in any order
+///   within a round.
 /// * `compose` must be associative with `identity` as unit, and
 ///   `apply(compose(f, g), x) == apply(f, apply(g, x))`.
 /// * For a node with accumulator `acc` and exactly one remaining child
@@ -45,24 +46,18 @@ pub trait Algebra: Clone {
     /// absorbed yet.
     fn init_acc(&self, label: &Self::Label) -> Self::Acc;
 
-    /// Folds a finished child's contribution into the accumulator.
-    fn absorb(&self, acc: &mut Self::Acc, child: Self::Val);
-
-    /// Like [`Algebra::absorb`], but also told the child's *sibling index*
-    /// (its position in the parent's child list). Commutative algebras keep
-    /// the default, which ignores the index; ordered (non-commutative)
-    /// algebras such as [`OrderedRake`](crate::OrderedRake) override it to
-    /// reassemble children in child-list order even though the engine
-    /// retires siblings in arbitrary round order.
+    /// Folds a finished child's contribution into the accumulator, told
+    /// the child's *sibling index* (its position in the parent's child
+    /// list). Commutative algebras ignore the index; ordered
+    /// (non-commutative) algebras such as
+    /// [`OrderedRake`](crate::OrderedRake) use it to reassemble children in
+    /// child-list order even though the engine retires siblings in
+    /// arbitrary round order.
     ///
-    /// The engine always calls this variant and guarantees that a spliced
-    /// chain contributes at the slot of its topmost node, so every index in
-    /// `0..children` is absorbed exactly once.
-    #[inline]
-    fn absorb_at(&self, acc: &mut Self::Acc, index: u32, child: Self::Val) {
-        let _ = index;
-        self.absorb(acc, child);
-    }
+    /// The engine guarantees that a spliced chain contributes at the slot
+    /// of its topmost node, so every index in `0..children` is absorbed
+    /// exactly once.
+    fn absorb_at(&self, acc: &mut Self::Acc, index: u32, child: Self::Val);
 
     /// Final value of a node all of whose children have been absorbed.
     fn finish(&self, acc: &Self::Acc) -> Self::Val;
@@ -261,7 +256,7 @@ impl Algebra for SubtreeSum {
     }
 
     #[inline]
-    fn absorb(&self, acc: &mut i64, child: i64) {
+    fn absorb_at(&self, acc: &mut i64, _index: u32, child: i64) {
         *acc = acc.wrapping_add(child);
     }
 
@@ -398,7 +393,7 @@ impl Algebra for ExprEval {
     }
 
     #[inline]
-    fn absorb(&self, acc: &mut ExprAcc, child: i64) {
+    fn absorb_at(&self, acc: &mut ExprAcc, _index: u32, child: i64) {
         match acc {
             // Reachable by mis-building the input (a leaf-labelled node
             // with children), so fail through the sanctioned macro with a
@@ -580,7 +575,7 @@ impl Algebra for MinMax {
     }
 
     #[inline]
-    fn absorb(&self, acc: &mut Extrema, child: Extrema) {
+    fn absorb_at(&self, acc: &mut Extrema, _index: u32, child: Extrema) {
         *acc = acc.join(child);
     }
 

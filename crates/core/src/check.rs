@@ -22,9 +22,8 @@
 //!   length, and acyclicity.)
 //! * **Per-round engine hooks** — the engine calls a round validator after
 //!   every apply phase and asserts no node dies twice. Both are guarded by
-//!   [`ENABLED`], the same const-gating idiom as
-//!   [`obs::Sink::ENABLED`](crate::obs::Sink::ENABLED): with the feature
-//!   off the hooks are empty `#[inline]` functions behind a constant-false
+//!   [`ENABLED`], the same const-gating idiom as the telemetry sinks'
+//!   `S::ENABLED` (see [`obs`](crate::obs)): with the feature off the hooks are empty `#[inline]` functions behind a constant-false
 //!   branch, and the optimizer deletes them.
 //! * **Conflict detector** — [`WriteLog`] is a shadow last-writer map
 //!   `cell → (round, owner, mode)` fed by every scratch-state mutation the
@@ -50,8 +49,8 @@ use std::fmt;
 /// `true` when the `check` feature is compiled in.
 ///
 /// Engine hooks are guarded as `if check::ENABLED { … }` so that, exactly
-/// like [`obs::Sink::ENABLED`](crate::obs::Sink::ENABLED), the unchecked
-/// build pays nothing.
+/// like the telemetry sinks' `S::ENABLED`, the unchecked build pays
+/// nothing.
 pub const ENABLED: bool = cfg!(feature = "check");
 
 /// `true` when this build of `dtc-core` has the `check` feature enabled.
@@ -163,10 +162,10 @@ pub enum WriteMode {
     /// Plain write; any other owner touching the cell this round is a
     /// conflict.
     Exclusive,
-    /// Commutative fold into an accumulator ([`Algebra::absorb`]
-    /// commutativity makes sibling rakes order-free).
+    /// Commutative fold into an accumulator (the [`Algebra::absorb_at`]
+    /// laws make sibling rakes order-free).
     ///
-    /// [`Algebra::absorb`]: crate::Algebra::absorb
+    /// [`Algebra::absorb_at`]: crate::Algebra::absorb_at
     Absorb,
     /// Commutative child-count decrement.
     Decrement,

@@ -191,11 +191,8 @@ impl<A: Algebra> Contraction<A> {
     }
 }
 
-/// Builder for a contraction run, created by [`Forest::contraction`].
-///
-/// Collapses the former `contract` / `contract_seeded` /
-/// `contract_profiled` / `contract_with` entry points into one fluent
-/// configuration:
+/// Builder for a contraction run, created by [`Forest::contraction`]: one
+/// fluent configuration, run by [`ContractOptions::run`].
 ///
 /// ```
 /// use dtc_core::{gen, SubtreeSum};
@@ -205,7 +202,7 @@ impl<A: Algebra> Contraction<A> {
 /// // Reproducible coins + telemetry:
 /// let p = f.contraction().seed(42).profiled().run(&SubtreeSum);
 /// assert_eq!(c.values(), p.values());
-/// assert_eq!(p.profile().unwrap().total_retired(), 1_000);
+/// assert_eq!(p.profile().unwrap().totals().retired(), 1_000);
 /// ```
 #[must_use = "the builder does nothing until `run` is called"]
 pub struct ContractOptions<'f, L> {
@@ -258,22 +255,9 @@ impl<'f, L> ContractOptions<'f, L> {
             run_contraction(self.forest, alg, self.seed, &mut NoopSink)
         }
     }
-
-    /// Runs the contraction, streaming telemetry into a custom [`Sink`]
-    /// with static dispatch (phase spans and per-round counters).
-    ///
-    /// The [`ContractOptions::profiled`] flag is ignored on this path — the
-    /// provided sink *is* the telemetry destination.
-    pub fn run_with<A, S>(self, alg: &A, sink: &mut S) -> Contraction<A>
-    where
-        A: Algebra<Label = L>,
-        S: Sink,
-    {
-        run_contraction(self.forest, alg, self.seed, sink)
-    }
 }
 
-/// The shared contraction runner behind every [`ContractOptions`] path:
+/// The contraction runner behind [`ContractOptions::run`], profiled or not:
 /// records the trace, backsolves every value (reported to `sink` as the
 /// backsolve phase) and moves the trace into the result.
 fn run_contraction<L, A, S>(forest: &Forest<L>, alg: &A, seed: u64, sink: &mut S) -> Contraction<A>

@@ -37,11 +37,15 @@
 //! first query after a structural batch and kept across label-only
 //! batches; each query batch then costs one backsolve, `O(hosts + victims)`
 //! hop prefixes and `O(log² n)` per query.
+//!
+//! Each operation has one public form, and none panics on a bad input:
+//! edits return `Result<(), EditError>` and leave no trace of a rejected
+//! batch, reads return `Result<_, QueryError>`.
 
 use crate::algebra::{PathAlgebra, Propagate};
 use crate::arena::{Forest, NONE};
 use crate::engine::{RunOutcome, Scratch};
-use crate::obs::{EngineCounters, NoopSink, Phase, Profile};
+use crate::obs::{EngineCounters, NoopSink, Phase, Profile, Sink};
 use crate::propagate::{resolve_val, Replay};
 use crate::query::{self, QueryBatch, QueryError, QueryOutcome, Shape};
 use crate::NodeId;
@@ -49,8 +53,8 @@ use std::fmt;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Why a batch edit was rejected by [`DynForest::try_batch_cut`] /
-/// [`DynForest::try_batch_link`].
+/// Why a batch edit was rejected by [`DynForest::try_batch_cut`],
+/// [`DynForest::try_batch_link`] or [`DynForest::batch_update_weights`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EditError {
     /// A link named a child that is not a component root.
@@ -118,10 +122,10 @@ pub struct UpdateStats {
     /// Trace slots whose recorded results were reused untouched (0 on a
     /// structural rebuild).
     pub reused_slots: usize,
-    /// Engine counters for this recompute — rakes/splices/finishes/coin
-    /// rejections and peak frontier of a structural rebuild's contraction,
-    /// plus replayed/reused slots either way; `Some` only when profiling
-    /// is enabled via [`DynForest::enable_profiling`].
+    /// Engine counters for this recompute — rounds, plus the
+    /// rakes/splices/finishes/coin rejections and peak frontier of a
+    /// structural rebuild's contraction; `Some` only when profiling is
+    /// enabled via [`DynForest::enable_profiling`].
     pub counters: Option<EngineCounters>,
 }
 
@@ -162,26 +166,29 @@ impl fmt::Display for UpdateStats {
 /// f.add_child(a, 3);
 ///
 /// let mut d = DynForest::new(f, SubtreeSum);
-/// assert_eq!(d.subtree_value(r), 6);
+/// assert_eq!(d.try_subtree_value(r), Ok(6));
 ///
 /// // Cut `a` off: a structural edit, so recompute rebuilds the trace.
-/// d.batch_cut(&[a]);
+/// d.try_batch_cut(&[a]).unwrap();
 /// let stats = d.recompute();
 /// assert_eq!(stats.dirty, 1);
-/// assert_eq!(d.subtree_value(r), 1);
-/// assert_eq!(d.subtree_value(a), 5);
+/// assert_eq!(d.try_subtree_value(r), Ok(1));
+/// assert_eq!(d.try_subtree_value(a), Ok(5));
 ///
 /// // Link it back and bump a weight in the same batch.
-/// d.batch_link(&[(a, r)]);
-/// d.batch_update_weights(&[(r, 100)]);
+/// d.try_batch_link(&[(a, r)]).unwrap();
+/// d.batch_update_weights(&[(r, 100)]).unwrap();
 /// d.recompute();
-/// assert_eq!(d.subtree_value(r), 105);
+/// assert_eq!(d.try_subtree_value(r), Ok(105));
 ///
 /// // A label-only batch replays just the affected trace slots.
-/// d.batch_update_weights(&[(a, 20)]);
+/// d.batch_update_weights(&[(a, 20)]).unwrap();
 /// let stats = d.recompute();
 /// assert!(stats.replayed_slots <= stats.total);
-/// assert_eq!(d.subtree_value(r), 123);
+/// assert_eq!(d.try_subtree_value(r), Ok(123));
+///
+/// // Edits are rejected, not panicked on: `a` is no longer a root.
+/// assert!(d.try_batch_link(&[(a, r)]).is_err());
 /// ```
 #[derive(Clone)]
 pub struct DynForest<A: Propagate> {
@@ -251,11 +258,6 @@ impl<A: Propagate> DynForest<A> {
         }
     }
 
-    /// `true` once [`DynForest::enable_profiling`] has been called.
-    pub fn profiling_enabled(&self) -> bool {
-        self.profile.is_some()
-    }
-
     /// The accumulated telemetry report, if profiling is enabled.
     pub fn profile(&self) -> Option<&Profile> {
         self.profile.as_deref()
@@ -296,11 +298,6 @@ impl<A: Propagate> DynForest<A> {
         self.dirty[v.index()]
     }
 
-    /// Root of the component containing `v`.
-    pub fn root_of(&self, v: NodeId) -> NodeId {
-        self.forest.root_of(v)
-    }
-
     /// Final subtree value of `v` as of the last recompute, or an error if
     /// edits are pending or `v` is out of range.
     ///
@@ -321,18 +318,6 @@ impl<A: Propagate> DynForest<A> {
         Ok(resolve_val(&self.alg, &self.scratch.trace.death, v.raw()))
     }
 
-    /// Final subtree value of `v` as of the last recompute.
-    ///
-    /// # Panics
-    /// Panics if edits are pending — call [`DynForest::recompute`] first,
-    /// or use [`DynForest::try_subtree_value`] to handle staleness without
-    /// panicking.
-    pub fn subtree_value(&self, v: NodeId) -> A::Val {
-        self.try_subtree_value(v)
-            // lint:allow(panic): documented panicking API; try_subtree_value is the fallible form
-            .unwrap_or_else(|e| panic!("subtree_value({v}): {e}"))
-    }
-
     /// Aggregate of the component containing `v` (any node of the
     /// component, not just its root), or an error if edits are pending or
     /// `v` is out of range.
@@ -342,19 +327,6 @@ impl<A: Propagate> DynForest<A> {
             return Err(QueryError::UnknownNode { node: v, nodes: n });
         }
         self.try_subtree_value(self.forest.root_of(v))
-    }
-
-    /// Aggregate of the component rooted at `root`.
-    ///
-    /// # Panics
-    /// Panics if `root` is not a root or edits are pending; see
-    /// [`DynForest::try_component_value`] for the non-panicking form.
-    pub fn component_value(&self, root: NodeId) -> A::Val {
-        assert!(
-            self.forest.is_root(root),
-            "component_value({root}): not a root"
-        );
-        self.subtree_value(root)
     }
 
     /// Marks a single node as edited. Label edits mark only the edited
@@ -429,18 +401,6 @@ impl<A: Propagate> DynForest<A> {
         self.settle(&moved, result, mark_start)
     }
 
-    /// Cuts each node in `cuts` from its parent, making it a component root.
-    ///
-    /// # Panics
-    /// Panics if a node is already a root; use
-    /// [`DynForest::try_batch_cut`] for the non-panicking (and
-    /// rolled-back) form.
-    pub fn batch_cut(&mut self, cuts: &[NodeId]) {
-        self.try_batch_cut(cuts)
-            // lint:allow(panic): documented panicking API; try_batch_cut is the fallible form
-            .unwrap_or_else(|e| panic!("batch_cut: {e}"));
-    }
-
     /// Links each `(child, parent)` pair, attaching the tree rooted at
     /// `child` under `parent`.
     ///
@@ -477,36 +437,33 @@ impl<A: Propagate> DynForest<A> {
         self.settle(&moved, result, mark_start)
     }
 
-    /// Links each `(child, parent)` pair, attaching the tree rooted at
-    /// `child` under `parent`.
-    ///
-    /// # Panics
-    /// Panics if `child` is not a root, or if `parent` lies inside
-    /// `child`'s own subtree (which would create a cycle); use
-    /// [`DynForest::try_batch_link`] for the non-panicking (and
-    /// rolled-back) form.
-    pub fn batch_link(&mut self, links: &[(NodeId, NodeId)]) {
-        self.try_batch_link(links)
-            // lint:allow(panic): documented panicking API; try_batch_link is the fallible form
-            .unwrap_or_else(|e| panic!("batch_link: {e}"));
-    }
-
     /// Replaces the labels (weights/operators) of the given nodes. Marks
     /// only the edited nodes: change propagation discovers the affected
     /// ancestors through the trace at [`DynForest::recompute`] time.
-    pub fn batch_update_weights(&mut self, updates: &[(NodeId, A::Label)]) {
+    ///
+    /// Every id is checked before any label changes: a batch naming a node
+    /// outside the forest returns [`EditError::UnknownNode`] and leaves the
+    /// labels and the marks exactly as before the call.
+    pub fn batch_update_weights(
+        &mut self,
+        updates: &[(NodeId, A::Label)],
+    ) -> Result<(), EditError> {
         let mark_start = self.profile.as_ref().map(|_| Instant::now());
-        for (v, label) in updates {
-            self.forest.set_label(*v, label.clone());
-            self.mark_dirty(v.raw());
+        let result = updates.iter().try_for_each(|&(v, _)| self.known(v));
+        if result.is_ok() {
+            for (v, label) in updates {
+                self.forest.set_label(*v, label.clone());
+                self.mark_dirty(v.raw());
+            }
         }
         self.record_dirty_mark(mark_start);
+        result
     }
 
     /// Closes a dirty-mark span opened at the top of a batch edit.
     fn record_dirty_mark(&mut self, start: Option<Instant>) {
         if let (Some(t), Some(p)) = (start, &mut self.profile) {
-            p.record_span(Phase::DirtyMark, t.elapsed().as_nanos() as u64);
+            p.phase(Phase::DirtyMark, t.elapsed().as_nanos() as u64);
         }
     }
 
@@ -581,10 +538,7 @@ impl<A: Propagate> DynForest<A> {
                 rounds: outcome.rounds,
                 replayed_slots: n,
                 reused_slots: 0,
-                counters: profiled.then_some(EngineCounters {
-                    replayed_slots: n as u64,
-                    ..outcome.counters
-                }),
+                counters: profiled.then_some(outcome.counters),
             }
         } else {
             let DynForest {
@@ -601,17 +555,14 @@ impl<A: Propagate> DynForest<A> {
                 Some(p) => replay.propagate(alg, forest, trace, dirty_list, p.as_mut()),
                 None => replay.propagate(alg, forest, trace, dirty_list, &mut NoopSink),
             };
-            let reused = n - outcome.replayed;
             UpdateStats {
                 dirty: edited,
                 total: n,
                 rounds: outcome.rounds,
                 replayed_slots: outcome.replayed,
-                reused_slots: reused,
+                reused_slots: n - outcome.replayed,
                 counters: profiled.then(|| EngineCounters {
                     rounds: outcome.rounds,
-                    replayed_slots: outcome.replayed as u64,
-                    reused_slots: reused as u64,
                     ..EngineCounters::default()
                 }),
             }

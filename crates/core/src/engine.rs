@@ -28,10 +28,11 @@
 //! compressed nodes into hop lists. The trace's algebra-independent part,
 //! [`Links`], is what the query engine reads. A reverse replay of the trace
 //! ([`Trace::backsolve`]) recovers the final subtree value of *every* node,
-//! not just the roots — the values the dynamic layer's replay caches and
-//! the query engine start from. [`Contraction`](crate::Contraction) and
-//! [`DynForest`](crate::DynForest) both own a `Trace`; the rest of
-//! [`Scratch`] is per-run working state.
+//! not just the roots — the values the query engine starts from. The
+//! dynamic layer's replay caches need no backsolve: every rake recorded
+//! its value, edge function and slot, which is all its contribution needs.
+//! [`Contraction`](crate::Contraction) and [`DynForest`](crate::DynForest)
+//! both own a `Trace`; the rest of [`Scratch`] is per-run working state.
 //!
 //! The run loop reports into a statically-dispatched [`Sink`]: per-round
 //! `plan`/`apply` spans and a [`RoundCounters`] record (frontier size,
@@ -133,14 +134,9 @@ pub(crate) struct Trace<A: Algebra> {
     /// Passed to [`Algebra::absorb_at`] so ordered (non-commutative)
     /// algebras can reassemble children in child-list order even though
     /// rake retires siblings in arbitrary round order. A spliced-out
-    /// node bequeaths its slot to its surviving child.
+    /// node bequeaths its slot to its surviving child, so a raked node's
+    /// slot is where its contribution landed in its death parent.
     pub sib: Vec<u32>,
-    /// The sibling slot a node surrendered when it was spliced out: the
-    /// position *in its own child list* where its surviving chain keeps
-    /// contributing (recorded just before `sib` is overwritten by the
-    /// bequest). Change propagation uses it to rebuild a compressed
-    /// node's accumulator from its original children minus that slot.
-    pub gap: Vec<u32>,
 }
 
 impl<A: Algebra> Default for Trace<A> {
@@ -151,7 +147,6 @@ impl<A: Algebra> Default for Trace<A> {
             order: Vec::new(),
             fun: Vec::new(),
             sib: Vec::new(),
-            gap: Vec::new(),
         }
     }
 }
@@ -232,7 +227,6 @@ impl<A: Algebra> Scratch<A> {
             death,
             fun,
             sib,
-            gap,
             ..
         } = &mut self.trace;
         self.par.clear();
@@ -275,12 +269,11 @@ impl<A: Algebra> Scratch<A> {
         self.alive.clear();
         self.alive.resize(n, true);
         // A run kills every node, overwriting its death record, round stamp
-        // and death parent (and the gap of every compressed node), and
-        // regroups the hop lists, so these only need the right length.
+        // and death parent, and regroups the hop lists, so these only need
+        // the right length.
         death.resize_with(n, Death::default);
         links.round.resize(n, 0);
         links.up.resize(n, NONE);
-        gap.resize(n, 0);
     }
 
     /// Runs rake/compress rounds until every loaded node has died,
@@ -401,7 +394,7 @@ impl<A: Algebra> Scratch<A> {
                         }
                         let v = self.par[ui];
                         let vi = v as usize;
-                        let Trace { fun, sib, gap, .. } = &mut self.trace;
+                        let Trace { fun, sib, .. } = &mut self.trace;
                         let g = alg.compose(&alg.to_fun(&self.acc[vi]), &fun[ui]);
                         check::must(wlog.record(Cell::Fun(u), WriteMode::Exclusive, u as u64));
                         check::must(wlog.record(Cell::Par(u), WriteMode::Exclusive, u as u64));
@@ -409,12 +402,8 @@ impl<A: Algebra> Scratch<A> {
                         check::must(wlog.record(Cell::Life(v), WriteMode::Exclusive, u as u64));
                         fun[ui] = alg.compose(&fun[vi], &g);
                         self.par[ui] = self.par[vi];
-                        // The victim remembers which of its own child slots
-                        // the surviving chain occupies (change propagation
-                        // rebuilds its accumulator around that gap), then
                         // `u` inherits the victim's slot in the grandparent's
                         // child order, keeping ordered rakes well-indexed.
-                        gap[vi] = sib[ui];
                         sib[ui] = sib[vi];
                         self.kill(v, round, Death::Compressed { child: u, fun: g });
                     }

@@ -9,11 +9,12 @@
 //! * a **batch-dynamic** update API: subtree values resolve for every
 //!   node from the recorded trace, batches of
 //!   [`weight`](DynForest::batch_update_weights) edits *replay* only the
-//!   trace slots whose inputs changed (change propagation with cached
-//!   child aggregates — see the [`Propagate`] trait), and batches of
-//!   [`cut`](DynForest::try_batch_cut) / [`link`](DynForest::try_batch_link)
-//!   edits rebuild the trace with one full contraction under the same
-//!   coins;
+//!   trace slots whose inputs changed (change propagation with child
+//!   aggregates filled from the recorded rakes — see the [`Propagate`]
+//!   trait), and batches of [`cut`](DynForest::try_batch_cut) /
+//!   [`link`](DynForest::try_batch_link) edits rebuild the trace with one
+//!   full contraction under the same coins. Every edit and read has one
+//!   form, which returns a `Result` instead of panicking;
 //! * a **batch query** engine: a [`QueryBatch`] of mixed subtree / path /
 //!   LCA / component queries resolves over the contraction DAG — an
 //!   `O(n)` shape index per trace shape, per-batch prefix folds over the
@@ -46,11 +47,11 @@
 //! `par.rs`).
 //!
 //! Everything the engine does is observable through the [`obs`] module: a
-//! statically-dispatched [`obs::Sink`] receives phase spans
-//! (plan/apply/backsolve/dirty-mark/propagate) and per-round counters, and the
-//! bundled [`obs::Profile`] collector aggregates them into latency
-//! histograms (p50/p90/p99) and per-round totals. The default no-op sink
-//! compiles all instrumentation out.
+//! profiled run or forest reports phase spans
+//! (plan/apply/backsolve/dirty-mark/propagate) and per-round counters into
+//! an [`obs::Profile`], which aggregates them into latency histograms
+//! (p50/p90/p99) and per-round totals. Telemetry is statically dispatched,
+//! so an unprofiled run compiles all instrumentation out.
 //!
 //! The `check` cargo feature compiles in the [`check`] module's
 //! correctness tooling — structural `validate()` methods on [`Forest`],
@@ -70,7 +71,7 @@
 //! let c = f.contraction().run(&SubtreeSum);
 //! assert_eq!(*c.subtree_value(root), 6);
 //! let p = f.contraction().seed(0x5EED).profiled().run(&SubtreeSum);
-//! assert_eq!(p.profile().unwrap().total_retired(), 3);
+//! assert_eq!(p.profile().unwrap().totals().retired(), 3);
 //!
 //! // Batch queries over the same contraction: one trace pass, many answers.
 //! let mut batch = QueryBatch::new();
@@ -83,10 +84,10 @@
 //!
 //! // Batch-dynamic updates with non-panicking edits and explicit staleness.
 //! let mut d = DynForest::new(f, SubtreeSum);
-//! d.batch_update_weights(&[(leaf, 30)]);
+//! d.batch_update_weights(&[(leaf, 30)]).unwrap();
 //! assert!(d.try_subtree_value(root).is_err()); // stale until recompute
 //! d.recompute();
-//! assert_eq!(d.subtree_value(root), 33);
+//! assert_eq!(d.try_subtree_value(root), Ok(33));
 //! let answers = d.query_batch(&batch).unwrap(); // read from the maintained trace
 //! assert_eq!(answers[0], Ok(Answer::Value(32)));
 //! ```

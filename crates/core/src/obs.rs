@@ -3,26 +3,27 @@
 //! The contraction engine is a *complexity claim* — `O(polylog)` rounds,
 //! dirty work proportional to the batch — and this module is how the claim
 //! becomes a number. The engine (and the batch-dynamic layer above it)
-//! reports into a statically-dispatched [`Sink`]:
+//! reports into a statically-dispatched sink:
 //!
 //! * **Phase spans** — wall time of each [`Phase`] (`Plan`, `Apply`,
 //!   `Backsolve`, `DirtyMark`, `Propagate`), one span per occurrence;
-//! * **Per-round counters** — a [`RoundCounters`] record per rake/compress
-//!   round: live frontier size, rakes, splices, finishes, and coin
-//!   rejections (splice candidates that lost the randomized coin toss).
+//! * **Per-round counters** — one record per rake/compress round: live
+//!   frontier size, rakes, splices, finishes, and coin rejections (splice
+//!   candidates that lost the randomized coin toss).
 //!
-//! Dispatch is static: the engine is generic over `S: Sink` and every
-//! instrumentation site is guarded by the associated constant
-//! [`Sink::ENABLED`]. For [`NoopSink`] (`ENABLED = false`) the guards are
-//! constant-false branches the optimizer deletes, so the default,
-//! unobserved build pays nothing — no timestamps, no counter arithmetic.
+//! Dispatch is static: the engine is generic over its sink type and every
+//! instrumentation site is guarded by the sink's associated constant
+//! `S::ENABLED`. For the no-op sink of an unprofiled run (`ENABLED =
+//! false`) the guards are constant-false branches the optimizer deletes,
+//! so the default, unobserved build pays nothing — no timestamps, no
+//! counter arithmetic.
 //!
-//! [`Profile`] is the batteries-included sink: it aggregates spans into
+//! [`Profile`] is the one public sink: it aggregates spans into
 //! log-bucketed latency histograms (hand-rolled HDR-style, ~3% relative
 //! resolution, p50/p90/p99) and rounds into per-round-index totals, and is
 //! what [`ContractOptions::profiled`](crate::ContractOptions::profiled) and
 //! [`DynForest::enable_profiling`](crate::DynForest::enable_profiling)
-//! attach for you.
+//! attach.
 //!
 //! ```
 //! use dtc_core::obs::Phase;
@@ -31,7 +32,7 @@
 //! let f = gen::random_tree(1_000, 42);
 //! let c = f.contraction().seed(0xC0FFEE).profiled().run(&SubtreeSum);
 //! let prof = c.profile().unwrap();
-//! assert_eq!(prof.total_retired(), 1_000); // every node died exactly once
+//! assert_eq!(prof.totals().retired(), 1_000); // every node died exactly once
 //! assert!(prof.phase_stats(Phase::Plan).spans() >= 1);
 //! println!("{prof}");
 //! ```
@@ -93,12 +94,12 @@ impl fmt::Display for Phase {
 
 /// Counters for one rake/compress round, emitted after its apply phase.
 ///
-/// Conservation invariant (tested): every action retires exactly one node,
-/// so `rakes + splices + finishes` equals the frontier shrinkage from this
-/// round to the next, and their sum over all rounds equals the number of
-/// nodes contracted.
+/// Conservation invariant (tested through [`RoundAgg`]): every action
+/// retires exactly one node, so `rakes + splices + finishes` equals the
+/// frontier shrinkage from this round to the next, and their sum over all
+/// rounds equals the number of nodes contracted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoundCounters {
+pub(crate) struct RoundCounters {
     /// Round number (1-based).
     pub round: u32,
     /// Live nodes at the start of the round.
@@ -112,14 +113,6 @@ pub struct RoundCounters {
     /// Splice candidates (unary non-root parent with a grandparent) that
     /// failed the heads/tails coin condition this round.
     pub coin_rejections: u32,
-}
-
-impl RoundCounters {
-    /// Nodes retired this round (`rakes + splices + finishes`).
-    #[inline]
-    pub fn retired(&self) -> u32 {
-        self.rakes + self.splices + self.finishes
-    }
 }
 
 /// Whole-run counter totals, as carried by
@@ -138,13 +131,6 @@ pub struct EngineCounters {
     pub coin_rejections: u64,
     /// Largest round-start frontier observed.
     pub max_frontier: usize,
-    /// Trace slots re-executed by a [`DynForest`](crate::DynForest)
-    /// recompute: the affected set of change propagation, or every slot on
-    /// a structural rebuild (0 in a static contraction's totals).
-    pub replayed_slots: u64,
-    /// Trace slots whose recorded result was reused untouched by change
-    /// propagation.
-    pub reused_slots: u64,
 }
 
 impl EngineCounters {
@@ -156,7 +142,7 @@ impl EngineCounters {
 
     /// Folds one round's counters into the totals.
     #[inline]
-    pub fn absorb_round(&mut self, rc: &RoundCounters) {
+    pub(crate) fn absorb_round(&mut self, rc: &RoundCounters) {
         self.rounds = self.rounds.max(rc.round);
         self.rakes += rc.rakes as u64;
         self.splices += rc.splices as u64;
@@ -179,27 +165,18 @@ impl fmt::Display for EngineCounters {
             self.finishes,
             self.coin_rejections,
             self.max_frontier
-        )?;
-        if self.replayed_slots + self.reused_slots > 0 {
-            write!(
-                f,
-                ", {} slots replayed, {} reused",
-                self.replayed_slots, self.reused_slots
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
-/// Receiver for engine telemetry. Statically dispatched: implement this and
-/// pass `&mut sink` to the `*_with` entry points.
+/// Receiver for engine telemetry, statically dispatched.
 ///
 /// All instrumentation sites in the engine are guarded by
-/// [`Sink::ENABLED`]; leave it `true` (the default) for real sinks, and the
+/// [`Sink::ENABLED`]; it is `true` (the default) for [`Profile`], and the
 /// engine will time phases and count actions before calling in. A sink with
 /// `ENABLED = false` (like [`NoopSink`]) promises it ignores everything,
 /// letting the engine compile all instrumentation out.
-pub trait Sink {
+pub(crate) trait Sink {
     /// Whether the engine should collect telemetry at all.
     const ENABLED: bool = true;
 
@@ -211,8 +188,7 @@ pub trait Sink {
 }
 
 /// The do-nothing sink; `ENABLED = false` compiles all telemetry out.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopSink;
+pub(crate) struct NoopSink;
 
 impl Sink for NoopSink {
     const ENABLED: bool = false;
@@ -404,9 +380,9 @@ impl PhaseStats {
 
 /// Per-round-index totals, aggregated across every run a [`Profile`] saw.
 ///
-/// For a single contraction this is exactly that run's [`RoundCounters`];
-/// across several runs (e.g. repeated [`recompute`] calls) counters are
-/// summed and `runs` says how many runs reached this round.
+/// For a single contraction this is exactly that run's counters for the
+/// round; across several runs (e.g. repeated [`recompute`] calls) counters
+/// are summed and `runs` says how many runs reached this round.
 ///
 /// [`recompute`]: crate::DynForest::recompute
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -433,14 +409,13 @@ impl RoundAgg {
     }
 }
 
-/// The batteries-included [`Sink`]: aggregates phase spans into latency
-/// histograms and round counters into per-round totals.
+/// The telemetry collector: aggregates phase spans into latency histograms
+/// and round counters into per-round totals.
 ///
 /// Attach one with
 /// [`ContractOptions::profiled`](crate::ContractOptions::profiled) or
-/// [`DynForest::enable_profiling`](crate::DynForest::enable_profiling), or
-/// pass `&mut Profile` to any `*_with` entry point directly. `Display`
-/// renders the full report.
+/// [`DynForest::enable_profiling`](crate::DynForest::enable_profiling).
+/// `Display` renders the full report.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     phases: [PhaseStats; Phase::COUNT],
@@ -450,13 +425,34 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Records one phase span (inherent mirror of [`Sink::phase`]).
-    pub fn record_span(&mut self, phase: Phase, nanos: u64) {
+    /// Contraction runs observed (a run = one contraction of a whole forest).
+    pub fn runs(&self) -> u64 {
+        self.runs
+    }
+
+    /// Span statistics for `phase`.
+    pub fn phase_stats(&self, phase: Phase) -> &PhaseStats {
+        &self.phases[phase.index()]
+    }
+
+    /// Per-round totals, indexed by round (entry 0 = round 1); its length
+    /// is the deepest round any observed run reached.
+    pub fn per_round(&self) -> &[RoundAgg] {
+        &self.rounds
+    }
+
+    /// Counter totals across all observed runs.
+    pub fn totals(&self) -> EngineCounters {
+        self.totals
+    }
+}
+
+impl Sink for Profile {
+    fn phase(&mut self, phase: Phase, nanos: u64) {
         self.phases[phase.index()].hist.record(nanos);
     }
 
-    /// Records one round's counters (inherent mirror of [`Sink::round`]).
-    pub fn record_round(&mut self, c: &RoundCounters) {
+    fn round(&mut self, c: &RoundCounters) {
         if c.round == 1 {
             self.runs += 1;
         }
@@ -472,73 +468,6 @@ impl Profile {
         agg.finishes += c.finishes as u64;
         agg.coin_rejections += c.coin_rejections as u64;
         self.totals.absorb_round(c);
-    }
-
-    /// Contraction runs observed (a run = one contraction of a whole forest).
-    pub fn runs(&self) -> u64 {
-        self.runs
-    }
-
-    /// Span statistics for `phase`.
-    pub fn phase_stats(&self, phase: Phase) -> &PhaseStats {
-        &self.phases[phase.index()]
-    }
-
-    /// Per-round totals, indexed by round (entry 0 = round 1).
-    pub fn per_round(&self) -> &[RoundAgg] {
-        &self.rounds
-    }
-
-    /// Deepest round any observed run reached.
-    pub fn max_rounds(&self) -> u32 {
-        self.rounds.len() as u32
-    }
-
-    /// Counter totals across all observed runs.
-    pub fn totals(&self) -> EngineCounters {
-        self.totals
-    }
-
-    /// Total rake actions across all runs.
-    pub fn total_rakes(&self) -> u64 {
-        self.totals.rakes
-    }
-
-    /// Total splice actions across all runs.
-    pub fn total_splices(&self) -> u64 {
-        self.totals.splices
-    }
-
-    /// Total finished roots across all runs.
-    pub fn total_finishes(&self) -> u64 {
-        self.totals.finishes
-    }
-
-    /// Total coin rejections across all runs.
-    pub fn total_coin_rejections(&self) -> u64 {
-        self.totals.coin_rejections
-    }
-
-    /// Total nodes retired across all runs (rakes + splices + finishes).
-    pub fn total_retired(&self) -> u64 {
-        self.totals.retired()
-    }
-
-    /// Largest round-start frontier observed.
-    pub fn max_frontier(&self) -> usize {
-        self.totals.max_frontier
-    }
-}
-
-impl Sink for Profile {
-    #[inline]
-    fn phase(&mut self, phase: Phase, nanos: u64) {
-        self.record_span(phase, nanos);
-    }
-
-    #[inline]
-    fn round(&mut self, counters: &RoundCounters) {
-        self.record_round(counters);
     }
 }
 
@@ -657,7 +586,7 @@ mod tests {
         let mut p = Profile::default();
         for run in 0..3 {
             for round in 1..=(run + 2) {
-                p.record_round(&RoundCounters {
+                p.round(&RoundCounters {
                     round,
                     frontier: 10,
                     rakes: 1,
@@ -666,9 +595,9 @@ mod tests {
             }
         }
         assert_eq!(p.runs(), 3);
-        assert_eq!(p.max_rounds(), 4);
+        assert_eq!(p.per_round().len(), 4);
         assert_eq!(p.per_round()[0].runs, 3);
         assert_eq!(p.per_round()[3].runs, 1);
-        assert_eq!(p.total_rakes(), 2 + 3 + 4);
+        assert_eq!(p.totals().rakes, 2 + 3 + 4);
     }
 }

@@ -1,8 +1,8 @@
 //! Ordered (non-commutative) aggregation via sibling-indexed rake.
 //!
-//! The core [`Algebra`] contract requires `absorb` to be commutative across
-//! siblings, because rake retires children in arbitrary round order.
-//! [`OrderedRake`] lifts that restriction for any associative monoid
+//! The core [`Algebra`] contract requires absorption to be insensitive to
+//! sibling arrival order, because rake retires children in arbitrary round
+//! order. [`OrderedRake`] meets it for any associative monoid
 //! ([`SeqMonoid`]): every child contributes through
 //! [`Algebra::absorb_at`] with its *sibling index*, and the accumulator
 //! keeps contiguous runs of already-absorbed children, coalescing
@@ -90,12 +90,6 @@ pub struct Sandwich<E> {
 pub struct OrderedRake<M>(pub M);
 
 impl<M: SeqMonoid> OrderedRake<M> {
-    /// Inserts `val` at sibling index `i`, coalescing with the runs that
-    /// end at `i` and/or start at `i + 1`.
-    fn insert(&self, acc: &mut SeqAcc<M::Elem>, i: u32, val: M::Elem) {
-        self.insert_run(&mut acc.runs, i, i + 1, val);
-    }
-
     /// Inserts the already-folded run `[start, end)`, coalescing with the
     /// runs that end at `start` and/or start at `end`.
     fn insert_run(&self, runs: &mut Vec<Run<M::Elem>>, start: u32, end: u32, val: M::Elem) {
@@ -142,15 +136,8 @@ impl<M: SeqMonoid> Algebra for OrderedRake<M> {
         }
     }
 
-    /// Index-less absorb appends after the last absorbed index; correct
-    /// only for strictly in-order callers (e.g. a left-to-right fold).
-    fn absorb(&self, acc: &mut SeqAcc<M::Elem>, child: M::Elem) {
-        let next = acc.runs.last().map_or(0, |r| r.end);
-        self.insert(acc, next, child);
-    }
-
     fn absorb_at(&self, acc: &mut SeqAcc<M::Elem>, index: u32, child: M::Elem) {
-        self.insert(acc, index, child);
+        self.insert_run(&mut acc.runs, index, index + 1, child);
     }
 
     fn finish(&self, acc: &SeqAcc<M::Elem>) -> M::Elem {

@@ -4,19 +4,20 @@
 //! dependency DAG: every rake delivered a contribution to the victim's
 //! working parent, and every splice folded a victim's unary function into
 //! the surviving chain. [`Replay`] caches what replaying a slot needs on
-//! top of that [`Trace`] — per-slot contributions plus, for every node, an
-//! aggregate of its children's contributions — and then re-executes **only
-//! the slots whose inputs changed** when a batch of label edits lands,
-//! rewriting the trace in place:
+//! top of that [`Trace`] — for every node, an aggregate of its children's
+//! contributions, filled from the recorded rakes alone — and then
+//! re-executes **only the slots whose inputs changed** when a batch of label
+//! edits lands, rewriting the trace in place:
 //!
 //! 1. every edited node is seeded into a priority queue keyed by its death
 //!    round;
 //! 2. slots drain in ascending death round. A raked slot re-runs its fold;
-//!    if the recomputed contribution equals the cached one the wave *cuts
-//!    off*, otherwise the parent's child-aggregate is patched and the
-//!    parent is scheduled. A compressed slot schedules its surviving child
-//!    with a pending *refold* (the chain's composed functions are
-//!    re-derived bottom-to-top). A root slot re-finishes its value.
+//!    if the recomputed contribution equals the one the trace records (its
+//!    edge function applied to its value) the wave *cuts off*, otherwise
+//!    the parent's child-aggregate is patched and the parent is
+//!    scheduled. A compressed slot schedules its surviving child with a
+//!    pending *refold* (the chain's composed functions are re-derived
+//!    bottom-to-top). A root slot re-finishes its value.
 //!
 //! Because rake victims die strictly before their targets and splice
 //! victims strictly before their survivors, every dependency points to a
@@ -138,10 +139,6 @@ pub(crate) struct PropagateOutcome {
 /// contracts again and rebuilds the caches.
 #[derive(Clone)]
 pub(crate) struct Replay<A: Propagate> {
-    /// Cached contribution each raked node delivered to its working
-    /// parent (`None` for compressed nodes and roots, which deliver
-    /// through composed functions instead).
-    contrib: Vec<Option<A::Val>>,
     /// Aggregated child contributions per node (minus the surviving
     /// chain's slot for compressed nodes).
     kids: Kids<A>,
@@ -153,7 +150,6 @@ pub(crate) struct Replay<A: Propagate> {
 impl<A: Propagate> Replay<A> {
     pub fn new() -> Self {
         Replay {
-            contrib: Vec::new(),
             kids: Kids::Flat(Vec::new()),
             affected: Vec::new(),
             refold: Vec::new(),
@@ -161,65 +157,59 @@ impl<A: Propagate> Replay<A> {
     }
 
     /// Rebuilds every cache from `trace`, which must be the completed trace
-    /// of a full contraction. `O(n + trace)` using one backsolve sweep for
-    /// child values.
+    /// of a full contraction, in one pass over its raked nodes.
+    ///
+    /// Every child slot of a node is absorbed by exactly one rake into it,
+    /// except the slot of the chain that spliced a compressed node out (that
+    /// chain contributes at the grandparent instead, so its slot stays
+    /// empty). The rake of `u` delivered `apply(fun[u], val)` at slot
+    /// `sib[u]` of `up[u]`: the final value of the original child at that
+    /// slot, since `fun[u]` composes the spliced chain above `u`. So the
+    /// rakes alone fill every aggregate; the child lists give only the
+    /// sibling-tree sizes. `O(n + trace)`.
     pub fn rebuild(&mut self, alg: &A, trace: &Trace<A>) {
         let n = trace.death.len();
-        self.contrib.clear();
-        self.contrib.resize(n, None);
         self.affected.clear();
         self.affected.resize(n, false);
         self.refold.clear();
         self.refold.resize(n, false);
 
-        let vals = trace.backsolve(alg);
-        for u in 0..n {
-            if let Death::Raked(val) = &trace.death[u] {
-                self.contrib[u] = Some(alg.apply(&trace.fun[u], val.clone()));
-            }
-        }
-
-        // A compressed node's aggregate excludes the slot of the chain
-        // that spliced it out — that chain outlives it and contributes at
-        // the grandparent instead.
-        let gap_of = |p: usize| match &trace.death[p] {
-            Death::Compressed { .. } => Some(trace.gap[p]),
+        let Trace {
+            links,
+            death,
+            fun,
+            sib,
+            ..
+        } = trace;
+        let rakes = (0..n).filter_map(|u| match &death[u] {
+            Death::Raked(val) => Some((
+                links.up[u] as usize,
+                sib[u],
+                alg.apply(&fun[u], val.clone()),
+            )),
             _ => None,
-        };
-        let children = &trace.links.children;
+        });
         self.kids = if A::INVERTIBLE {
-            let mut parts = Vec::with_capacity(n);
-            for p in 0..n {
-                let (kids, gap) = (children.of(p as u32), gap_of(p));
-                let mut part = alg.part_empty();
-                for (i, &c) in kids.iter().enumerate() {
-                    if gap == Some(i as u32) {
-                        continue;
-                    }
-                    let add = alg.part_of(i as u32, vals[c as usize].clone());
-                    part = alg.part_merge(&part, &add);
-                }
-                parts.push(part);
+            let mut parts = vec![alg.part_empty(); n];
+            for (p, slot, c) in rakes {
+                parts[p] = alg.part_merge(&parts[p], &alg.part_of(slot, c));
             }
             Kids::Flat(parts)
         } else {
             let mut off = Vec::with_capacity(n + 1);
             off.push(0);
             for p in 0..n {
-                let size = children.of(p as u32).len().next_power_of_two();
+                let size = links.children.of(p as u32).len().next_power_of_two();
                 off.push(off[p] + 2 * size - 1);
             }
             let mut parts = vec![alg.part_empty(); off[n]];
-            for p in 0..n {
-                let (kids, gap) = (children.of(p as u32), gap_of(p));
+            for (p, slot, c) in rakes {
                 let tree = &mut parts[off[p]..off[p + 1]];
-                let first_leaf = tree.len() / 2;
-                for (i, &c) in kids.iter().enumerate() {
-                    if gap != Some(i as u32) {
-                        tree[first_leaf + i] = alg.part_of(i as u32, vals[c as usize].clone());
-                    }
-                }
-                for i in (0..first_leaf).rev() {
+                tree[tree.len() / 2 + slot as usize] = alg.part_of(slot, c);
+            }
+            for p in 0..n {
+                let tree = &mut parts[off[p]..off[p + 1]];
+                for i in (0..tree.len() / 2).rev() {
                     tree[i] = alg.part_merge(&tree[2 * i + 1], &tree[2 * i + 2]);
                 }
             }
@@ -247,7 +237,6 @@ impl<A: Propagate> Replay<A> {
             None
         };
         let Replay {
-            contrib,
             kids,
             affected,
             refold,
@@ -277,33 +266,31 @@ impl<A: Propagate> Replay<A> {
                 rounds += 1;
                 last = stamp;
             }
-            if refold[ui] {
-                refold_chain(alg, forest, links.hops.of(u), kids, death, fun, u);
-            }
-            enum Slot {
-                Raked,
+            enum Slot<V> {
+                Raked(V),
                 Compressed(u32),
                 Root,
             }
             let slot = match &death[ui] {
-                Death::Raked(_) => Slot::Raked,
+                // The contribution the trace records, taken before a refold
+                // rewrites the slot's edge function.
+                Death::Raked(val) => Slot::Raked(alg.apply(&fun[ui], val.clone())),
                 Death::Compressed { child, .. } => Slot::Compressed(*child),
                 Death::Root(_) => Slot::Root,
                 // lint:allow(panic): the replay was built from a completed trace
                 Death::None => unreachable!("propagation reached a node without a death record"),
             };
+            if refold[ui] {
+                refold_chain(alg, forest, links.hops.of(u), kids, death, fun, u);
+            }
             match slot {
-                Slot::Raked => {
+                Slot::Raked(old) => {
                     let mut acc = alg.init_acc(forest.label(NodeId(u)));
                     alg.absorb_part(&mut acc, kids.root(ui));
                     let val = alg.finish(&acc);
                     let new = alg.apply(&fun[ui], val.clone());
                     death[ui] = Death::Raked(val);
-                    if contrib[ui].as_ref() != Some(&new) {
-                        let old = contrib[ui]
-                            .replace(new.clone())
-                            // lint:allow(panic): rebuild caches a contribution for every raked node
-                            .expect("raked node has a cached contribution");
+                    if new != old {
                         let p = links.up[ui];
                         kids.update(alg, p as usize, sib[ui], old, new);
                         schedule(affected, &mut heap, links.round[p as usize], p);

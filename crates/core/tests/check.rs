@@ -86,7 +86,7 @@ fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
                 (v, (rng.next_u64() % 1_000) as i64)
             })
             .collect();
-        d.batch_update_weights(&bumps);
+        d.batch_update_weights(&bumps).unwrap();
         let v = NodeId::from_index((rng.next_u64() % n as u64) as usize);
         let was_root = d.forest().is_root(v);
         let cut = d.try_batch_cut(&[v]);
@@ -105,7 +105,7 @@ fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
                 p = v; // would cycle; linking v under itself is also a cycle
             }
             if p != v {
-                d.batch_link(&[(v, p)]);
+                d.try_batch_link(&[(v, p)]).unwrap();
                 d.recompute();
             }
             validate(&d, &format!("round {round}: after relink"));
@@ -115,7 +115,7 @@ fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
         // values, so the replayed slots (and compressed chains' refolds)
         // change what the trace records.
         let relabel: Vec<(NodeId, i64)> = bumps.iter().map(|&(v, w)| (v, w + 1)).collect();
-        d.batch_update_weights(&relabel);
+        d.batch_update_weights(&relabel).unwrap();
         d.recompute();
         validate(&d, &format!("round {round}: after propagation"));
     }

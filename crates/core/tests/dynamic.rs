@@ -2,14 +2,14 @@
 //! and edit marks that name exactly the nodes a batch edited.
 
 use dtc_core::gen::{self, XorShift64};
-use dtc_core::{DynForest, ExprEval, ExprLabel, Forest, NodeId, SubtreeSum};
+use dtc_core::{DynForest, EditError, ExprEval, ExprLabel, Forest, NodeId, QueryError, SubtreeSum};
 
 fn assert_matches_oracle(d: &DynForest<SubtreeSum>, context: &str) {
     let oracle = d.forest().sequential_fold(&SubtreeSum);
     for v in d.forest().node_ids() {
         assert_eq!(
-            d.subtree_value(v),
-            oracle[v.index()],
+            d.try_subtree_value(v),
+            Ok(oracle[v.index()]),
             "{context}: mismatch at {v}"
         );
     }
@@ -21,7 +21,7 @@ fn initial_contraction_matches_static() {
     let stat = f.contraction().run(&SubtreeSum);
     let d = DynForest::new(f, SubtreeSum);
     for v in d.forest().node_ids() {
-        assert_eq!(d.subtree_value(v), *stat.subtree_value(v));
+        assert_eq!(d.try_subtree_value(v), Ok(*stat.subtree_value(v)));
     }
 }
 
@@ -37,20 +37,20 @@ fn fuzz_cut_link_update_against_oracle() {
             0 => {
                 // Cut, unless v is already a root.
                 if !d.forest().is_root(v) {
-                    d.batch_cut(&[v]);
+                    d.try_batch_cut(&[v]).unwrap();
                 }
             }
             1 => {
                 // Link some root under a node outside its subtree.
-                let root = d.root_of(v);
+                let root = d.forest().root_of(v);
                 let target = NodeId::from_index(rng.below(n) as usize);
-                if d.root_of(target) != root {
-                    d.batch_link(&[(root, target)]);
+                if d.forest().root_of(target) != root {
+                    d.try_batch_link(&[(root, target)]).unwrap();
                 }
             }
             _ => {
                 let w = rng.weight();
-                d.batch_update_weights(&[(v, w)]);
+                d.batch_update_weights(&[(v, w)]).unwrap();
             }
         }
         let stats = d.recompute();
@@ -75,8 +75,8 @@ fn batch_of_mixed_ops_in_one_recompute() {
             updates.push((v, i as i64));
         }
     }
-    d.batch_cut(&cuts);
-    d.batch_update_weights(&updates);
+    d.try_batch_cut(&cuts).unwrap();
+    d.batch_update_weights(&updates).unwrap();
     let stats = d.recompute();
     assert!(stats.dirty > 0 && stats.dirty < stats.total);
     assert_matches_oracle(&d, "mixed batch");
@@ -105,7 +105,7 @@ fn thousand_edge_cut_link_round_trip_is_incremental() {
         .map(|&v| d.forest().parent(v).expect("non-root"))
         .collect();
 
-    d.batch_cut(&cuts);
+    d.try_batch_cut(&cuts).unwrap();
     assert_eq!(d.pending(), cuts.len(), "a cut marks just the moved node");
     let stats = d.recompute();
     assert_eq!(stats.dirty, cuts.len());
@@ -116,13 +116,13 @@ fn thousand_edge_cut_link_round_trip_is_incremental() {
     // Link everything back; the structure (and therefore every subtree
     // value) must return to the original contraction.
     let links: Vec<(NodeId, NodeId)> = cuts.iter().copied().zip(parents).collect();
-    d.batch_link(&links);
+    d.try_batch_link(&links).unwrap();
     assert_eq!(d.pending(), cuts.len(), "a link marks just the moved node");
     let stats = d.recompute();
     assert_eq!(stats.dirty, cuts.len());
     assert_eq!(d.forest().roots().count(), 1);
     for v in d.forest().node_ids() {
-        assert_eq!(d.subtree_value(v), *original.subtree_value(v));
+        assert_eq!(d.try_subtree_value(v), Ok(*original.subtree_value(v)));
     }
 }
 
@@ -133,7 +133,7 @@ fn weight_update_batch_is_incremental() {
     let updates: Vec<(NodeId, i64)> = (0..500)
         .map(|i| (NodeId::from_index(i * 199 + 1), i as i64))
         .collect();
-    d.batch_update_weights(&updates);
+    d.batch_update_weights(&updates).unwrap();
     let stats = d.recompute();
     assert!(stats.dirty > 0 && stats.dirty < stats.total);
     assert_matches_oracle(&d, "weight updates");
@@ -154,13 +154,13 @@ fn expression_leaf_updates() {
         .enumerate()
         .map(|(i, &v)| (v, ExprLabel::Leaf((i % 5) as i64 - 2)))
         .collect();
-    d.batch_update_weights(&updates);
+    d.batch_update_weights(&updates).unwrap();
     let stats = d.recompute();
     assert!(stats.dirty < stats.total);
 
     let oracle = d.forest().sequential_fold(&ExprEval);
     for v in d.forest().node_ids() {
-        assert_eq!(d.subtree_value(v), oracle[v.index()], "expr at {v}");
+        assert_eq!(d.try_subtree_value(v), Ok(oracle[v.index()]), "expr at {v}");
     }
 }
 
@@ -171,14 +171,15 @@ fn star_cut_batch_under_high_degree_node() {
     let n = 100_000usize;
     let f = gen::star(n, 12);
     let mut d = DynForest::new(f, SubtreeSum);
-    let root = d.root_of(NodeId::from_index(1));
+    let root = d.forest().root_of(NodeId::from_index(1));
     let cuts: Vec<NodeId> = (1..=20_000).map(NodeId::from_index).collect();
-    d.batch_cut(&cuts);
+    d.try_batch_cut(&cuts).unwrap();
     let stats = d.recompute();
     assert!(stats.dirty < stats.total);
     assert_matches_oracle(&d, "star cuts");
     // And link a few back.
-    d.batch_link(&cuts[..100].iter().map(|&v| (v, root)).collect::<Vec<_>>());
+    d.try_batch_link(&cuts[..100].iter().map(|&v| (v, root)).collect::<Vec<_>>())
+        .unwrap();
     d.recompute();
     assert_matches_oracle(&d, "star relink");
 }
@@ -192,25 +193,33 @@ fn noop_recompute_is_free() {
 }
 
 #[test]
-#[should_panic(expected = "pending updates")]
-fn reading_a_dirty_node_panics() {
+fn reading_a_dirty_node_is_stale() {
     let mut f = Forest::new();
     let r = f.add_root(1i64);
     let mut d = DynForest::new(f, SubtreeSum);
-    d.batch_update_weights(&[(r, 2)]);
-    let _ = d.subtree_value(r);
+    d.batch_update_weights(&[(r, 2)]).unwrap();
+    assert_eq!(d.try_subtree_value(r), Err(QueryError::Stale { node: r }));
+    d.recompute();
+    assert_eq!(d.try_subtree_value(r), Ok(2));
 }
 
 #[test]
-#[should_panic(expected = "inside child's subtree")]
-fn linking_under_own_subtree_panics() {
+fn linking_under_own_subtree_is_rejected() {
     let mut f = Forest::new();
     let r = f.add_root(1i64);
     let a = f.add_child(r, 2);
     let mut d = DynForest::new(f, SubtreeSum);
-    d.batch_cut(&[a]);
+    d.try_batch_cut(&[a]).unwrap();
     d.recompute();
-    let _ = r;
-    // `a` is now a root; linking it under its own subtree (itself) must panic.
-    d.batch_link(&[(a, a)]);
+    // `a` is now a root; linking it under its own subtree (itself) would
+    // make a cycle.
+    assert_eq!(
+        d.try_batch_link(&[(a, a)]),
+        Err(EditError::WouldCycle {
+            child: a,
+            parent: a
+        })
+    );
+    assert_eq!(d.pending(), 0, "a rejected link marks nothing");
+    assert_eq!(d.try_subtree_value(a), Ok(2));
 }

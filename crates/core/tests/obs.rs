@@ -1,7 +1,7 @@
 //! Telemetry-layer tests: counter conservation, histogram percentile
 //! correctness, and profiled-vs-unprofiled result equivalence.
 
-use dtc_core::obs::{LatencyHistogram, Phase, Profile, RoundCounters, Sink};
+use dtc_core::obs::{LatencyHistogram, Phase, Profile};
 use dtc_core::{gen, DynForest, Forest, NodeId, SubtreeSum};
 
 /// Every action retires exactly one node, so across a full contraction
@@ -11,13 +11,13 @@ fn assert_conservation(f: &Forest<i64>, n: u64) {
     let c = f.contraction().seed(0xAB5EED).profiled().run(&SubtreeSum);
     let prof = c.profile().expect("contract_profiled attaches a profile");
     assert_eq!(prof.runs(), if n == 0 { 0 } else { 1 });
-    assert_eq!(prof.total_retired(), n, "every node dies exactly once");
-    assert_eq!(prof.max_rounds(), c.rounds());
+    assert_eq!(prof.totals().retired(), n, "every node dies exactly once");
+    assert_eq!(prof.per_round().len(), c.rounds() as usize);
 
     let rounds = prof.per_round();
     if n > 0 {
         assert_eq!(rounds[0].frontier, n, "round 1 sees every node");
-        assert_eq!(prof.max_frontier(), n as usize);
+        assert_eq!(prof.totals().max_frontier, n as usize);
     }
     for (i, r) in rounds.iter().enumerate() {
         let next_frontier = rounds.get(i + 1).map_or(0, |next| next.frontier);
@@ -80,9 +80,9 @@ fn paths_exercise_splices_and_coin_rejections() {
     let f = gen::path(10_000, 1);
     let c = f.contraction().seed(0x5EED).profiled().run(&SubtreeSum);
     let prof = c.profile().unwrap();
-    assert!(prof.total_splices() > 0, "a long chain must compress");
+    assert!(prof.totals().splices > 0, "a long chain must compress");
     assert!(
-        prof.total_coin_rejections() > 0,
+        prof.totals().coin_rejections > 0,
         "randomized compress must reject some candidates"
     );
     // A star never splices: the root is never unary until the very end.
@@ -91,18 +91,18 @@ fn paths_exercise_splices_and_coin_rejections() {
         .seed(0x5EED)
         .profiled()
         .run(&SubtreeSum);
-    assert_eq!(star.profile().unwrap().total_splices(), 0);
+    assert_eq!(star.profile().unwrap().totals().splices, 0);
 }
 
 #[test]
 fn dynamic_counters_match_dirty_set_per_recompute() {
     let mut d = DynForest::new(gen::random_tree(10_000, 3), SubtreeSum);
-    assert!(!d.profiling_enabled());
+    assert!(d.profile().is_none());
     d.enable_profiling();
-    assert!(d.profiling_enabled());
+    assert!(d.profile().is_some());
 
     // Label-only batches recompute by trace propagation: no engine run,
-    // so the counters report replayed/reused slots, not retirements.
+    // so the counters retire nothing; `UpdateStats` reports the slots.
     for batch in 0..5u64 {
         let updates: Vec<(NodeId, i64)> = d
             .forest()
@@ -111,7 +111,7 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
             .take(50)
             .map(|v| (v, batch as i64))
             .collect();
-        d.batch_update_weights(&updates);
+        d.batch_update_weights(&updates).unwrap();
         let stats = d.recompute();
         let counters = stats.counters.expect("profiling fills counters");
         assert_eq!(
@@ -120,8 +120,6 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
             "propagation replays slots, it retires nothing"
         );
         assert_eq!(counters.rounds, stats.rounds);
-        assert_eq!(counters.replayed_slots, stats.replayed_slots as u64);
-        assert_eq!(counters.reused_slots, stats.reused_slots as u64);
         assert!(
             stats.replayed_slots >= stats.dirty,
             "every edited slot replays"
@@ -155,7 +153,7 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
         .step_by(37)
         .take(50)
         .collect();
-    d.batch_cut(&cuts);
+    d.try_batch_cut(&cuts).unwrap();
     let stats = d.recompute();
     let counters = stats.counters.expect("profiling fills counters");
     assert_eq!(stats.dirty, cuts.len(), "the moved nodes are the edits");
@@ -167,8 +165,6 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
     assert_eq!(counters.rounds, stats.rounds);
     assert_eq!(counters.max_frontier, n);
     assert_eq!((stats.replayed_slots, stats.reused_slots), (n, 0));
-    assert_eq!(counters.replayed_slots, n as u64);
-    assert_eq!(counters.reused_slots, 0);
     assert_eq!(
         d.profile().unwrap().runs(),
         1,
@@ -183,15 +179,17 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
     // Detaching the profile disables collection again.
     let prof = d.take_profile().unwrap();
     assert_eq!(prof.runs(), 1);
-    assert!(!d.profiling_enabled());
-    d.batch_update_weights(&[(NodeId::from_index(0), 7)]);
+    assert!(d.profile().is_none());
+    d.batch_update_weights(&[(NodeId::from_index(0), 7)])
+        .unwrap();
     assert!(d.recompute().counters.is_none());
 }
 
 #[test]
 fn unprofiled_updates_report_no_counters() {
     let mut d = DynForest::new(gen::random_tree(1_000, 3), SubtreeSum);
-    d.batch_update_weights(&[(NodeId::from_index(0), 7)]);
+    d.batch_update_weights(&[(NodeId::from_index(0), 7)])
+        .unwrap();
     let stats = d.recompute();
     assert!(stats.counters.is_none());
     let line = stats.to_string();
@@ -209,7 +207,8 @@ fn unprofiled_updates_report_no_counters() {
 fn update_stats_display_includes_counters_when_profiled() {
     let mut d = DynForest::new(gen::random_tree(1_000, 3), SubtreeSum);
     d.enable_profiling();
-    d.batch_update_weights(&[(NodeId::from_index(0), 7)]);
+    d.batch_update_weights(&[(NodeId::from_index(0), 7)])
+        .unwrap();
     let line = d.recompute().to_string();
     assert!(
         line.contains("rakes"),
@@ -252,38 +251,6 @@ fn histogram_percentiles_on_skewed_distribution() {
     assert!((p50 - 1_000.0).abs() / 1_000.0 < 0.05, "p50 = {p50}");
     let p100 = h.percentile(100.0) as f64;
     assert!((p100 - 1e9).abs() / 1e9 < 0.05, "p100 = {p100}");
-}
-
-#[test]
-fn custom_sinks_receive_the_stream() {
-    /// Counts callbacks without aggregating, proving the trait is usable
-    /// outside the crate.
-    #[derive(Default)]
-    struct CountingSink {
-        spans: u64,
-        rounds: u64,
-        retired: u64,
-    }
-    impl Sink for CountingSink {
-        fn phase(&mut self, _phase: Phase, _nanos: u64) {
-            self.spans += 1;
-        }
-        fn round(&mut self, c: &RoundCounters) {
-            self.rounds += 1;
-            self.retired += c.retired() as u64;
-        }
-    }
-
-    let f = gen::random_tree(2_000, 11);
-    let mut sink = CountingSink::default();
-    let c = f
-        .contraction()
-        .seed(0x5EED)
-        .run_with(&SubtreeSum, &mut sink);
-    assert_eq!(sink.rounds, c.rounds() as u64);
-    assert_eq!(sink.retired, 2_000);
-    // plan + apply per round, plus one backsolve span.
-    assert_eq!(sink.spans, 2 * c.rounds() as u64 + 1);
 }
 
 #[test]

@@ -39,7 +39,7 @@ where
     let fresh = d.forest().contraction().seed(seed).run(alg);
     let oracle = d.forest().sequential_fold(alg);
     for v in d.forest().node_ids() {
-        let got = d.subtree_value(v);
+        let got = d.try_subtree_value(v).unwrap();
         assert_eq!(
             &got,
             fresh.subtree_value(v),
@@ -72,7 +72,7 @@ where
             })
             .collect();
         done += updates.len();
-        d.batch_update_weights(&updates);
+        d.batch_update_weights(&updates).unwrap();
         let stats = d.recompute();
         assert_eq!(
             stats.replayed_slots + stats.reused_slots,
@@ -114,7 +114,7 @@ fn propagation_matches_fresh_contraction_for_expressions() {
                 (v, ExprLabel::Leaf(rng.below(7) as i64 - 3))
             })
             .collect();
-        d.batch_update_weights(&updates);
+        d.batch_update_weights(&updates).unwrap();
         d.recompute();
         assert_matches_fresh(&format!("expr batch {i}"), &d, &ExprEval, 0xE4);
     }
@@ -130,11 +130,12 @@ fn propagation_survives_structural_churn_and_reanchors() {
     let mut d = DynForest::with_seed(f, SubtreeSum, 0x11);
     for (i, chunk) in script.chunks(8).enumerate() {
         for &op in chunk {
-            match op {
-                ChurnOp::Cut(v) => d.batch_cut(&[v]),
-                ChurnOp::Link { child, parent } => d.batch_link(&[(child, parent)]),
+            let edited = match op {
+                ChurnOp::Cut(v) => d.try_batch_cut(&[v]),
+                ChurnOp::Link { child, parent } => d.try_batch_link(&[(child, parent)]),
                 ChurnOp::Weight(v, w) => d.batch_update_weights(&[(v, w)]),
-            }
+            };
+            edited.unwrap();
         }
         d.recompute();
         assert_matches_fresh(&format!("churn chunk {i}"), &d, &SubtreeSum, 0x11);
@@ -143,15 +144,19 @@ fn propagation_survives_structural_churn_and_reanchors() {
     // propagates over the rebuilt trace.
     let v = NodeId::from_index(3);
     if d.forest().is_root(v) {
-        let target = d.forest().node_ids().find(|&u| d.root_of(u) != v).unwrap();
-        d.batch_link(&[(v, target)]);
+        let target = d
+            .forest()
+            .node_ids()
+            .find(|&u| d.forest().root_of(u) != v)
+            .unwrap();
+        d.try_batch_link(&[(v, target)]).unwrap();
     } else {
-        d.batch_cut(&[v]);
+        d.try_batch_cut(&[v]).unwrap();
     }
     let stats = d.recompute();
     assert_eq!(stats.replayed_slots, stats.total, "a rebuild replays all");
     assert_eq!(stats.reused_slots, 0);
-    d.batch_update_weights(&[(v, -7)]);
+    d.batch_update_weights(&[(v, -7)]).unwrap();
     let stats = d.recompute();
     assert!(
         stats.replayed_slots < stats.total,
@@ -173,7 +178,8 @@ fn small_batches_replay_few_slots_on_adversarial_shapes() {
         ("broom", gen::broom(n / 2, n / 2, 5)),
     ] {
         let mut d = DynForest::with_seed(f, SubtreeSum, 0x909);
-        d.batch_update_weights(&[(NodeId::from_index(n - 1), 42)]);
+        d.batch_update_weights(&[(NodeId::from_index(n - 1), 42)])
+            .unwrap();
         let stats = d.recompute();
         assert!(
             stats.replayed_slots * 10 < stats.total,
@@ -194,7 +200,8 @@ fn minmax_cutoff_stops_the_wave() {
     let f = gen::path(n, 7);
     let mid_weight = *f.label(NodeId::from_index(n / 2));
     let mut d = DynForest::with_seed(f, MinMax, 0x7777);
-    d.batch_update_weights(&[(NodeId::from_index(n / 2), mid_weight)]);
+    d.batch_update_weights(&[(NodeId::from_index(n / 2), mid_weight)])
+        .unwrap();
     let stats = d.recompute();
     assert!(
         stats.replayed_slots <= 64,
@@ -203,7 +210,7 @@ fn minmax_cutoff_stops_the_wave() {
     );
     let oracle = d.forest().sequential_fold(&MinMax);
     for v in d.forest().node_ids() {
-        assert_eq!(d.subtree_value(v), oracle[v.index()]);
+        assert_eq!(d.try_subtree_value(v).unwrap(), oracle[v.index()]);
     }
 }
 
@@ -226,7 +233,7 @@ fn validator_confirms_value_identity_at_100k() {
                 )
             })
             .collect();
-        d.batch_update_weights(&updates);
+        d.batch_update_weights(&updates).unwrap();
         d.recompute();
         d.validate().unwrap();
         d.validate_trace().unwrap();

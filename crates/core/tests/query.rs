@@ -279,7 +279,7 @@ fn dyn_forest_guards_stale_reads_and_pending_queries() {
     batch.subtree(a).path(leaf, r);
     assert!(d.query_batch(&batch).is_ok());
 
-    d.batch_update_weights(&[(leaf, 30)]);
+    d.batch_update_weights(&[(leaf, 30)]).unwrap();
     // Stale paths are refused, clean subtrees still readable.
     assert_eq!(d.try_subtree_value(r), Err(QueryError::Stale { node: r }));
     assert_eq!(
@@ -334,7 +334,7 @@ fn failed_edit_batches_roll_back_the_shape() {
 
     // Link whose second op would cycle (`a` is inside `r`'s own subtree):
     // the first (valid) link must be undone.
-    d.batch_cut(&[b, c]);
+    d.try_batch_cut(&[b, c]).unwrap();
     d.recompute();
     assert_eq!(
         d.try_batch_link(&[(b, a), (r, a)]),
@@ -354,7 +354,7 @@ fn failed_edit_batches_roll_back_the_shape() {
     d.recompute();
     let oracle = d.forest().sequential_fold(&SubtreeSum);
     for v in [r, a, b, c] {
-        assert_eq!(d.subtree_value(v), oracle[v.index()]);
+        assert_eq!(d.try_subtree_value(v).unwrap(), oracle[v.index()]);
     }
 }
 
@@ -389,12 +389,18 @@ fn rejected_edit_batches_leave_no_marks() {
     assert_eq!(d.try_batch_cut(&[a, b, unknown]), err);
     assert_eq!(d.try_batch_link(&[(e, c), (unknown, r)]), err);
     assert_eq!(d.try_batch_link(&[(e, c), (c, unknown)]), err);
+    assert_eq!(d.batch_update_weights(&[(b, 30), (unknown, 1)]), err);
     assert_eq!(d.pending(), 0);
     assert!(nodes.iter().all(|&v| !d.is_dirty(v)));
     assert_eq!(reads(&d), clean, "reads unchanged by unknown ids");
+    assert_eq!(
+        *d.forest().label(b),
+        3,
+        "label batch checked before any write"
+    );
     assert_eq!(d.forest().parent(e), None, "link of `e` rolled back");
 
-    d.batch_cut(&[c]);
+    d.try_batch_cut(&[c]).unwrap();
     d.recompute();
     let clean = reads(&d);
     assert_eq!(
@@ -409,11 +415,13 @@ fn rejected_edit_batches_leave_no_marks() {
     assert_eq!(reads(&d), clean, "reads unchanged by a rejected link");
 
     // With a label edit pending, a rejected batch keeps exactly that mark.
-    d.batch_update_weights(&[(b, 30)]);
+    d.batch_update_weights(&[(b, 30)]).unwrap();
     assert_eq!(
         d.try_batch_link(&[(c, b), (e, a), (a, r)]),
         Err(EditError::NotARoot { node: a })
     );
+    assert_eq!(d.batch_update_weights(&[(unknown, 1), (c, 40)]), err);
+    assert_eq!(*d.forest().label(c), 4);
     assert_eq!(d.pending(), 1);
     assert!(d.is_dirty(b) && !d.is_dirty(c) && !d.is_dirty(e));
     let stats = d.recompute();
@@ -423,7 +431,7 @@ fn rejected_edit_batches_leave_no_marks() {
     );
     let oracle = d.forest().sequential_fold(&SubtreeSum);
     for v in nodes {
-        assert_eq!(d.subtree_value(v), oracle[v.index()]);
+        assert_eq!(d.try_subtree_value(v).unwrap(), oracle[v.index()]);
     }
 }
 
@@ -467,7 +475,7 @@ where
         let updates: Vec<(NodeId, i64)> = (0..16)
             .map(|_| (pick(&mut rng), (xorshift(&mut rng) % 1_000) as i64))
             .collect();
-        d.batch_update_weights(&updates);
+        d.batch_update_weights(&updates).unwrap();
         let stats = d.recompute();
         assert_eq!(
             stats.reused_slots == 0,
@@ -481,7 +489,7 @@ where
         for _ in 0..50 {
             let v = pick(&mut rng);
             assert_eq!(
-                d.subtree_value(v),
+                d.try_subtree_value(v).unwrap(),
                 oracle[v.index()],
                 "{name} round {round}"
             );
@@ -505,7 +513,7 @@ where
             match *q {
                 Query::Subtree(v) => {
                     assert_eq!(a, &Answer::Value(oracle[v.index()].clone()), "{at}");
-                    assert_eq!(a, &Answer::Value(d.subtree_value(v)), "{at}");
+                    assert_eq!(a, &Answer::Value(d.try_subtree_value(v).unwrap()), "{at}");
                 }
                 Query::ComponentRoot(v) => assert_eq!(a, &Answer::Node(f.root_of(v)), "{at}"),
                 Query::ComponentValue(v) => assert_eq!(
@@ -566,7 +574,11 @@ fn ordered_rake_survives_dynamic_weight_updates() {
     let assert_exact = |d: &DynForest<OrderedRake<SeqHash>>, context: &str| {
         let oracle = d.forest().sequential_fold(&OrderedRake(SeqHash));
         for v in d.forest().node_ids() {
-            assert_eq!(d.subtree_value(v), oracle[v.index()], "{context}");
+            assert_eq!(
+                d.try_subtree_value(v).unwrap(),
+                oracle[v.index()],
+                "{context}"
+            );
         }
     };
     let mut rng = 0xBEEF_u64;
@@ -578,7 +590,7 @@ fn ordered_rake_survives_dynamic_weight_updates() {
                 (v, (xorshift(&mut rng) % 1_000) as i64)
             })
             .collect();
-        d.batch_update_weights(&updates);
+        d.batch_update_weights(&updates).unwrap();
         d.recompute();
         assert_exact(&d, &format!("weight round {round}"));
     }
