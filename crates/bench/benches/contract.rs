@@ -8,11 +8,12 @@
 //! batch of weight updates (driven by change propagation — its records
 //! carry `replayed_slots`/`reused_slots`), and a 1k-query batch three ways:
 //! static, dynamic, and as individual walks. A churn bench interleaves
-//! structural and label edits to price the structural rebuilds. The batch
-//! records run `SubtreeSum`, whose propagation patches flat child
-//! aggregates; the `_minmax` batch records repeat the star and broom under
-//! `MinMax`, which is not invertible, so propagation and rebuilds go
-//! through the sibling trees instead.
+//! structural and label edits to price the structure phase, which
+//! re-contracts only what each batch disturbs. The batch records run
+//! `SubtreeSum`, whose propagation patches flat child aggregates; the
+//! `_minmax` batch records repeat the star and broom under `MinMax`, which
+//! is not invertible, so propagation and the slot renumbering go through
+//! the sibling trees instead.
 //!
 //! Run with `cargo bench -p dtc-bench`, or `cargo bench -p dtc-bench --
 //! --test` for the CI smoke mode (each bench executes once). Add
@@ -86,8 +87,8 @@ fn main() {
 
     // Churn: interleaved cut/link/weight batches against a ~100k random
     // tree, pricing structural edits end to end (every chunk holding a cut
-    // or link rebuilds the trace with a full contraction; label-only
-    // chunks propagate).
+    // or link runs a structure phase over the nodes it disturbs before
+    // propagating; label-only chunks only propagate).
     {
         let (f, script) = gen::churn(100_000, 512, 42);
         let base = DynForest::new(f, SubtreeSum);
@@ -271,37 +272,6 @@ fn mixed_batch(f: &Forest<i64>, total: usize) -> QueryBatch {
     batch
 }
 
-fn depth_of(f: &Forest<i64>, mut v: NodeId) -> usize {
-    let mut d = 0;
-    while let Some(p) = f.parent(v) {
-        v = p;
-        d += 1;
-    }
-    d
-}
-
-fn naive_lca(f: &Forest<i64>, mut u: NodeId, mut v: NodeId) -> Option<NodeId> {
-    let (mut du, mut dv) = (depth_of(f, u), depth_of(f, v));
-    while du > dv {
-        u = f.parent(u).unwrap();
-        du -= 1;
-    }
-    while dv > du {
-        v = f.parent(v).unwrap();
-        dv -= 1;
-    }
-    while u != v {
-        match (f.parent(u), f.parent(v)) {
-            (Some(pu), Some(pv)) => {
-                u = pu;
-                v = pv;
-            }
-            _ => return None,
-        }
-    }
-    Some(u)
-}
-
 /// The individual-lookup baseline: each query resolved on its own with
 /// parent-pointer walks (subtree reads are O(1) against the same
 /// contraction either way). Folds every answer into a checksum so the
@@ -313,23 +283,12 @@ fn naive_resolve_all(f: &Forest<i64>, c: &Contraction<SubtreeSum>, batch: &Query
         match *q {
             Query::Subtree(v) => sum = sum.wrapping_add(*c.subtree_value(v) as u64),
             Query::Path(u, v) => {
-                if let Some(w) = naive_lca(f, u, v) {
-                    let mut total = *f.label(w);
-                    let mut x = u;
-                    while x != w {
-                        total = total.wrapping_add(*f.label(x));
-                        x = f.parent(x).unwrap();
-                    }
-                    let mut x = v;
-                    while x != w {
-                        total = total.wrapping_add(*f.label(x));
-                        x = f.parent(x).unwrap();
-                    }
+                if let Some(total) = f.naive_path_fold(&SubtreeSum, u, v) {
                     sum = sum.wrapping_add(total as u64);
                 }
             }
             Query::Lca(u, v) => {
-                if let Some(w) = naive_lca(f, u, v) {
+                if let Some(w) = f.naive_lca(u, v) {
                     sum = sum.wrapping_add(w.index() as u64 + 1);
                 }
             }

@@ -260,59 +260,82 @@ impl<L> Forest<L> {
     }
 }
 
-/// Node ids grouped by node in flat CSR form: group `k` is
-/// `items[off[k]..off[k + 1]]`. A trace holds two: the loaded forest's child
-/// lists, built once per load by
-/// [`Scratch::load`](crate::engine::Scratch::load) in id order (the order
-/// the contraction engine numbers sibling slots in), and its hop lists,
-/// built once per run. Rebuilds re-derive in place, reusing both buffers.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Node ids grouped by node: group `k` is `items[lo..hi]` for its span
+/// `[lo, hi)`. A trace holds two: the loaded forest's child lists, built
+/// once per load by [`Scratch::load`](crate::engine::Scratch::load) in id
+/// order (the order the contraction engine numbers sibling slots in), and
+/// its hop lists, built once per run. A dynamic forest also keeps each
+/// node's raked children. A run lays the groups out packed, in group order;
+/// a structure phase replaces single groups ([`Csr::set`]): a list that
+/// fits is rewritten in place, and a longer one moves to the end of
+/// `items`, into capacity reserved when the groups were laid out. So a
+/// batch touches only the groups it changes; only when the reserve runs
+/// out are the groups packed again.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Csr {
-    /// Offsets into `items`, length `groups + 1`.
-    pub off: Vec<u32>,
-    /// Every grouped id, group after group.
+    /// `[lo, hi)` of every group in `items`.
+    span: Vec<[u32; 2]>,
+    /// Every grouped id, plus dead items left behind by [`Csr::set`].
     pub items: Vec<u32>,
 }
 
 impl Csr {
+    /// Number of groups.
+    #[cfg(feature = "check")]
+    pub fn groups(&self) -> usize {
+        self.span.len()
+    }
+
     /// Regroups the `(group, id)` pairs `pairs()` yields into `groups`
-    /// groups, each in yield order. `pairs` is called twice: once to count
-    /// and once to fill. `O(groups + pairs)`, no allocation once the
+    /// packed groups, each in yield order. `pairs` is called twice: once to
+    /// count and once to fill. `O(groups + pairs)`, no allocation once the
     /// buffers have grown.
     pub fn regroup<I>(&mut self, groups: usize, pairs: impl Fn() -> I)
     where
         I: Iterator<Item = (u32, u32)>,
     {
-        let off = &mut self.off;
-        off.clear();
-        off.resize(groups + 1, 0);
+        let span = &mut self.span;
+        span.clear();
+        span.resize(groups, [0, 0]);
         for (g, _) in pairs() {
-            off[g as usize + 1] += 1;
+            span[g as usize][1] += 1;
         }
-        for i in 0..groups {
-            off[i + 1] += off[i];
+        // Each group's end starts out as its cursor, at its start.
+        let mut total = 0;
+        for s in span.iter_mut() {
+            let len = s[1];
+            *s = [total, total];
+            total += len;
         }
         self.items.clear();
-        self.items.resize(off[groups] as usize, 0);
-        // Fill using `off[g]` as `g`'s cursor. Afterwards `off[g]` holds
-        // where `g` ends, which is where `g + 1` begins, so one shift right
-        // restores the offsets.
+        self.items.resize(total as usize, 0);
         for (g, id) in pairs() {
-            let cursor = &mut off[g as usize];
+            let cursor = &mut span[g as usize][1];
             self.items[*cursor as usize] = id;
             *cursor += 1;
         }
-        off.copy_within(0..groups, 1);
-        off[0] = 0;
+        self.items.reserve(total as usize / 4);
+    }
+
+    /// Lays out packed groups of the given lengths with zeroed items, for
+    /// the caller to fill through [`Csr::range`].
+    pub fn lay_out(&mut self, lens: impl Iterator<Item = u32>) {
+        self.span.clear();
+        let mut total = 0;
+        for len in lens {
+            self.span.push([total, total + len]);
+            total += len;
+        }
+        self.items.clear();
+        self.items.resize(total as usize, 0);
+        self.items.reserve(total as usize / 4);
     }
 
     /// The `[lo, hi)` range of group `k` in `items`.
     #[inline]
     pub fn range(&self, k: u32) -> (usize, usize) {
-        (
-            self.off[k as usize] as usize,
-            self.off[k as usize + 1] as usize,
-        )
+        let [lo, hi] = self.span[k as usize];
+        (lo as usize, hi as usize)
     }
 
     /// Group `k`.
@@ -320,5 +343,35 @@ impl Csr {
     pub fn of(&self, k: u32) -> &[u32] {
         let (lo, hi) = self.range(k);
         &self.items[lo..hi]
+    }
+
+    /// Replaces group `k` by `ids`: in place when they fit in its span,
+    /// else at the end of `items`, packing the groups first if that would
+    /// outgrow the reserve. `O(len)` amortized.
+    pub fn set(&mut self, k: u32, ids: &[u32]) {
+        let (mut lo, hi) = self.range(k);
+        if ids.len() > hi - lo {
+            if self.items.len() + ids.len() > self.items.capacity() {
+                self.pack();
+            }
+            lo = self.items.len();
+            self.items.extend_from_slice(ids);
+        } else {
+            self.items[lo..lo + ids.len()].copy_from_slice(ids);
+        }
+        self.span[k as usize] = [lo as u32, (lo + ids.len()) as u32];
+    }
+
+    /// Packs the groups again, in group order, with a fresh reserve: one
+    /// sequential pass, once per reserve's worth of moved items.
+    fn pack(&mut self) {
+        let live: usize = self.span.iter().map(|s| (s[1] - s[0]) as usize).sum();
+        let mut packed = Vec::with_capacity(live + live / 4);
+        for s in &mut self.span {
+            let start = packed.len() as u32;
+            packed.extend_from_slice(&self.items[s[0] as usize..s[1] as usize]);
+            *s = [start, packed.len() as u32];
+        }
+        self.items = packed;
     }
 }

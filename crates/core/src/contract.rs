@@ -5,7 +5,7 @@
 //! [`DynForest`](crate::DynForest) maintains — next to the backsolved
 //! values, and answers queries from that trace's links.
 
-use crate::algebra::Algebra;
+use crate::algebra::{Algebra, PathAlgebra};
 use crate::arena::Forest;
 use crate::engine::{Death, Scratch, Trace};
 use crate::obs::{NoopSink, Phase, Profile, Sink};
@@ -62,8 +62,8 @@ impl<A: Algebra> Contraction<A> {
     /// Verifies the structural invariants of the recorded trace's links
     /// against the forest it was built from (`check` feature):
     ///
-    /// * parallel arrays sized to the forest, and both CSRs well-formed
-    ///   (offsets monotone from 0 to the item count);
+    /// * parallel arrays sized to the forest, and both list tables
+    ///   well-formed (one group per node, every span inside the items);
     /// * the child lists list every non-root exactly once, under its
     ///   parent, in id order;
     /// * **exactly one death per node** — every node carries a round stamp
@@ -84,7 +84,7 @@ impl<A: Algebra> Contraction<A> {
     /// forest.
     #[cfg(feature = "check")]
     pub fn validate<L>(&self, forest: &Forest<L>) -> Result<(), crate::check::InvariantError> {
-        use crate::arena::{Csr, NONE};
+        use crate::arena::NONE;
         use crate::check::{ensure, Euler};
         let n = forest.len();
         let links = &self.trace.links;
@@ -93,14 +93,17 @@ impl<A: Algebra> Contraction<A> {
             self.vals.len() == n && round.len() == n && up.len() == n,
             "trace arrays are not sized to the forest ({n} nodes)"
         );
-        for (name, Csr { off, items }) in [("child", &links.children), ("hop", &links.hops)] {
+        for (name, lists) in [("child", &links.children), ("hop", &links.hops)] {
             ensure!(
-                off.len() == n + 1 && off[0] == 0 && off[n] as usize == items.len(),
-                "{name} CSR offsets do not span its items"
+                lists.groups() == n,
+                "{name} lists are not sized to the forest"
             );
             ensure!(
-                off.windows(2).all(|w| w[0] <= w[1]),
-                "{name} CSR offsets are not monotone"
+                (0..n as u32).all(|k| {
+                    let (lo, hi) = lists.range(k);
+                    lo <= hi && hi <= lists.items.len()
+                }),
+                "{name} list spans leave their items"
             );
         }
         let euler = Euler::of(forest)?;
@@ -142,10 +145,10 @@ impl<A: Algebra> Contraction<A> {
                 round[p as usize]
             );
         }
+        let listed: usize = (0..n as u32).map(|v| links.children.of(v).len()).sum();
         ensure!(
-            links.children.items.len() == non_roots,
-            "child lists hold {} entries for {non_roots} non-roots",
-            links.children.items.len()
+            listed == non_roots,
+            "child lists hold {listed} entries for {non_roots} non-roots"
         );
 
         let mut hosted = vec![false; n];
@@ -267,20 +270,19 @@ where
 {
     let mut scratch: Scratch<A> = Scratch::default();
     scratch.load(alg, forest);
-    let rounds = scratch.contract_with(alg, seed, sink).rounds;
-    let trace = scratch.trace;
+    let rounds = scratch.contract_with(alg, seed, sink);
+    let Scratch { order, trace, .. } = scratch;
     let backsolve_start = if S::ENABLED {
         Some(Instant::now())
     } else {
         None
     };
-    let vals = trace.backsolve(alg);
+    let vals = trace.backsolve(alg, order.iter().rev().copied());
     if let Some(t) = backsolve_start {
         sink.phase(Phase::Backsolve, t.elapsed().as_nanos() as u64);
     }
     // Roots finish in death order, the order the engine retired them.
-    let components = trace
-        .order
+    let components = order
         .iter()
         .filter(|&&u| matches!(trace.death[u as usize], Death::Root(_)))
         .map(|&u| (NodeId(u), vals[u as usize].clone()))
@@ -334,5 +336,57 @@ impl<L> Forest<L> {
         }
         // lint:allow(panic): the loop above fills every slot
         vals.into_iter().map(|v| v.unwrap()).collect()
+    }
+}
+
+impl<L> Forest<L> {
+    /// Reference lowest common ancestor by parent-pointer walks: climb the
+    /// deeper node to the other's depth, then both in step. `None` when the
+    /// nodes lie in different components. `O(depth)`; an oracle for
+    /// [`Query::Lca`](crate::Query::Lca).
+    pub fn naive_lca(&self, mut u: NodeId, mut v: NodeId) -> Option<NodeId> {
+        let depth = |mut x: NodeId| {
+            let mut d = 0usize;
+            while let Some(p) = self.parent(x) {
+                x = p;
+                d += 1;
+            }
+            d
+        };
+        let (mut du, mut dv) = (depth(u), depth(v));
+        while du > dv {
+            u = self.parent(u)?;
+            du -= 1;
+        }
+        while dv > du {
+            v = self.parent(v)?;
+            dv -= 1;
+        }
+        while u != v {
+            u = self.parent(u)?;
+            v = self.parent(v)?;
+        }
+        Some(u)
+    }
+
+    /// Reference path aggregate by parent-pointer walks: the labels on the
+    /// tree path between `u` and `v`, folded as the query engine folds
+    /// them — the LCA, then `u`'s side bottom-up, then `v`'s. `None` when
+    /// the nodes lie in different components. `O(depth)`; an oracle for
+    /// [`Query::Path`](crate::Query::Path).
+    pub fn naive_path_fold<A>(&self, alg: &A, u: NodeId, v: NodeId) -> Option<A::PathVal>
+    where
+        A: PathAlgebra<Label = L>,
+    {
+        let w = self.naive_lca(u, v)?;
+        let mut agg = alg.path_of(self.label(w));
+        for end in [u, v] {
+            let mut x = end;
+            while x != w {
+                agg = alg.path_concat(&agg, &alg.path_of(self.label(x)));
+                x = self.parent(x)?;
+            }
+        }
+        Some(agg)
     }
 }

@@ -7,26 +7,28 @@
 //! contraction of the current forest records under the forest's fixed coin
 //! seed, `forest.contraction().seed(seed).run(..)`. Edits are applied to
 //! the shape immediately but value recomputation is deferred, and
-//! `recompute` takes one of two branches:
+//! `recompute` runs one path in two phases:
 //!
-//! * **label-only batches** ([`DynForest::batch_update_weights`]) mark
-//!   only the edited nodes, and recompute *replays* just the trace slots
-//!   whose inputs changed, round by round: a re-executed rake that
-//!   reproduces its recorded contribution cuts the wave off, and every
-//!   untouched slot's recorded result is reused verbatim. Cached per-node
-//!   child aggregates (flat subtract/re-add parts for invertible algebras,
-//!   balanced sibling trees otherwise) make each replayed slot
-//!   `O(1)`–`O(log degree)`, so an update batch costs
-//!   `O(affected × log)` independent of tree depth *and* node degree —
-//!   paths and stars propagate as fast as random trees;
-//! * **structural batches** (any [`DynForest::try_batch_cut`] or
-//!   [`DynForest::try_batch_link`] pending) change the shape the trace
-//!   describes. The edits only flip parent pointers and mark the moved
-//!   nodes; recompute then contracts the whole forest again with the same
-//!   seed and rebuilds the replay caches from that trace, `O(n)` per
-//!   batch. Children are always numbered in id order, the order
-//!   [`Forest::sequential_fold`] folds them in, so ordered algebras stay
-//!   exact across cuts and links.
+//! * **structure** — when [`DynForest::try_batch_cut`] or
+//!   [`DynForest::try_batch_link`] moved nodes, the edits only flip parent
+//!   pointers and mark the moved nodes. Recompute then re-decides, round by
+//!   round, just the nodes whose round state (alive, working parent, live
+//!   child count) the moves disturbed, reading every other node's state
+//!   from the trace itself, and rewrites the records, hop lists and sibling
+//!   slots of the nodes whose death changed (`restructure.rs`). No node
+//!   outside that set is visited and no contraction runs. Children are
+//!   always numbered in id order, the order [`Forest::sequential_fold`]
+//!   folds them in, so ordered algebras stay exact across cuts and links.
+//!   A label-only batch is the case where this phase has nothing to do;
+//! * **values** — change propagation *replays* just the trace slots whose
+//!   inputs changed: the relabelled nodes ([`DynForest::batch_update_weights`]
+//!   marks only those) and whatever the structure phase rewrote. A
+//!   re-executed rake that reproduces its recorded contribution cuts the
+//!   wave off, and every untouched slot's recorded result is reused
+//!   verbatim. Cached per-node child aggregates (flat subtract/re-add parts
+//!   for invertible algebras, balanced sibling trees otherwise) make each
+//!   replayed slot `O(1)`–`O(log degree)`, so a batch costs
+//!   `O(affected × log)` independent of tree depth *and* node degree.
 //!
 //! Values are resolved lazily from the trace (`O(rounds)` per read, no
 //! per-node value cache to keep coherent), which is why reads return
@@ -35,19 +37,20 @@
 //! ([`DynForest::query_batch`]) read the same trace's links through a shape
 //! index (Euler intervals, component roots, hop hosts) that is built on the
 //! first query after a structural batch and kept across label-only
-//! batches; each query batch then costs one backsolve, `O(hosts + victims)`
-//! hop prefixes and `O(log² n)` per query.
+//! batches; each query batch then costs one backsolve over the index's
+//! hosts, `O(hosts + victims)` hop prefixes and `O(log² n)` per query.
 //!
 //! Each operation has one public form, and none panics on a bad input:
 //! edits return `Result<(), EditError>` and leave no trace of a rejected
 //! batch, reads return `Result<_, QueryError>`.
 
 use crate::algebra::{PathAlgebra, Propagate};
-use crate::arena::{Forest, NONE};
-use crate::engine::{RunOutcome, Scratch};
+use crate::arena::{Csr, Forest, NONE};
+use crate::engine::{Death, Recorded, Scratch, Trace};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile, Sink};
 use crate::propagate::{resolve_val, Replay};
 use crate::query::{self, QueryBatch, QueryError, QueryOutcome, Shape};
+use crate::restructure::Restructure;
 use crate::NodeId;
 use std::fmt;
 use std::sync::OnceLock;
@@ -111,21 +114,23 @@ pub struct UpdateStats {
     pub dirty: usize,
     /// Total nodes in the forest.
     pub total: usize,
-    /// On a structural batch, the rounds of the full contraction that
-    /// rebuilt the trace; on a label-only batch, the number of distinct
-    /// trace rounds the replay wave touched (its depth in the contraction
-    /// DAG).
+    /// The number of distinct trace rounds the replay wave touched (its
+    /// depth in the contraction DAG); on a structural batch, the larger of
+    /// that and the rounds the structure phase re-decided.
     pub rounds: u32,
-    /// Trace slots re-executed by this recompute: the affected set of
-    /// change propagation, or all `total` slots on a structural rebuild.
+    /// Trace slots re-executed by change propagation. On a structural
+    /// batch these include every slot the structure phase rewrote, the
+    /// parents whose child aggregates it changed, and the wave above them.
     pub replayed_slots: usize,
-    /// Trace slots whose recorded results were reused untouched (0 on a
-    /// structural rebuild).
+    /// Trace slots whose recorded results were reused untouched,
+    /// `total - replayed_slots`.
     pub reused_slots: usize,
-    /// Engine counters for this recompute — rounds, plus the
-    /// rakes/splices/finishes/coin rejections and peak frontier of a
-    /// structural rebuild's contraction; `Some` only when profiling is
-    /// enabled via [`DynForest::enable_profiling`].
+    /// Counters for this recompute, `Some` only when profiling is enabled
+    /// via [`DynForest::enable_profiling`]: `rounds` as above, and on a
+    /// structural batch the structure phase's totals — the rakes, splices,
+    /// finishes and coin rejections the re-decided nodes chose in the new
+    /// run, and its largest per-round set of re-decided nodes as
+    /// `max_frontier`. A label-only batch reports zero actions.
     pub counters: Option<EngineCounters>,
 }
 
@@ -168,7 +173,8 @@ impl fmt::Display for UpdateStats {
 /// let mut d = DynForest::new(f, SubtreeSum);
 /// assert_eq!(d.try_subtree_value(r), Ok(6));
 ///
-/// // Cut `a` off: a structural edit, so recompute rebuilds the trace.
+/// // Cut `a` off: a structural edit, so recompute re-decides the nodes it
+/// // disturbed before propagating values.
 /// d.try_batch_cut(&[a]).unwrap();
 /// let stats = d.recompute();
 /// assert_eq!(stats.dirty, 1);
@@ -196,18 +202,25 @@ pub struct DynForest<A: Propagate> {
     forest: Forest<A::Label>,
     dirty: Vec<bool>,
     dirty_list: Vec<u32>,
-    /// `true` once a cut/link landed since the last recompute: the trace
-    /// no longer matches the shape, so the next recompute rebuilds it.
-    has_structural: bool,
-    /// The engine's buffers, kept so rebuilds reuse them, and the
-    /// maintained trace (`scratch.trace`).
-    scratch: Scratch<A>,
-    /// Replay caches over the maintained trace. Both clone with the forest,
-    /// so a cloned forest is immediately ready to propagate (benchmarks
-    /// rely on this).
+    /// Nodes cut or linked since the last recompute (possibly repeated):
+    /// the seeds of the next structure phase.
+    moved: Vec<u32>,
+    /// The maintained trace: after every recompute, the one a fresh
+    /// contraction of the current forest records under `seed`.
+    trace: Trace<A>,
+    /// The raked children of every node, sorted by death round
+    /// ([`Trace::raked_lists`]), which the structure phase's oracle reads.
+    /// Built by the first structural batch: a forest that is never cut or
+    /// linked neither builds nor holds them.
+    raked: Option<Csr>,
+    /// The structure phase's working sets, kept so batches reuse them.
+    restructure: Restructure,
+    /// Replay caches over the maintained trace. Everything clones with the
+    /// forest, so a cloned forest is immediately ready to recompute
+    /// (benchmarks rely on this).
     replay: Replay<A>,
     /// The query shape index of the maintained trace: built by the first
-    /// [`DynForest::query_batch`] after a rebuild, cleared by the next one.
+    /// [`DynForest::query_batch`] after a structural batch, which drops it.
     shape: OnceLock<Shape>,
     /// Coin seed of every contraction this forest runs, fixed for its life.
     seed: u64,
@@ -219,7 +232,7 @@ pub struct DynForest<A: Propagate> {
 impl<A: Propagate> DynForest<A> {
     /// Wraps `forest` and runs the initial full contraction (which also
     /// builds the replay caches, so a freshly constructed forest is ready
-    /// to propagate).
+    /// to recompute).
     pub fn new(forest: Forest<A::Label>, alg: A) -> Self {
         Self::with_seed(forest, alg, 0xD15EA5E)
     }
@@ -233,8 +246,10 @@ impl<A: Propagate> DynForest<A> {
             forest,
             dirty: vec![false; n],
             dirty_list: Vec::new(),
-            has_structural: false,
-            scratch: Scratch::default(),
+            moved: Vec::new(),
+            trace: Trace::default(),
+            raked: None,
+            restructure: Restructure::default(),
             replay: Replay::new(),
             shape: OnceLock::new(),
             seed,
@@ -294,8 +309,9 @@ impl<A: Propagate> DynForest<A> {
     /// `true` when `v` carries a pending edit mark. Note that with *any*
     /// edit pending every read is stale (see
     /// [`DynForest::try_subtree_value`]), not only reads of marked nodes.
+    /// An id outside the forest carries no mark.
     pub fn is_dirty(&self, v: NodeId) -> bool {
-        self.dirty[v.index()]
+        self.dirty.get(v.index()).copied().unwrap_or(false)
     }
 
     /// Final subtree value of `v` as of the last recompute, or an error if
@@ -315,18 +331,24 @@ impl<A: Propagate> DynForest<A> {
         if !self.dirty_list.is_empty() {
             return Err(QueryError::Stale { node: v });
         }
-        Ok(resolve_val(&self.alg, &self.scratch.trace.death, v.raw()))
+        Ok(resolve_val(&self.alg, &self.trace.death, v.raw()))
     }
 
     /// Aggregate of the component containing `v` (any node of the
     /// component, not just its root), or an error if edits are pending or
     /// `v` is out of range.
+    ///
+    /// Death parents are ancestors that die strictly later, so climbing
+    /// them reaches the component root in `O(rounds)` steps, however deep
+    /// `v` sits.
     pub fn try_component_value(&self, v: NodeId) -> Result<A::Val, QueryError> {
-        let n = self.forest.len();
-        if v.index() >= n {
-            return Err(QueryError::UnknownNode { node: v, nodes: n });
+        self.try_subtree_value(v)?;
+        let up = &self.trace.links.up;
+        let mut root = v.raw();
+        while up[root as usize] != NONE {
+            root = up[root as usize];
         }
-        self.try_subtree_value(self.forest.root_of(v))
+        self.try_subtree_value(NodeId(root))
     }
 
     /// Marks a single node as edited. Label edits mark only the edited
@@ -350,8 +372,8 @@ impl<A: Propagate> DynForest<A> {
     }
 
     /// Ends a structural batch that moved each `(node, old parent)` in
-    /// `moved`, in order. A valid batch marks the moved nodes, so the next
-    /// recompute rebuilds the trace; a rejected one restores the old
+    /// `moved`, in order. A valid batch marks the moved nodes, which seed
+    /// the next recompute's structure phase; a rejected one restores the old
     /// parents in reverse and marks nothing, leaving the shape, the marks
     /// and every read exactly as before the call.
     fn settle(
@@ -363,8 +385,8 @@ impl<A: Propagate> DynForest<A> {
         if result.is_ok() {
             for &(u, _) in moved {
                 self.mark_dirty(u);
+                self.moved.push(u);
             }
-            self.has_structural |= !moved.is_empty();
         } else {
             for &(u, old) in moved.iter().rev() {
                 self.forest.set_parent_raw(u, old);
@@ -467,31 +489,24 @@ impl<A: Propagate> DynForest<A> {
         }
     }
 
-    /// Contracts the current forest with the forest's fixed seed and
-    /// rebuilds the replay caches from the trace, exactly as a fresh
-    /// `forest.contraction().seed(seed)` run would record it. Drops the
-    /// query shape index, which the next query batch rebuilds.
-    fn rebuild(&mut self) -> RunOutcome {
+    /// Contracts the current forest with the forest's fixed seed, exactly as
+    /// a fresh `forest.contraction().seed(seed)` run records it, and builds
+    /// the replay caches from that trace. Only [`DynForest::with_seed`]
+    /// calls it; the engine's working buffers are dropped afterwards.
+    fn rebuild(&mut self) {
         let DynForest {
             alg,
             forest,
-            scratch,
+            trace,
             replay,
-            shape,
             seed,
-            profile,
             ..
         } = self;
-        shape.take();
+        let mut scratch = Scratch::default();
         scratch.load(alg, forest);
-        // Both arms run the same engine code; the profiled arm pays for
-        // telemetry, the default arm is compiled with the no-op sink.
-        let outcome = match profile {
-            Some(p) => scratch.contract_with(alg, *seed, p.as_mut()),
-            None => scratch.contract_with(alg, *seed, &mut NoopSink),
-        };
-        replay.rebuild(alg, &scratch.trace);
-        outcome
+        scratch.contract_with(alg, *seed, &mut NoopSink);
+        *trace = scratch.trace;
+        replay.rebuild(alg, trace);
     }
 
     /// Clears all pending edit marks.
@@ -499,73 +514,121 @@ impl<A: Propagate> DynForest<A> {
         let DynForest {
             dirty,
             dirty_list,
-            has_structural,
+            moved,
             ..
         } = self;
         for &u in dirty_list.iter() {
             dirty[u as usize] = false;
         }
         dirty_list.clear();
-        *has_structural = false;
+        moved.clear();
     }
 
-    /// Refreshes all values invalidated by pending edits.
+    /// Refreshes all values invalidated by pending edits, in two phases.
     ///
-    /// A structural batch (any cut or link pending) contracts the whole
-    /// forest again with the forest's fixed seed and rebuilds the replay
-    /// tables, `O(n log n)` w.h.p. A label-only batch replays the recorded
-    /// trace by change propagation, `O(affected × log)` (see the module
-    /// docs). Either way the trace afterwards is exactly the one a fresh
-    /// contraction of the current forest records.
+    /// 1. **Structure.** When cuts or links are pending, re-decide round by
+    ///    round only the nodes whose round state the batch disturbed, and
+    ///    patch their trace records in place (`restructure.rs`). A
+    ///    label-only batch skips this phase.
+    /// 2. **Values.** Change propagation replays the trace slots whose
+    ///    inputs changed — the relabelled nodes and whatever phase 1
+    ///    rewrote — in `O(affected × log)` (see the module docs).
+    ///
+    /// Either way the trace afterwards is exactly the one a fresh
+    /// contraction of the current forest records under the forest's seed.
+    /// On a structural batch, [`UpdateStats`] reports the rounds and
+    /// counters of both phases (see its fields).
     pub fn recompute(&mut self) -> UpdateStats {
         let n = self.forest.len();
         let edited = self.dirty_list.len();
         let profiled = self.profile.is_some();
-        let stats = if edited == 0 {
-            UpdateStats {
+        if edited == 0 {
+            return UpdateStats {
                 dirty: 0,
                 total: n,
                 rounds: 0,
                 replayed_slots: 0,
                 reused_slots: 0,
                 counters: profiled.then(EngineCounters::default),
-            }
-        } else if self.has_structural {
-            let outcome = self.rebuild();
-            UpdateStats {
-                dirty: edited,
-                total: n,
-                rounds: outcome.rounds,
-                replayed_slots: n,
-                reused_slots: 0,
-                counters: profiled.then_some(outcome.counters),
-            }
-        } else {
-            let DynForest {
-                alg,
-                forest,
-                scratch,
-                replay,
-                dirty_list,
-                profile,
-                ..
-            } = self;
-            let trace = &mut scratch.trace;
-            let outcome = match profile {
-                Some(p) => replay.propagate(alg, forest, trace, dirty_list, p.as_mut()),
-                None => replay.propagate(alg, forest, trace, dirty_list, &mut NoopSink),
             };
-            UpdateStats {
-                dirty: edited,
-                total: n,
-                rounds: outcome.rounds,
-                replayed_slots: outcome.replayed,
-                reused_slots: n - outcome.replayed,
-                counters: profiled.then(|| EngineCounters {
-                    rounds: outcome.rounds,
-                    ..EngineCounters::default()
-                }),
+        }
+        let DynForest {
+            alg,
+            forest,
+            dirty_list,
+            moved,
+            trace,
+            raked,
+            restructure,
+            replay,
+            shape,
+            seed,
+            profile,
+            ..
+        } = self;
+        let mut seeds: Vec<u32> = Vec::new();
+        let mut refolds: Vec<u32> = Vec::new();
+        let mut structure = EngineCounters::default();
+        if !moved.is_empty() {
+            let start = profiled.then(Instant::now);
+            shape.take();
+            moved.sort_unstable();
+            moved.dedup();
+            let raked = raked.get_or_insert_with(|| trace.raked_lists());
+            let recorded = Recorded {
+                links: &trace.links,
+                death: &trace.death,
+                raked,
+            };
+            structure = match profile {
+                Some(p) => restructure.run(&recorded, forest, moved, *seed, p.as_mut()),
+                None => restructure.run(&recorded, forest, moved, *seed, &mut NoopSink),
+            };
+            replay.detach(alg, trace, &restructure.changed, &mut seeds);
+            restructure.commit(alg, forest, trace, raked);
+            let (changed, renumbered) = (&restructure.changed, &restructure.renumbered);
+            let shifted = &restructure.shifted;
+            replay.reattach(alg, trace, raked, changed, renumbered, shifted, &mut seeds);
+            // A changed node re-derives its splice chain, and so does the
+            // host of a changed victim, whose placeholder function it owns.
+            refolds.extend(changed.iter().copied());
+            refolds.extend(
+                changed
+                    .iter()
+                    .filter_map(|&x| match trace.death[x as usize] {
+                        Death::Compressed { child, .. } => Some(child),
+                        _ => None,
+                    }),
+            );
+            if let (Some(t), Some(p)) = (start, profile.as_mut()) {
+                p.phase(Phase::Restructure, t.elapsed().as_nanos() as u64);
             }
+        }
+        seeds.extend_from_slice(dirty_list);
+        let outcome = match profile {
+            Some(p) => replay.propagate(alg, forest, trace, &seeds, &refolds, p.as_mut()),
+            None => replay.propagate(alg, forest, trace, &seeds, &refolds, &mut NoopSink),
+        };
+        if !moved.is_empty() {
+            // Reads resolve from the death records, and the structure phase
+            // evicts them from cache: it reads the old round state all over
+            // the trace. One sequential pass (about 0.1 ms per 100k nodes)
+            // puts them back; on `dtc-e2e`'s `mixed-random`, reads after a
+            // structural batch ran ~30% slower without it.
+            let finished = trace.death.iter().filter(|d| matches!(d, Death::Root(_)));
+            std::hint::black_box(finished.count());
+        }
+        let rounds = structure.rounds.max(outcome.rounds);
+        let stats = UpdateStats {
+            dirty: edited,
+            total: n,
+            rounds,
+            replayed_slots: outcome.replayed,
+            reused_slots: n - outcome.replayed,
+            counters: profiled.then_some(EngineCounters {
+                rounds,
+                ..structure
+            }),
         };
         self.clear_dirty();
         stats
@@ -582,8 +645,9 @@ impl<A: Propagate> DynForest<A> {
     /// leaves equal to a fresh contraction of the current forest. The first
     /// batch after a structural recompute builds the trace's shape index
     /// in `O(n)`; label-only recomputes keep it. Every batch then pays one
-    /// backsolve for the subtree values, `O(hosts + victims)` for the hop
-    /// prefixes of the current labels, and `O(log² n)` per query (see
+    /// backsolve for the subtree values (over the index's hop hosts, in
+    /// descending death round), `O(hosts + victims)` for the hop prefixes
+    /// of the current labels, and `O(log² n)` per query (see
     /// [`Contraction::query_batch`](crate::Contraction::query_batch)).
     pub fn query_batch(&self, batch: &QueryBatch) -> Result<Vec<QueryOutcome<A>>, QueryError>
     where
@@ -597,18 +661,17 @@ impl<A: Propagate> DynForest<A> {
                 pending: self.dirty_list.len(),
             });
         }
-        let trace = &self.scratch.trace;
+        let trace = &self.trace;
         let shape = self
             .shape
             .get_or_init(|| Shape::new(&self.forest, &trace.links));
-        let values = trace.backsolve(&self.alg);
+        let (forest, links, alg) = (&self.forest, &trace.links, &self.alg);
+        // The backsolve runs last: the death records it sweeps are what the
+        // caller's next reads resolve from, so it leaves them in cache.
+        let hop_pref = query::hop_prefixes(forest, links, shape, alg);
+        let values = trace.backsolve(alg, shape.victims.iter().copied());
         Ok(query::resolve(
-            &self.forest,
-            &trace.links,
-            shape,
-            &values,
-            &self.alg,
-            batch,
+            forest, links, shape, hop_pref, &values, alg, batch,
         ))
     }
 
@@ -617,8 +680,8 @@ impl<A: Propagate> DynForest<A> {
     ///
     /// * the underlying arena is well-formed ([`Forest::validate`]);
     /// * **edit-mark coherence** — `dirty_list` is a duplicate-free
-    ///   enumeration of exactly the flagged nodes, and a structural edit
-    ///   is pending only alongside a mark. (Edit marks are *not*
+    ///   enumeration of exactly the flagged nodes, and every node cut or
+    ///   linked since the last recompute carries a mark. (Edit marks are *not*
     ///   upward-closed: label edits mark only the edited node, and change
     ///   propagation finds the ancestors through the trace.)
     ///
@@ -633,10 +696,12 @@ impl<A: Propagate> DynForest<A> {
             self.dirty.len() == n,
             "dirty flags are not sized to the forest ({n} nodes)"
         );
-        ensure!(
-            !self.has_structural || !self.dirty_list.is_empty(),
-            "a structural edit is pending but no node is marked"
-        );
+        for &u in &self.moved {
+            ensure!(
+                self.dirty.get(u as usize) == Some(&true),
+                "n{u} was cut or linked but carries no mark"
+            );
+        }
         let mut in_list = vec![false; n];
         for &u in &self.dirty_list {
             ensure!(
@@ -663,9 +728,10 @@ impl<A: Propagate> DynForest<A> {
     /// a fresh contraction of the current forest records with the same
     /// seed. The fresh one must first pass
     /// [`Contraction::validate`](crate::Contraction::validate); then the
-    /// two traces are compared field by field — child lists, death rounds,
-    /// death parents, hop lists, slot kinds and backsolved values — and the
-    /// first node that differs is named. When a query batch has built the
+    /// two traces are compared node by node — child lists, death rounds,
+    /// death parents, hop lists, slot kinds, the sibling slot of every raked
+    /// node, raked-children lists and backsolved values — and the first node
+    /// that differs is named. When a query batch has built the
     /// shape index, also compares it with one built from the fresh trace.
     /// Requires a clean forest (no pending edits). `O(n log n)` w.h.p.
     #[cfg(feature = "check")]
@@ -677,17 +743,19 @@ impl<A: Propagate> DynForest<A> {
             "validate_trace requires a clean forest ({} edits pending)",
             self.dirty_list.len()
         );
-        let fresh = self.forest.contraction().seed(self.seed).run(&self.alg);
-        fresh.validate(&self.forest)?;
-        let (kept, fresh) = (&self.scratch.trace, &fresh.trace);
+        let fresh_run = self.forest.contraction().seed(self.seed).run(&self.alg);
+        fresh_run.validate(&self.forest)?;
+        let (kept, fresh) = (&self.trace, &fresh_run.trace);
         let n = self.forest.len();
         let (k, f) = (&kept.links, &fresh.links);
         ensure!(
             kept.death.len() == n
+                && kept.sib.len() == n
                 && k.round.len() == n
                 && k.up.len() == n
-                && k.children.off.len() == n + 1
-                && k.hops.off.len() == n + 1,
+                && k.children.groups() == n
+                && k.hops.groups() == n
+                && self.raked.as_ref().map_or(true, |r| r.groups() == n),
             "the maintained trace is not sized to the forest ({n} nodes)"
         );
         let kind = |d: &Death<A>| match d {
@@ -696,15 +764,27 @@ impl<A: Propagate> DynForest<A> {
             Death::Compressed { .. } => "compressed",
             Death::Root(_) => "root",
         };
-        let (kept_vals, fresh_vals) = (kept.backsolve(&self.alg), fresh.backsolve(&self.alg));
+        let fresh_vals = fresh_run.values();
+        let kept_vals: Vec<A::Val> = (0..n as u32)
+            .map(|v| resolve_val(&self.alg, &kept.death, v))
+            .collect();
+        let fresh_raked = fresh.raked_lists();
         for v in 0..n as u32 {
             let vi = v as usize;
+            let raked = matches!(fresh.death[vi], Death::Raked(_));
             let differs = [
                 ("child list", k.children.of(v) != f.children.of(v)),
                 ("death round", k.round[vi] != f.round[vi]),
                 ("death parent", k.up[vi] != f.up[vi]),
                 ("hop list", k.hops.of(v) != f.hops.of(v)),
                 ("slot kind", kind(&kept.death[vi]) != kind(&fresh.death[vi])),
+                ("slot", raked && kept.sib[vi] != fresh.sib[vi]),
+                (
+                    "raked-child list",
+                    self.raked
+                        .as_ref()
+                        .is_some_and(|r| r.of(v) != fresh_raked.of(v)),
+                ),
                 ("value", kept_vals[vi] != fresh_vals[vi]),
             ];
             if let Some((what, _)) = differs.iter().find(|(_, d)| *d) {
@@ -718,10 +798,6 @@ impl<A: Propagate> DynForest<A> {
                 )));
             }
         }
-        ensure!(
-            *k == *f,
-            "the maintained trace's links differ from a fresh contraction's"
-        );
         if let Some(index) = self.shape.get() {
             ensure!(
                 *index == Shape::new(&self.forest, f),

@@ -2,8 +2,11 @@
 //!
 //! The engine runs classic Miller–Reif tree contraction over every node of
 //! a forest loaded into a [`Scratch`]. Static contraction and the dynamic
-//! layer's structural rebuilds run the same code on the same input, so
-//! under one coin seed both record the same [`Trace`].
+//! layer's initial build run the same code on the same input, so under one
+//! coin seed both record the same [`Trace`]. After a cut or link the dynamic
+//! layer re-runs [`decide`] only on the nodes the edits disturbed, reading
+//! every other node's round state back from the trace through
+//! [`Recorded`], so it too keeps the trace a fresh run records.
 //!
 //! Each round proceeds in two phases:
 //!
@@ -26,13 +29,14 @@
 //! every death is stamped with its round (`Death`), forming the
 //! round-stamped contraction DAG, and the run ends by grouping the
 //! compressed nodes into hop lists. The trace's algebra-independent part,
-//! [`Links`], is what the query engine reads. A reverse replay of the trace
-//! ([`Trace::backsolve`]) recovers the final subtree value of *every* node,
-//! not just the roots — the values the query engine starts from. The
-//! dynamic layer's replay caches need no backsolve: every rake recorded
-//! its value, edge function and slot, which is all its contribution needs.
-//! [`Contraction`](crate::Contraction) and [`DynForest`](crate::DynForest)
-//! both own a `Trace`; the rest of [`Scratch`] is per-run working state.
+//! [`Links`], is what the query engine reads. A replay of the trace in
+//! descending death round ([`Trace::backsolve`]) recovers the final subtree
+//! value of *every* node, not just the roots — the values the query engine
+//! starts from. The dynamic layer's replay caches need no backsolve: every
+//! rake recorded its value, edge function and slot, which is all its
+//! contribution needs. [`Contraction`](crate::Contraction) and
+//! [`DynForest`](crate::DynForest) both own a `Trace`; the rest of
+//! [`Scratch`], the death order included, is per-run working state.
 //!
 //! The run loop reports into a statically-dispatched [`Sink`]: per-round
 //! `plan`/`apply` spans and a [`RoundCounters`] record (frontier size,
@@ -43,14 +47,14 @@
 use crate::algebra::Algebra;
 use crate::arena::{Csr, Forest, NONE};
 use crate::check::{self, invariant, Cell, WriteMode};
-use crate::obs::{EngineCounters, Phase, RoundCounters, Sink};
+use crate::obs::{Phase, RoundCounters, Sink};
 use crate::par;
 use crate::rng::coin;
 use std::time::Instant;
 
 /// Per-round action chosen by a live node during the plan phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Action {
+pub(crate) enum Action {
     #[default]
     None,
     /// Childless root: record its component value and retire it.
@@ -80,19 +84,11 @@ pub(crate) enum Death<A: Algebra> {
     Root(A::Val),
 }
 
-/// Outcome of one engine run.
-pub(crate) struct RunOutcome {
-    /// Number of rake/compress rounds executed.
-    pub rounds: u32,
-    /// Whole-run action totals; all-zero unless the sink was enabled.
-    pub counters: EngineCounters,
-}
-
 /// The algebra-independent part of a [`Trace`]: the loaded forest's child
 /// lists and the contraction's shortcut structure, indexed by raw node id.
 /// It holds no values or functions, so the query engine can share it
 /// across threads whatever the algebra.
-#[derive(Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub(crate) struct Links {
     /// Child lists of the loaded forest, each in id order — the order that
     /// numbers the sibling slots.
@@ -125,8 +121,6 @@ pub(crate) struct Trace<A: Algebra> {
     pub links: Links,
     /// Death record per node.
     pub death: Vec<Death<A>>,
-    /// Nodes in death order; reversing it yields a valid backsolve order.
-    pub order: Vec<u32>,
     /// Edge function towards the node's working parent, as it stood when
     /// the node died.
     pub fun: Vec<A::Fun>,
@@ -144,7 +138,6 @@ impl<A: Algebra> Default for Trace<A> {
         Trace {
             links: Links::default(),
             death: Vec::new(),
-            order: Vec::new(),
             fun: Vec::new(),
             sib: Vec::new(),
         }
@@ -153,13 +146,16 @@ impl<A: Algebra> Default for Trace<A> {
 
 impl<A: Algebra> Trace<A> {
     /// Replays the death trace in reverse and returns the final subtree
-    /// value of every node, indexed by node id.
+    /// value of every node, indexed by node id. `compressed` lists every
+    /// compressed node after the compressed node (if any) its record names
+    /// as child: any descending-death-round order works, since that child
+    /// outlives it.
     ///
     /// Raked nodes and finished roots knew their value at death; a
     /// compressed node's value is its recorded unary function applied to
-    /// the value of the child that outlived it — which, processed in
-    /// reverse death order, is always already solved.
-    pub fn backsolve(&self, alg: &A) -> Vec<A::Val> {
+    /// the value of the child that outlived it — which, in that order, is
+    /// always already solved.
+    pub fn backsolve(&self, alg: &A, compressed: impl Iterator<Item = u32>) -> Vec<A::Val> {
         let known = |d: &Death<A>| match d {
             Death::Raked(v) | Death::Root(v) => Some(v.clone()),
             _ => None,
@@ -174,12 +170,147 @@ impl<A: Algebra> Trace<A> {
             .iter()
             .map(|d| known(d).unwrap_or_else(|| filler.clone()))
             .collect();
-        for &u in self.order.iter().rev() {
+        for u in compressed {
             if let Death::Compressed { child, fun } = &self.death[u as usize] {
                 out[u as usize] = alg.apply(fun, out[*child as usize].clone());
             }
         }
         out
+    }
+
+    /// The raked children of every node: group `p` lists the nodes whose
+    /// record is `Raked` with death parent `p`, in ascending `(death round,
+    /// id)`. A node with a death parent was raked unless a hop list names
+    /// it. Two counting sorts, `O(n + rounds)`.
+    pub fn raked_lists(&self) -> Csr {
+        let links = &self.links;
+        let n = links.round.len();
+        let mut victim = vec![false; n];
+        for x in 0..n as u32 {
+            for &v in links.hops.of(x) {
+                victim[v as usize] = true;
+            }
+        }
+        let rounds = links.round.iter().copied().max().unwrap_or(0) as usize;
+        let mut by_round = Csr::default();
+        by_round.regroup(rounds + 1, || {
+            (0..n as u32).map(|u| (links.round[u as usize], u))
+        });
+        let mut raked = Csr::default();
+        raked.regroup(n, || {
+            by_round.items.iter().filter_map(|&u| {
+                let up = links.up[u as usize];
+                (up != NONE && !victim[u as usize]).then_some((up, u))
+            })
+        });
+        raked
+    }
+}
+
+/// The round-by-round state of the run a [`Trace`] recorded, read back from
+/// the trace alone: no per-round snapshot is stored. Death rounds say who
+/// is alive, hop lists give the working parent, and the raked-children
+/// lists (sorted by death round, see [`Trace::raked_lists`]) count the live
+/// children by binary search. Every accessor asks about a node alive at
+/// round `r`, the state *before* round `r`'s actions, as `decide` sees it.
+pub(crate) struct Recorded<'a, A: Algebra> {
+    pub links: &'a Links,
+    pub death: &'a [Death<A>],
+    pub raked: &'a Csr,
+}
+
+impl<'a, A: Algebra> Recorded<'a, A> {
+    /// `true` when `u` is still alive at the start of round `r`.
+    #[inline]
+    pub fn alive(&self, u: u32, r: u32) -> bool {
+        self.links.round[u as usize] >= r
+    }
+
+    /// The death round of `u`.
+    #[inline]
+    pub fn round(&self, u: u32) -> u32 {
+        self.links.round[u as usize]
+    }
+
+    /// The working parent of `u` at round `r`: its parent changes only when
+    /// `u` splices it out, so it is the first victim of `u` still alive at
+    /// `r`, else the parent `u` died with.
+    pub fn par(&self, u: u32, r: u32) -> u32 {
+        let hops = self.links.hops.of(u);
+        let i = hops.partition_point(|&v| self.round(v) < r);
+        hops.get(i).copied().unwrap_or(self.links.up[u as usize])
+    }
+
+    /// The raked children of `u` still alive at round `r`.
+    fn live_raked(&self, u: u32, r: u32) -> &[u32] {
+        let raked = self.raked.of(u);
+        &raked[raked.partition_point(|&x| self.round(x) < r)..]
+    }
+
+    /// The child that spliced `u` out, if `u` was compressed.
+    #[inline]
+    pub fn compressor(&self, u: u32) -> Option<u32> {
+        match self.death[u as usize] {
+            Death::Compressed { child, .. } => Some(child),
+            _ => None,
+        }
+    }
+
+    /// The live child count of `u` at round `r`: every working child's
+    /// chain ends either in a rake into `u` or, for a compressed `u`, in the
+    /// chain that splices `u` out, which lives as long as `u`.
+    pub fn count(&self, u: u32, r: u32) -> u32 {
+        let chain = self.compressor(u).is_some() && r <= self.round(u);
+        self.live_raked(u, r).len() as u32 + u32::from(chain)
+    }
+
+    /// Rakes into `u` in round `r`.
+    pub fn rakes_in(&self, u: u32, r: u32) -> u32 {
+        let raked = self.raked.of(u);
+        let lo = raked.partition_point(|&x| self.round(x) < r);
+        let hi = raked.partition_point(|&x| self.round(x) <= r);
+        (hi - lo) as u32
+    }
+
+    /// The working child of `u` at round `r` on the chain that ends at
+    /// `end`, whose victims above it are `hops`: step to the last victim
+    /// (the one directly below `u`) while it is still alive at `r`.
+    fn chain_top(&self, end: u32, mut hops: &'a [u32], r: u32) -> u32 {
+        let mut top = end;
+        while let Some(&v) = hops.last().filter(|&&v| self.alive(v, r)) {
+            top = v;
+            hops = self.links.hops.of(v);
+        }
+        top
+    }
+
+    /// Pushes the working children of `u` at round `r` onto `out`, one per
+    /// live child chain.
+    pub fn children(&self, u: u32, r: u32, out: &mut Vec<u32>) {
+        for &x in self.live_raked(u, r) {
+            out.push(self.chain_top(x, self.links.hops.of(x), r));
+        }
+        out.extend(self.compressing_chain(u, r));
+    }
+
+    /// The working child of `u` at round `r` on the chain that splices `u`
+    /// out, if `u` is compressed and alive at `r`. `u` is itself one of
+    /// that chain's victims; only those below it are part of the chain under
+    /// `u`.
+    fn compressing_chain(&self, u: u32, r: u32) -> Option<u32> {
+        let c = self.compressor(u).filter(|_| r <= self.round(u))?;
+        let hops = self.links.hops.of(c);
+        let below = hops.partition_point(|&v| self.round(v) < self.round(u));
+        Some(self.chain_top(c, &hops[..below], r))
+    }
+
+    /// The unique working child of `u` at round `r`, when
+    /// `count(u, r) == 1`.
+    pub fn child(&self, u: u32, r: u32) -> Option<u32> {
+        match self.live_raked(u, r).last() {
+            Some(&x) => Some(self.chain_top(x, self.links.hops.of(x), r)),
+            None => self.compressing_chain(u, r),
+        }
     }
 }
 
@@ -199,6 +330,8 @@ pub(crate) struct Scratch<A: Algebra> {
     acc: Vec<A::Acc>,
     /// Liveness flag.
     alive: Vec<bool>,
+    /// Nodes in death order; reversing it yields a valid backsolve order.
+    pub order: Vec<u32>,
     /// What the run records.
     pub trace: Trace<A>,
 }
@@ -210,6 +343,7 @@ impl<A: Algebra> Default for Scratch<A> {
             count: Vec::new(),
             acc: Vec::new(),
             alive: Vec::new(),
+            order: Vec::new(),
             trace: Trace::default(),
         }
     }
@@ -245,20 +379,14 @@ impl<A: Algebra> Scratch<A> {
             }
         }
         // The child lists follow from the same pass: the counts give the
-        // offsets, and each node's slot is its place in its parent's list.
-        let Csr { off, items } = &mut links.children;
-        off.clear();
-        off.push(0);
-        let mut total = 0;
-        for &c in &self.count {
-            total += c;
-            off.push(total);
-        }
-        items.clear();
-        items.resize(total as usize, 0);
+        // group lengths, and each node's slot is its place in its parent's
+        // list.
+        let children = &mut links.children;
+        children.lay_out(self.count.iter().copied());
         for (v, &p) in self.par.iter().enumerate() {
             if p != NONE {
-                items[(off[p as usize] + sib[v]) as usize] = v as u32;
+                let at = children.range(p).0 + sib[v] as usize;
+                children.items[at] = v as u32;
             }
         }
         self.acc.clear();
@@ -278,17 +406,16 @@ impl<A: Algebra> Scratch<A> {
 
     /// Runs rake/compress rounds until every loaded node has died,
     /// reporting phase spans and per-round counters into `sink`, then
-    /// builds the trace's hop lists.
+    /// builds the trace's hop lists. Returns the number of rounds.
     ///
     /// Telemetry is statically dispatched: every instrumentation site is
     /// guarded by `S::ENABLED`, so with [`crate::obs::NoopSink`] this
     /// compiles to exactly the uninstrumented loop.
-    pub fn contract_with<S: Sink>(&mut self, alg: &A, seed: u64, sink: &mut S) -> RunOutcome {
-        self.trace.order.clear();
+    pub fn contract_with<S: Sink>(&mut self, alg: &A, seed: u64, sink: &mut S) -> u32 {
+        self.order.clear();
         let mut live: Vec<u32> = (0..self.par.len() as u32).collect();
         let mut actions: Vec<Action> = Vec::new();
         let mut round: u32 = 0;
-        let mut counters = EngineCounters::default();
         // Shadow write-log for the conflict detector; field-less no-op
         // without the `check` feature (see `check.rs`).
         let mut wlog = check::WriteLog::new();
@@ -308,7 +435,7 @@ impl<A: Algebra> Scratch<A> {
         while !live.is_empty() {
             round += 1;
             let frontier = live.len();
-            let deaths_before = self.trace.order.len();
+            let deaths_before = self.order.len();
             wlog.begin_round(round);
 
             // Plan: pure reads of the pre-round state; each slot is owned by
@@ -421,7 +548,6 @@ impl<A: Algebra> Scratch<A> {
                     finishes,
                     coin_rejections,
                 };
-                counters.absorb_round(&rc);
                 sink.round(&rc);
             }
 
@@ -434,22 +560,15 @@ impl<A: Algebra> Scratch<A> {
 
         // `order` is chronological, so each hop list comes out in
         // ascending death round without sorting.
-        let Trace {
-            links,
-            death,
-            order,
-            ..
-        } = &mut self.trace;
+        let Trace { links, death, .. } = &mut self.trace;
+        let order = &self.order;
         links.hops.regroup(death.len(), || {
             order.iter().filter_map(|&u| match &death[u as usize] {
                 Death::Compressed { child, .. } => Some((*child, u)),
                 _ => None,
             })
         });
-        RunOutcome {
-            rounds: round,
-            counters,
-        }
+        round
     }
 
     fn kill(&mut self, u: u32, round: u32, death: Death<A>) {
@@ -462,7 +581,7 @@ impl<A: Algebra> Scratch<A> {
         trace.death[ui] = death;
         trace.links.round[ui] = round;
         trace.links.up[ui] = self.par[ui];
-        trace.order.push(u);
+        self.order.push(u);
     }
 
     /// Post-round invariant sweep (`check` feature): the round retired at
@@ -475,12 +594,8 @@ impl<A: Algebra> Scratch<A> {
     #[cfg(feature = "check")]
     fn check_round(&self, round: u32, live: &[u32], deaths_before: usize) {
         use std::collections::HashMap;
-        let Trace {
-            links,
-            death,
-            order,
-            ..
-        } = &self.trace;
+        let Trace { links, death, .. } = &self.trace;
+        let order = &self.order;
         invariant!(order.len() > deaths_before, "round {round} retired no node");
         for &u in &order[deaths_before..] {
             let ui = u as usize;
@@ -546,8 +661,25 @@ impl<A: Algebra> Scratch<A> {
 /// no-op behaviour as `None`, but countable by telemetry sinks.
 #[inline]
 fn decide(par: &[u32], count: &[u32], seed: u64, round: u32, u: u32) -> Action {
-    let p = par[u as usize];
-    if count[u as usize] == 0 {
+    decide_by(|x| par[x as usize], |x| count[x as usize], seed, round, u)
+}
+
+/// [`decide`] over any state: `par` and `count` give a live node's working
+/// parent and live child count. It reads them for `u` and, when `u` has
+/// children, for its parent `p`; the only other inputs are the coins of `p`
+/// and its parent, fixed by `(seed, round, node)`. The structure phase of a
+/// dynamic recompute re-decides nodes with it over a mix of recorded and
+/// re-simulated state.
+#[inline]
+pub(crate) fn decide_by(
+    par: impl Fn(u32) -> u32,
+    count: impl Fn(u32) -> u32,
+    seed: u64,
+    round: u32,
+    u: u32,
+) -> Action {
+    let p = par(u);
+    if count(u) == 0 {
         return if p == NONE {
             Action::Finish
         } else {
@@ -557,13 +689,158 @@ fn decide(par: &[u32], count: &[u32], seed: u64, round: u32, u: u32) -> Action {
     if p == NONE {
         return Action::None;
     }
-    let gp = par[p as usize];
-    if gp == NONE || count[p as usize] != 1 {
+    let gp = par(p);
+    if gp == NONE || count(p) != 1 {
         return Action::None;
     }
     if coin(seed, round, p) && !coin(seed, round, gp) {
         Action::Splice
     } else {
         Action::CoinReject
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::obs::NoopSink;
+    use crate::{gen, SubtreeSum};
+    use std::collections::HashMap;
+
+    /// Steps the engine's structural state machine (`decide` plus the
+    /// parent/count/liveness effects of its apply arms) next to a recorded
+    /// trace, and checks every [`Recorded`] accessor against the real state
+    /// at every round. Returns the node-rounds checked.
+    fn check_oracle(f: &Forest<i64>, seed: u64) -> usize {
+        let mut s: Scratch<SubtreeSum> = Scratch::default();
+        s.load(&SubtreeSum, f);
+        s.contract_with(&SubtreeSum, seed, &mut NoopSink);
+        let raked = s.trace.raked_lists();
+        let old = Recorded {
+            links: &s.trace.links,
+            death: &s.trace.death,
+            raked: &raked,
+        };
+        let n = f.len();
+        let mut par: Vec<u32> = (0..n as u32).map(|v| f.parent_raw(v)).collect();
+        let mut count = vec![0u32; n];
+        for &p in par.iter().filter(|&&p| p != NONE) {
+            count[p as usize] += 1;
+        }
+        let mut alive = vec![true; n];
+        let mut live: Vec<u32> = (0..n as u32).collect();
+        let (mut r, mut checked) = (0, 0);
+        let mut got = Vec::new();
+        while !live.is_empty() {
+            r += 1;
+            let mut kids: HashMap<u32, Vec<u32>> = HashMap::new();
+            for &u in &live {
+                if par[u as usize] != NONE {
+                    kids.entry(par[u as usize]).or_default().push(u);
+                }
+            }
+            for u in 0..n as u32 {
+                assert_eq!(old.alive(u, r), alive[u as usize], "alive n{u} r{r}");
+            }
+            let actions: Vec<Action> = live
+                .iter()
+                .map(|&u| decide(&par, &count, seed, r, u))
+                .collect();
+            let mut rakes: HashMap<u32, u32> = HashMap::new();
+            for (&u, a) in live.iter().zip(&actions) {
+                if *a == Action::Rake {
+                    *rakes.entry(par[u as usize]).or_default() += 1;
+                }
+            }
+            for &u in &live {
+                let ui = u as usize;
+                assert_eq!(old.par(u, r), par[ui], "par n{u} r{r}");
+                assert_eq!(old.count(u, r), count[ui], "count n{u} r{r}");
+                let rakes_in = rakes.get(&u).copied().unwrap_or(0);
+                assert_eq!(old.rakes_in(u, r), rakes_in, "rakes into n{u} r{r}");
+                got.clear();
+                old.children(u, r, &mut got);
+                got.sort_unstable();
+                let mut want = kids.get(&u).cloned().unwrap_or_default();
+                want.sort_unstable();
+                assert_eq!(got, want, "working children of n{u} r{r}");
+                if count[ui] == 1 {
+                    assert_eq!(old.child(u, r), Some(want[0]), "unique child of n{u} r{r}");
+                }
+                checked += 1;
+            }
+            let mut killed = Vec::new();
+            for (&u, a) in live.iter().zip(&actions) {
+                let ui = u as usize;
+                match a {
+                    Action::Finish => killed.push(u),
+                    Action::Rake => {
+                        count[par[ui] as usize] -= 1;
+                        killed.push(u);
+                    }
+                    Action::Splice => {
+                        let v = par[ui];
+                        par[ui] = par[v as usize];
+                        killed.push(v);
+                    }
+                    Action::None | Action::CoinReject => {}
+                }
+            }
+            for &u in &killed {
+                assert_eq!(old.round(u), r, "the re-simulation killed n{u} in r{r}");
+                alive[u as usize] = false;
+            }
+            live.retain(|&u| alive[u as usize]);
+        }
+        checked
+    }
+
+    #[test]
+    fn recorded_state_matches_the_engine_on_the_shape_zoo() {
+        for seed in [1u64, 7, 0x5EED] {
+            let zoo = [
+                gen::random_tree(1_500, seed),
+                gen::path(600, seed),
+                gen::star(800, seed),
+                gen::caterpillar(400, 2, seed),
+                gen::binary_tree(1_000, seed),
+                gen::broom(500, 500, seed),
+                gen::random_forest(1_500, 200, seed),
+            ];
+            for f in &zoo {
+                assert!(check_oracle(f, seed) >= f.len());
+            }
+        }
+    }
+
+    #[test]
+    fn raked_lists_follow_the_run() {
+        let f = gen::random_forest(2_000, 30, 3);
+        let mut s: Scratch<SubtreeSum> = Scratch::default();
+        s.load(&SubtreeSum, &f);
+        s.contract_with(&SubtreeSum, 3, &mut NoopSink);
+        let (trace, raked) = (&s.trace, s.trace.raked_lists());
+        let mut listed = 0;
+        for p in 0..f.len() as u32 {
+            let keys: Vec<(u32, u32)> = raked
+                .of(p)
+                .iter()
+                .map(|&x| (trace.links.round[x as usize], x))
+                .collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "n{p} not sorted");
+            for &x in raked.of(p) {
+                assert!(matches!(trace.death[x as usize], Death::Raked(_)));
+                assert_eq!(trace.links.up[x as usize], p);
+            }
+            listed += keys.len();
+        }
+        let rakes = trace
+            .death
+            .iter()
+            .filter(|d| matches!(d, Death::Raked(_)))
+            .count();
+        assert_eq!(listed, rakes);
+        let order = s.order.iter().rev().copied();
+        assert!(trace.backsolve(&SubtreeSum, order) == f.sequential_fold(&SubtreeSum));
     }
 }

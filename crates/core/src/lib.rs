@@ -12,8 +12,9 @@
 //!   trace slots whose inputs changed (change propagation with child
 //!   aggregates filled from the recorded rakes — see the [`Propagate`]
 //!   trait), and batches of [`cut`](DynForest::try_batch_cut) /
-//!   [`link`](DynForest::try_batch_link) edits rebuild the trace with one
-//!   full contraction under the same coins. Every edit and read has one
+//!   [`link`](DynForest::try_batch_link) edits first re-contract, round by
+//!   round, only the nodes whose round state they disturb, reading every
+//!   other node's state back from the trace. Every edit and read has one
 //!   form, which returns a `Result` instead of panicking;
 //! * a **batch query** engine: a [`QueryBatch`] of mixed subtree / path /
 //!   LCA / component queries resolves over the contraction DAG — an
@@ -48,7 +49,8 @@
 //!
 //! Everything the engine does is observable through the [`obs`] module: a
 //! profiled run or forest reports phase spans
-//! (plan/apply/backsolve/dirty-mark/propagate) and per-round counters into
+//! (plan/apply/backsolve/dirty-mark/propagate/restructure) and per-round
+//! counters into
 //! an [`obs::Profile`], which aggregates them into latency histograms
 //! (p50/p90/p99) and per-round totals. Telemetry is statically dispatched,
 //! so an unprofiled run compiles all instrumentation out.
@@ -107,6 +109,7 @@ mod ordered;
 mod par;
 mod propagate;
 pub mod query;
+mod restructure;
 mod rng;
 
 pub use algebra::{

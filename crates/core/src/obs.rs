@@ -6,10 +6,13 @@
 //! reports into a statically-dispatched sink:
 //!
 //! * **Phase spans** — wall time of each [`Phase`] (`Plan`, `Apply`,
-//!   `Backsolve`, `DirtyMark`, `Propagate`), one span per occurrence;
+//!   `Backsolve`, `DirtyMark`, `Propagate`, `Restructure`), one span per
+//!   occurrence;
 //! * **Per-round counters** — one record per rake/compress round: live
 //!   frontier size, rakes, splices, finishes, and coin rejections (splice
-//!   candidates that lost the randomized coin toss).
+//!   candidates that lost the randomized coin toss). A structure phase
+//!   reports one record per round it re-decides, its frontier being the
+//!   nodes it re-decided and its actions theirs.
 //!
 //! Dispatch is static: the engine is generic over its sink type and every
 //! instrumentation site is guarded by the sink's associated constant
@@ -53,11 +56,15 @@ pub enum Phase {
     /// Trace replay performed by change propagation (affected-slot
     /// scheduling plus per-slot re-execution).
     Propagate,
+    /// The structure phase of a recompute after cuts or links: re-deciding
+    /// the nodes whose round state the batch disturbed, and patching the
+    /// trace records, lists and child aggregates they own.
+    Restructure,
 }
 
 impl Phase {
     /// Number of distinct phases.
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 6;
 
     /// All phases, in display order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -66,6 +73,7 @@ impl Phase {
         Phase::Backsolve,
         Phase::DirtyMark,
         Phase::Propagate,
+        Phase::Restructure,
     ];
 
     /// Dense index, `0..Phase::COUNT`.
@@ -82,6 +90,7 @@ impl Phase {
             Phase::Backsolve => "backsolve",
             Phase::DirtyMark => "dirty_mark",
             Phase::Propagate => "propagate",
+            Phase::Restructure => "restructure",
         }
     }
 }
@@ -425,7 +434,11 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Contraction runs observed (a run = one contraction of a whole forest).
+    /// Runs observed: a run is one contraction of a whole forest, or one
+    /// structure phase of a [`recompute`](crate::DynForest::recompute),
+    /// each reporting its rounds from round 1. Tell them apart by their
+    /// spans: a contraction records `plan`/`apply`, a structure phase
+    /// `restructure`.
     pub fn runs(&self) -> u64 {
         self.runs
     }

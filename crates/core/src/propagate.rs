@@ -25,10 +25,18 @@
 //! slot at most once, and a wave dies out after `O(rounds)` hops — the
 //! depth-independence the static round structure was recorded for.
 //!
-//! Only label edits propagate. A cut or link changes the shape the trace
-//! describes, so the dynamic layer contracts the whole forest again under
-//! the same coins and calls [`Replay::rebuild`]; the trace it then holds is
-//! exactly the one a fresh contraction with that seed records.
+//! A cut or link changes the shape the trace describes. The dynamic
+//! layer's structure phase (`restructure.rs`) rewrites the records of the
+//! nodes whose death changed; around its commit, [`Replay::detach`] takes
+//! their stale contributions out of the child aggregates (read from the
+//! trace before the commit) and [`Replay::reattach`] lays out again the
+//! aggregate of every parent that gained or lost a child — its slots shift,
+//! and its sibling tree is resized when its degree crosses a power of two —
+//! and puts a placeholder contribution where each rewritten rake now lands.
+//! Propagation, seeded with the rewritten nodes (whose splice chains it
+//! refolds) and the parents whose aggregates changed, then replaces the
+//! placeholders by the real values. Afterwards the trace is exactly the one
+//! a fresh contraction with the forest's seed records.
 //!
 //! Child aggregates come in two flavours, chosen by
 //! [`Propagate::INVERTIBLE`]:
@@ -42,7 +50,7 @@
 //!   patches one child without refolding the other 10⁵ − 1.
 
 use crate::algebra::{Algebra, Propagate};
-use crate::arena::Forest;
+use crate::arena::{Csr, Forest};
 use crate::engine::{Death, Trace};
 use crate::obs::{Phase, Sink};
 use crate::NodeId;
@@ -80,16 +88,20 @@ pub(crate) enum Kids<A: Propagate> {
     /// One merged `Part` per node; patched by subtract/re-add.
     Flat(Vec<A::Part>),
     /// One balanced sibling-accumulation tree per node, all in one buffer:
-    /// node `p`'s tree is `parts[off[p]..off[p + 1]]`, a 0-based heap of
-    /// `2 × size − 1` entries (`size` the degree rounded up to a power of
+    /// node `p`'s tree starts at `start[p]`, a 0-based heap of `2 × size −
+    /// 1` entries (`size = 1 << lg[p]`, the degree rounded up to a power of
     /// two, 1 for a childless node) with the leaf of child slot `s` at
     /// `size − 1 + s`, padded with [`Propagate::part_empty`]. Entry `i`
     /// merges entries `2i + 1` and `2i + 2`, lower slots on the left, so
     /// entry 0 is the in-order aggregate of every slot, and patching one
-    /// slot remerges only its leaf-to-root path: `O(log degree)`. The trees
-    /// hold up to about `5n` parts, so the offsets are `usize`.
+    /// slot remerges only its leaf-to-root path: `O(log degree)`. A tree
+    /// whose size changes moves to the end of the buffer, into capacity
+    /// reserved when the trees were laid out; only when the reserve runs
+    /// out are the trees packed again. The trees hold up to about `5n`
+    /// parts, so the starts are `usize`.
     Trees {
-        off: Vec<usize>,
+        start: Vec<usize>,
+        lg: Vec<u8>,
         parts: Vec<A::Part>,
     },
 }
@@ -98,21 +110,27 @@ impl<A: Propagate> Kids<A> {
     fn root(&self, u: usize) -> &A::Part {
         match self {
             Kids::Flat(parts) => &parts[u],
-            Kids::Trees { off, parts } => &parts[off[u]],
+            Kids::Trees { start, parts, .. } => &parts[start[u]],
         }
     }
 
-    fn update(&mut self, alg: &A, u: usize, slot: u32, old: A::Val, new: A::Val) {
+    /// Replaces the contribution at `slot` of `u`: `old` leaves (if any),
+    /// `new` arrives (if any). A sibling tree needs only `new`.
+    fn patch(&mut self, alg: &A, u: usize, slot: u32, old: Option<A::Val>, new: Option<A::Val>) {
         match self {
             Kids::Flat(parts) => {
-                alg.part_remove(&mut parts[u], slot, old);
-                let add = alg.part_of(slot, new);
-                parts[u] = alg.part_merge(&parts[u], &add);
+                if let Some(old) = old {
+                    alg.part_remove(&mut parts[u], slot, old);
+                }
+                if let Some(new) = new {
+                    parts[u] = alg.part_merge(&parts[u], &alg.part_of(slot, new));
+                }
             }
-            Kids::Trees { off, parts } => {
-                let tree = &mut parts[off[u]..off[u + 1]];
-                let mut i = tree.len() / 2 + slot as usize;
-                tree[i] = alg.part_of(slot, new);
+            Kids::Trees { start, lg, parts } => {
+                let size = 1usize << lg[u];
+                let tree = &mut parts[start[u]..start[u] + 2 * size - 1];
+                let mut i = size - 1 + slot as usize;
+                tree[i] = new.map_or_else(|| alg.part_empty(), |c| alg.part_of(slot, c));
                 while i > 0 {
                     i = (i - 1) / 2;
                     tree[i] = alg.part_merge(&tree[2 * i + 1], &tree[2 * i + 2]);
@@ -120,6 +138,58 @@ impl<A: Propagate> Kids<A> {
             }
         }
     }
+
+    /// Lays out `u`'s aggregate afresh over `degree` child slots from its
+    /// `contributions` (slot, value), moving its sibling tree to the end of
+    /// the buffer when its size changes.
+    fn relay(
+        &mut self,
+        alg: &A,
+        u: usize,
+        degree: usize,
+        contributions: impl Iterator<Item = (u32, A::Val)>,
+    ) {
+        match self {
+            Kids::Flat(parts) => {
+                parts[u] = contributions.fold(alg.part_empty(), |acc, (slot, c)| {
+                    alg.part_merge(&acc, &alg.part_of(slot, c))
+                });
+            }
+            Kids::Trees { start, lg, parts } => {
+                let size = degree.next_power_of_two();
+                let len = 2 * size - 1;
+                if size != 1 << lg[u] {
+                    if parts.len() + len > parts.capacity() {
+                        pack(start, lg, parts);
+                    }
+                    start[u] = parts.len();
+                    lg[u] = size.trailing_zeros() as u8;
+                    parts.resize(parts.len() + len, alg.part_empty());
+                }
+                let tree = &mut parts[start[u]..start[u] + len];
+                tree.fill(alg.part_empty());
+                for (slot, c) in contributions {
+                    tree[size - 1 + slot as usize] = alg.part_of(slot, c);
+                }
+                for i in (0..size - 1).rev() {
+                    tree[i] = alg.part_merge(&tree[2 * i + 1], &tree[2 * i + 2]);
+                }
+            }
+        }
+    }
+}
+
+/// Packs the sibling trees again, in node order, with a fresh reserve: one
+/// sequential pass, once per reserve's worth of moved trees.
+fn pack<P: Clone>(start: &mut [usize], lg: &[u8], parts: &mut Vec<P>) {
+    let tree = |l: u8| 2 * (1usize << l) - 1;
+    let live: usize = lg.iter().map(|&l| tree(l)).sum();
+    let mut packed = Vec::with_capacity(live + live / 4);
+    for (s, &l) in start.iter_mut().zip(lg) {
+        packed.extend_from_slice(&parts[*s..*s + tree(l)]);
+        *s = packed.len() - tree(l);
+    }
+    *parts = packed;
 }
 
 /// What one propagation pass did, for [`UpdateStats`](crate::UpdateStats).
@@ -133,10 +203,9 @@ pub(crate) struct PropagateOutcome {
 /// The caches that make replaying a slot of a [`Trace`] `O(1)`–
 /// `O(log degree)` instead of `O(degree)`.
 ///
-/// Built from one full contraction's trace by [`Replay::rebuild`], and kept
-/// valid by [`Replay::propagate`] across label-only batches. A structural
-/// batch changes the shape the trace describes, so the dynamic layer
-/// contracts again and rebuilds the caches.
+/// Built from one full contraction's trace by [`Replay::rebuild`], then kept
+/// valid by [`Replay::propagate`], and across a structure phase by
+/// [`Replay::detach`] and [`Replay::reattach`].
 #[derive(Clone)]
 pub(crate) struct Replay<A: Propagate> {
     /// Aggregated child contributions per node (minus the surviving
@@ -196,39 +265,128 @@ impl<A: Propagate> Replay<A> {
             }
             Kids::Flat(parts)
         } else {
-            let mut off = Vec::with_capacity(n + 1);
-            off.push(0);
-            for p in 0..n {
-                let size = links.children.of(p as u32).len().next_power_of_two();
-                off.push(off[p] + 2 * size - 1);
+            let mut start = Vec::with_capacity(n);
+            let mut lg = Vec::with_capacity(n);
+            let mut len = 0;
+            for p in 0..n as u32 {
+                let size = links.children.of(p).len().next_power_of_two();
+                start.push(len);
+                lg.push(size.trailing_zeros() as u8);
+                len += 2 * size - 1;
             }
-            let mut parts = vec![alg.part_empty(); off[n]];
+            let mut parts = Vec::with_capacity(len + len / 4);
+            parts.resize(len, alg.part_empty());
             for (p, slot, c) in rakes {
-                let tree = &mut parts[off[p]..off[p + 1]];
-                tree[tree.len() / 2 + slot as usize] = alg.part_of(slot, c);
+                parts[start[p] + (1usize << lg[p]) - 1 + slot as usize] = alg.part_of(slot, c);
             }
             for p in 0..n {
-                let tree = &mut parts[off[p]..off[p + 1]];
-                for i in (0..tree.len() / 2).rev() {
+                let size = 1usize << lg[p];
+                let tree = &mut parts[start[p]..start[p] + 2 * size - 1];
+                for i in (0..size - 1).rev() {
                     tree[i] = alg.part_merge(&tree[2 * i + 1], &tree[2 * i + 2]);
                 }
             }
-            Kids::Trees { off, parts }
+            Kids::Trees { start, lg, parts }
         };
     }
 
-    /// Replays the trace slots affected by the edited nodes in `dirty`,
-    /// rewriting death records and edge functions in place so that
-    /// [`resolve_val`] afterwards returns post-edit values everywhere.
+    /// The contribution the trace records for the raked node `x`: its value
+    /// through its edge function.
+    fn contribution(alg: &A, trace: &Trace<A>, x: u32) -> Option<A::Val> {
+        match &trace.death[x as usize] {
+            Death::Raked(val) => Some(alg.apply(&trace.fun[x as usize], val.clone())),
+            _ => None,
+        }
+    }
+
+    /// Before a structure phase commits: takes the contribution of every
+    /// `changed` node the trace still records as raked out of its death
+    /// parent's aggregate, at its recorded slot, and lists that parent in
+    /// `seeds`.
+    pub fn detach(&mut self, alg: &A, trace: &Trace<A>, changed: &[u32], seeds: &mut Vec<u32>) {
+        for &x in changed {
+            if let Some(c) = Self::contribution(alg, trace, x) {
+                let (p, slot) = (trace.links.up[x as usize], trace.sib[x as usize]);
+                self.kids.patch(alg, p as usize, slot, Some(c), None);
+                seeds.push(p);
+            }
+        }
+    }
+
+    /// After the commit: lays out the aggregate of every `renumbered`
+    /// parent afresh from its raked children at their new slots (resizing
+    /// its sibling tree when the degree crossed a power of two), moves the
+    /// contribution of every `shifted` node from its old slot to its new
+    /// one, then adds the placeholder contribution of every `changed` node
+    /// now raked. A sibling-tree leaf is overwritten, not summed, so every
+    /// contribution leaves its slot before any arrives. Lists every parent
+    /// it touched in `seeds`; propagation then replaces the placeholders by
+    /// the real values. `O(degree)` per renumbered parent.
+    #[allow(clippy::too_many_arguments)]
+    pub fn reattach(
+        &mut self,
+        alg: &A,
+        trace: &Trace<A>,
+        raked: &Csr,
+        changed: &[u32],
+        renumbered: &[u32],
+        shifted: &[(u32, u32)],
+        seeds: &mut Vec<u32>,
+    ) {
+        for &p in renumbered {
+            let degree = trace.links.children.of(p).len();
+            let contributions = raked
+                .of(p)
+                .iter()
+                .filter_map(|&x| Some((trace.sib[x as usize], Self::contribution(alg, trace, x)?)));
+            self.kids.relay(alg, p as usize, degree, contributions);
+            seeds.push(p);
+        }
+        let shifted = || {
+            shifted.iter().filter_map(|&(x, old)| {
+                let p = trace.links.up[x as usize];
+                let c = Self::contribution(alg, trace, x)?;
+                renumbered
+                    .binary_search(&p)
+                    .is_err()
+                    .then_some((x, p, old, c))
+            })
+        };
+        for (_, p, old, c) in shifted() {
+            self.kids.patch(alg, p as usize, old, Some(c), None);
+        }
+        for (x, p, _, c) in shifted() {
+            let slot = trace.sib[x as usize];
+            self.kids.patch(alg, p as usize, slot, None, Some(c));
+            seeds.push(p);
+        }
+        for &x in changed {
+            if let Some(c) = Self::contribution(alg, trace, x) {
+                let p = trace.links.up[x as usize];
+                if renumbered.binary_search(&p).is_err() {
+                    self.kids
+                        .patch(alg, p as usize, trace.sib[x as usize], None, Some(c));
+                }
+                seeds.push(p);
+            }
+        }
+    }
+
+    /// Replays the trace slots affected by the nodes in `dirty` (edited
+    /// nodes, and after a structure phase the nodes and parents it
+    /// changed), re-deriving the splice chain of every node in `refold`
+    /// first, and rewrites death records and edge functions in place so
+    /// that [`resolve_val`] afterwards returns post-edit values everywhere.
     ///
-    /// Requires `trace` to be the one the caches were rebuilt from, modulo
-    /// earlier propagation passes.
+    /// Requires the caches to match `trace`: built from it, then kept by
+    /// propagation passes and structure phases.
     pub fn propagate<S: Sink>(
         &mut self,
         alg: &A,
         forest: &Forest<A::Label>,
         trace: &mut Trace<A>,
         dirty: &[u32],
+        refolds: &[u32],
         sink: &mut S,
     ) -> PropagateOutcome {
         let start = if S::ENABLED {
@@ -253,7 +411,10 @@ impl<A: Propagate> Replay<A> {
         // strictly later round, so one ascending drain visits each
         // affected slot exactly once.
         let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        for &u in dirty {
+        for &u in refolds {
+            refold[u as usize] = true;
+        }
+        for &u in dirty.iter().chain(refolds) {
             schedule(affected, &mut heap, links.round[u as usize], u);
         }
 
@@ -292,7 +453,7 @@ impl<A: Propagate> Replay<A> {
                     death[ui] = Death::Raked(val);
                     if new != old {
                         let p = links.up[ui];
-                        kids.update(alg, p as usize, sib[ui], old, new);
+                        kids.patch(alg, p as usize, sib[ui], Some(old), Some(new));
                         schedule(affected, &mut heap, links.round[p as usize], p);
                     }
                     // else: the recorded result still holds — the wave cuts

@@ -268,9 +268,10 @@ pub type QueryOutcome<A> =
     Result<Answer<<A as Algebra>::Val, <A as PathAlgebra>::PathVal>, QueryError>;
 
 /// The label-independent half of the query context: what the resolver
-/// needs of the forest's and the trace's *shape*. Label propagation never
+/// (and a dynamic forest's backsolve) needs of the forest's and the
+/// trace's *shape*. Label propagation never
 /// changes death rounds, death parents or hop lists, so a shape index stays
-/// valid until a structural batch rebuilds the trace.
+/// valid until a structural batch rewrites them.
 #[derive(Clone, PartialEq)]
 pub(crate) struct Shape {
     /// Euler entry time (ancestor tests in O(1)).
@@ -283,6 +284,10 @@ pub(crate) struct Shape {
     /// victim dies strictly before its host, so in this order every
     /// victim's own hop list comes before its host's.
     hosts: Vec<u32>,
+    /// Every victim, hosts in descending death round: a backsolve order
+    /// ([`Trace::backsolve`](crate::engine::Trace::backsolve)), since each
+    /// victim's record names its host, which dies later.
+    pub victims: Vec<u32>,
 }
 
 impl Shape {
@@ -300,16 +305,16 @@ impl Shape {
             tin[rr as usize] = clock;
             clock += 1;
             root[rr as usize] = rr;
-            stack.push((rr, children.off[rr as usize]));
+            stack.push((rr, children.range(rr).0 as u32));
             while let Some((u, ci)) = stack.last_mut() {
                 let u = *u;
-                if *ci < children.off[u as usize + 1] {
+                if (*ci as usize) < children.range(u).1 {
                     let k = children.items[*ci as usize];
                     *ci += 1;
                     tin[k as usize] = clock;
                     clock += 1;
                     root[k as usize] = rr;
-                    stack.push((k, children.off[k as usize]));
+                    stack.push((k, children.range(k).0 as u32));
                 } else {
                     tout[u as usize] = clock;
                     clock += 1;
@@ -329,11 +334,18 @@ impl Shape {
         by_round.regroup(rounds as usize + 1, || {
             hosts().map(|x| (death_round[x as usize], x))
         });
+        let hosts = by_round.items;
+        let victims = hosts
+            .iter()
+            .rev()
+            .flat_map(|&x| hops.of(x).iter().copied())
+            .collect();
         Shape {
             tin,
             tout,
             root,
-            hosts: by_round.items,
+            hosts,
+            victims,
         }
     }
 
@@ -380,12 +392,13 @@ fn check_euler<L>(_forest: &Forest<L>, _tin: &[u32], _tout: &[u32]) {}
 /// victim's label joined with the last prefix of its own hop list. A victim
 /// dies before its host, so walking the hosts in ascending death round
 /// finds that prefix already final. `O(hosts + victims)`.
-fn hop_prefixes<A: PathAlgebra>(
+pub(crate) fn hop_prefixes<A: PathAlgebra>(
     forest: &Forest<A::Label>,
-    hops: &Csr,
-    hosts: &[u32],
+    links: &Links,
+    shape: &Shape,
     alg: &A,
 ) -> Vec<A::PathVal> {
+    let (hops, hosts) = (&links.hops, &shape.hosts);
     let mut pref = vec![alg.path_empty(); hops.items.len()];
     for &x in hosts {
         let (lo, hi) = hops.range(x);
@@ -565,8 +578,8 @@ impl<A: PathAlgebra> Resolver<'_, A> {
 }
 
 /// Resolves `batch` against one trace: `links` and `shape` describe its
-/// structure, `values` are its backsolved subtree values. Computes this
-/// batch's hop prefixes, then answers every query in `O(log² n)`.
+/// structure, `hop_pref` are its [`hop_prefixes`] and `values` its
+/// backsolved subtree values. Answers every query in `O(log² n)`.
 ///
 /// Queries are dispatched in ascending death round of their anchor node, so
 /// queries entering the trace at the same rounds run adjacently; with the
@@ -575,6 +588,7 @@ pub(crate) fn resolve<A>(
     forest: &Forest<A::Label>,
     links: &Links,
     shape: &Shape,
+    hop_pref: Vec<A::PathVal>,
     values: &[A::Val],
     alg: &A,
     batch: &QueryBatch,
@@ -590,7 +604,7 @@ where
         links,
         shape,
         values,
-        hop_pref: hop_prefixes(forest, &links.hops, &shape.hosts, alg),
+        hop_pref,
         alg,
     };
     let n = forest.len();
@@ -660,6 +674,15 @@ impl<A: Algebra> Contraction<A> {
         }
         let links = &self.trace.links;
         let shape = Shape::new(forest, links);
-        Ok(resolve(forest, links, &shape, self.values(), alg, batch))
+        let hop_pref = hop_prefixes(forest, links, &shape, alg);
+        Ok(resolve(
+            forest,
+            links,
+            &shape,
+            hop_pref,
+            self.values(),
+            alg,
+            batch,
+        ))
     }
 }

@@ -143,8 +143,9 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
         assert_eq!(prof.phase_stats(Phase::Backsolve).spans(), 0);
     }
 
-    // A structural batch rebuilds the trace with one engine run over every
-    // node, and replays every slot.
+    // A structural batch runs no engine: one structure phase re-decides the
+    // nodes the cuts disturbed, round by round, and propagation replays
+    // only the slots it changed.
     let n = d.len();
     let cuts: Vec<NodeId> = d
         .forest()
@@ -157,19 +158,30 @@ fn dynamic_counters_match_dirty_set_per_recompute() {
     let stats = d.recompute();
     let counters = stats.counters.expect("profiling fills counters");
     assert_eq!(stats.dirty, cuts.len(), "the moved nodes are the edits");
-    assert_eq!(
-        counters.retired(),
-        n as u64,
-        "the rebuild retires every node"
+    assert!(
+        counters.retired() > 0 && counters.retired() < n as u64,
+        "the structure phase re-decides some nodes, not all: {counters}"
     );
     assert_eq!(counters.rounds, stats.rounds);
-    assert_eq!(counters.max_frontier, n);
-    assert_eq!((stats.replayed_slots, stats.reused_slots), (n, 0));
-    assert_eq!(
-        d.profile().unwrap().runs(),
-        1,
-        "one engine run per structural recompute"
-    );
+    assert!(counters.max_frontier >= cuts.len() && counters.max_frontier < n);
+    assert!(stats.reused_slots > 0, "a structural batch reuses slots");
+    assert_eq!(stats.replayed_slots + stats.reused_slots, n);
+    {
+        let prof = d.profile().unwrap();
+        assert_eq!(
+            prof.phase_stats(Phase::Restructure).spans(),
+            1,
+            "one restructure span per structural recompute"
+        );
+        assert_eq!(
+            prof.phase_stats(Phase::Plan).spans(),
+            0,
+            "no engine run on a structural recompute"
+        );
+        assert_eq!(prof.runs(), 1, "the structure phase reports its rounds");
+        let rakes: u64 = prof.per_round().iter().map(|r| r.rakes).sum();
+        assert_eq!(rakes, counters.rakes, "per-round candidate actions add up");
+    }
 
     // An empty recompute reports zeroed counters, not None.
     let stats = d.recompute();

@@ -120,9 +120,9 @@ fn propagation_matches_fresh_contraction_for_expressions() {
     }
 }
 
-/// Churn scripts interleave structural edits (whose recompute rebuilds
-/// the trace from a full contraction) with label edits (which propagate
-/// over the rebuilt trace); values must stay exact through every
+/// Churn scripts interleave structural edits (whose recompute re-decides
+/// the disturbed nodes and patches the trace) with label edits (which
+/// propagate over the patched trace); values must stay exact through every
 /// transition.
 #[test]
 fn propagation_survives_structural_churn_and_reanchors() {
@@ -140,8 +140,8 @@ fn propagation_survives_structural_churn_and_reanchors() {
         d.recompute();
         assert_matches_fresh(&format!("churn chunk {i}"), &d, &SubtreeSum, 0x11);
     }
-    // A structural batch replays every slot; the label batch after it
-    // propagates over the rebuilt trace.
+    // A one-node structural batch replays few slots; the label batch after
+    // it propagates over the patched trace.
     let v = NodeId::from_index(3);
     if d.forest().is_root(v) {
         let target = d
@@ -154,13 +154,16 @@ fn propagation_survives_structural_churn_and_reanchors() {
         d.try_batch_cut(&[v]).unwrap();
     }
     let stats = d.recompute();
-    assert_eq!(stats.replayed_slots, stats.total, "a rebuild replays all");
-    assert_eq!(stats.reused_slots, 0);
+    assert!(
+        stats.reused_slots > 0 && stats.replayed_slots < stats.total,
+        "a structural batch reuses slots: {stats}"
+    );
+    assert_matches_fresh("after one move", &d, &SubtreeSum, 0x11);
     d.batch_update_weights(&[(v, -7)]).unwrap();
     let stats = d.recompute();
     assert!(
         stats.replayed_slots < stats.total,
-        "label batches after a rebuild propagate incrementally"
+        "label batches after a structural batch propagate incrementally"
     );
     assert_matches_fresh("after churn", &d, &SubtreeSum, 0x11);
 }

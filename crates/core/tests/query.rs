@@ -14,56 +14,6 @@ fn xorshift(s: &mut u64) -> u64 {
     *s
 }
 
-fn depth<L>(f: &Forest<L>, mut v: NodeId) -> usize {
-    let mut d = 0;
-    while let Some(p) = f.parent(v) {
-        v = p;
-        d += 1;
-    }
-    d
-}
-
-/// LCA by the two-pointer depth walk; `None` across components.
-fn naive_lca<L>(f: &Forest<L>, mut u: NodeId, mut v: NodeId) -> Option<NodeId> {
-    let (mut du, mut dv) = (depth(f, u), depth(f, v));
-    while du > dv {
-        u = f.parent(u).unwrap();
-        du -= 1;
-    }
-    while dv > du {
-        v = f.parent(v).unwrap();
-        dv -= 1;
-    }
-    while u != v {
-        match (f.parent(u), f.parent(v)) {
-            (Some(pu), Some(pv)) => {
-                u = pu;
-                v = pv;
-            }
-            _ => return None,
-        }
-    }
-    Some(u)
-}
-
-/// All nodes on the tree path `u..=v` (via the LCA); `None` across
-/// components.
-fn naive_path_nodes<L>(f: &Forest<L>, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-    let w = naive_lca(f, u, v)?;
-    let mut nodes = vec![w];
-    let mut x = u;
-    while x != w {
-        nodes.push(x);
-        x = f.parent(x).unwrap();
-    }
-    let mut x = v;
-    while x != w {
-        nodes.push(x);
-        x = f.parent(x).unwrap();
-    }
-    Some(nodes)
-}
-
 /// Builds a mixed batch of `nq` random queries and checks every answer
 /// against the naive oracles.
 fn check_queries<A>(name: &str, f: &Forest<A::Label>, alg: &A, nq: usize, seed: u64)
@@ -114,18 +64,12 @@ where
                     "{name}: q{i} {q:?}"
                 );
             }
-            Query::Lca(u, v) => match naive_lca(f, u, v) {
+            Query::Lca(u, v) => match f.naive_lca(u, v) {
                 Some(w) => assert_eq!(a, &Answer::Node(w), "{name}: q{i} {q:?}"),
                 None => assert_eq!(a, &Answer::NotConnected, "{name}: q{i} {q:?}"),
             },
-            Query::Path(u, v) => match naive_path_nodes(f, u, v) {
-                Some(nodes) => {
-                    let mut agg = alg.path_empty();
-                    for w in nodes {
-                        agg = alg.path_concat(&agg, &alg.path_of(f.label(w)));
-                    }
-                    assert_eq!(a, &Answer::PathValue(agg), "{name}: q{i} {q:?}");
-                }
+            Query::Path(u, v) => match f.naive_path_fold(alg, u, v) {
+                Some(agg) => assert_eq!(a, &Answer::PathValue(agg), "{name}: q{i} {q:?}"),
                 None => assert_eq!(a, &Answer::NotConnected, "{name}: q{i} {q:?}"),
             },
         }
@@ -284,7 +228,7 @@ fn dyn_forest_guards_stale_reads_and_pending_queries() {
     assert_eq!(d.try_subtree_value(r), Err(QueryError::Stale { node: r }));
     assert_eq!(
         d.try_component_value(leaf),
-        Err(QueryError::Stale { node: r })
+        Err(QueryError::Stale { node: leaf })
     );
     assert_eq!(
         d.query_batch(&batch),
@@ -390,6 +334,7 @@ fn rejected_edit_batches_leave_no_marks() {
     assert_eq!(d.try_batch_link(&[(e, c), (unknown, r)]), err);
     assert_eq!(d.try_batch_link(&[(e, c), (c, unknown)]), err);
     assert_eq!(d.batch_update_weights(&[(b, 30), (unknown, 1)]), err);
+    assert!(!d.is_dirty(unknown), "an unknown id carries no mark");
     assert_eq!(d.pending(), 0);
     assert!(nodes.iter().all(|&v| !d.is_dirty(v)));
     assert_eq!(reads(&d), clean, "reads unchanged by unknown ids");
@@ -477,10 +422,9 @@ where
             .collect();
         d.batch_update_weights(&updates).unwrap();
         let stats = d.recompute();
-        assert_eq!(
-            stats.reused_slots == 0,
-            structural,
-            "{name} round {round}: rebuilds exactly on structural rounds"
+        assert!(
+            stats.reused_slots > 0,
+            "{name} round {round}: every batch, structural or not, reuses slots"
         );
 
         // Cached values match a from-scratch fold of the edited shape…
@@ -521,17 +465,12 @@ where
                     &Answer::Value(oracle[f.root_of(v).index()].clone()),
                     "{at}"
                 ),
-                Query::Lca(u, v) => match naive_lca(f, u, v) {
+                Query::Lca(u, v) => match f.naive_lca(u, v) {
                     Some(w) => assert_eq!(a, &Answer::Node(w), "{at}"),
                     None => assert_eq!(a, &Answer::NotConnected, "{at}"),
                 },
-                Query::Path(u, v) => match naive_path_nodes(f, u, v) {
-                    Some(nodes) => {
-                        let agg = nodes.iter().fold(alg.path_empty(), |agg, &w| {
-                            alg.path_concat(&agg, &alg.path_of(f.label(w)))
-                        });
-                        assert_eq!(a, &Answer::PathValue(agg), "{at}");
-                    }
+                Query::Path(u, v) => match f.naive_path_fold(&alg, u, v) {
+                    Some(agg) => assert_eq!(a, &Answer::PathValue(agg), "{at}"),
                     None => assert_eq!(a, &Answer::NotConnected, "{at}"),
                 },
             }
