@@ -270,8 +270,11 @@ impl<L> Forest<L> {
 /// fits is rewritten in place, and a longer one moves to the end of
 /// `items`, into capacity reserved when the groups were laid out. So a
 /// batch touches only the groups it changes; only when the reserve runs
-/// out are the groups packed again.
-#[derive(Debug, Clone, Default)]
+/// out are the groups packed again. Packing costs `O(groups + items)`, so
+/// the reserve is a quarter of that: a pack is paid for by the moved items
+/// that filled the reserve, even when the groups are mostly empty (hop
+/// lists). A clone keeps the reserve.
+#[derive(Debug, Default)]
 pub(crate) struct Csr {
     /// `[lo, hi)` of every group in `items`.
     span: Vec<[u32; 2]>,
@@ -307,14 +310,12 @@ impl Csr {
             *s = [total, total];
             total += len;
         }
-        self.items.clear();
-        self.items.resize(total as usize, 0);
+        lay_items(&mut self.items, total as usize, groups);
         for (g, id) in pairs() {
             let cursor = &mut span[g as usize][1];
             self.items[*cursor as usize] = id;
             *cursor += 1;
         }
-        self.items.reserve(total as usize / 4);
     }
 
     /// Lays out packed groups of the given lengths with zeroed items, for
@@ -326,9 +327,7 @@ impl Csr {
             self.span.push([total, total + len]);
             total += len;
         }
-        self.items.clear();
-        self.items.resize(total as usize, 0);
-        self.items.reserve(total as usize / 4);
+        lay_items(&mut self.items, total as usize, self.span.len());
     }
 
     /// The `[lo, hi)` range of group `k` in `items`.
@@ -366,12 +365,83 @@ impl Csr {
     /// sequential pass, once per reserve's worth of moved items.
     fn pack(&mut self) {
         let live: usize = self.span.iter().map(|s| (s[1] - s[0]) as usize).sum();
-        let mut packed = Vec::with_capacity(live + live / 4);
+        let mut packed = Vec::with_capacity(live + reserve(live, self.span.len()));
         for s in &mut self.span {
             let start = packed.len() as u32;
             packed.extend_from_slice(&self.items[s[0] as usize..s[1] as usize]);
             *s = [start, packed.len() as u32];
         }
         self.items = packed;
+    }
+}
+
+/// Spare items kept behind `len` items in `groups` groups.
+fn reserve(len: usize, groups: usize) -> usize {
+    (len + groups) / 4
+}
+
+/// Refills `items` with `len` zeros and [`reserve`]s room behind them.
+fn lay_items(items: &mut Vec<u32>, len: usize, groups: usize) {
+    items.clear();
+    items.reserve_exact(len + reserve(len, groups));
+    items.resize(len, 0);
+}
+
+impl Clone for Csr {
+    fn clone(&self) -> Self {
+        Csr {
+            span: self.span.clone(),
+            items: clone_with_reserve(&self.items),
+        }
+    }
+}
+
+/// A copy of `v` with the same capacity. A derived clone allocates just the
+/// length, so the first relocation into a table's reserve would pack the
+/// whole table instead.
+pub(crate) fn clone_with_reserve<T: Clone>(v: &Vec<T>) -> Vec<T> {
+    let mut copy = Vec::with_capacity(v.capacity());
+    copy.extend_from_slice(v);
+    copy
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Csr;
+
+    /// 1000 groups holding ten items between them, like a tree's hop lists.
+    fn sparse() -> Csr {
+        let mut t = Csr::default();
+        t.regroup(1000, || (0..10u32).map(|i| (i * 100, i)));
+        t
+    }
+
+    #[test]
+    fn a_clone_moves_lists_into_the_reserve_without_packing() {
+        let t = sparse();
+        let mut c = t.clone();
+        assert_eq!(c.items.capacity(), t.items.capacity());
+        // A pack walks all 1000 groups, so the reserve has room for a
+        // quarter of them even though they hold only ten items.
+        let buffer = c.items.as_ptr();
+        for k in 0..100 {
+            c.set(k, &[k, k + 1]);
+        }
+        assert_eq!(c.items.as_ptr(), buffer, "a relocation packed the table");
+        for k in 0..1000 {
+            let want: Vec<u32> = match k {
+                0..=99 => vec![k, k + 1],
+                _ if k % 100 == 0 => vec![k / 100],
+                _ => vec![],
+            };
+            assert_eq!(c.of(k), want, "group {k}");
+        }
+        // Outgrowing the reserve packs the table; every list survives.
+        for k in 0..1000 {
+            c.set(k, &[k, k, k]);
+        }
+        for k in 0..1000 {
+            assert_eq!(c.of(k), [k, k, k], "group {k}");
+        }
     }
 }

@@ -211,7 +211,10 @@ pub struct DynForest<A: Propagate> {
     /// The raked children of every node, sorted by death round
     /// ([`Trace::raked_lists`]), which the structure phase's oracle reads.
     /// Built by the first structural batch: a forest that is never cut or
-    /// linked neither builds nor holds them.
+    /// linked neither builds nor holds them. Built by [`DynForest::new`]
+    /// instead, they cost ~3 ms and ~1.3 MB per 100k-node forest on a 2-vCPU
+    /// host, which put `dtc-e2e`'s `setup_s` past its bound on the
+    /// workloads without cuts or links.
     raked: Option<Csr>,
     /// The structure phase's working sets, kept so batches reuse them.
     restructure: Restructure,
@@ -219,9 +222,10 @@ pub struct DynForest<A: Propagate> {
     /// forest, so a cloned forest is immediately ready to recompute
     /// (benchmarks rely on this).
     replay: Replay<A>,
-    /// The query shape index of the maintained trace: built by the first
+    /// The query shape index of the maintained trace and its victims in a
+    /// backsolve order ([`Shape::victims`]): built by the first
     /// [`DynForest::query_batch`] after a structural batch, which drops it.
-    shape: OnceLock<Shape>,
+    shape: OnceLock<(Shape, Vec<u32>)>,
     /// Coin seed of every contraction this forest runs, fixed for its life.
     seed: u64,
     /// Telemetry collector; `Some` once profiling is enabled. Boxed so the
@@ -324,13 +328,7 @@ impl<A: Propagate> DynForest<A> {
     /// tell which ancestors a pending edit will reach; the caller must
     /// [`DynForest::recompute`] first.
     pub fn try_subtree_value(&self, v: NodeId) -> Result<A::Val, QueryError> {
-        let n = self.forest.len();
-        if v.index() >= n {
-            return Err(QueryError::UnknownNode { node: v, nodes: n });
-        }
-        if !self.dirty_list.is_empty() {
-            return Err(QueryError::Stale { node: v });
-        }
+        self.readable(v)?;
         Ok(resolve_val(&self.alg, &self.trace.death, v.raw()))
     }
 
@@ -342,13 +340,25 @@ impl<A: Propagate> DynForest<A> {
     /// them reaches the component root in `O(rounds)` steps, however deep
     /// `v` sits.
     pub fn try_component_value(&self, v: NodeId) -> Result<A::Val, QueryError> {
-        self.try_subtree_value(v)?;
+        self.readable(v)?;
         let up = &self.trace.links.up;
         let mut root = v.raw();
         while up[root as usize] != NONE {
             root = up[root as usize];
         }
-        self.try_subtree_value(NodeId(root))
+        Ok(resolve_val(&self.alg, &self.trace.death, root))
+    }
+
+    /// `Ok` when `v` names a node of the forest and no edit is pending.
+    fn readable(&self, v: NodeId) -> Result<(), QueryError> {
+        let nodes = self.forest.len();
+        if v.index() >= nodes {
+            return Err(QueryError::UnknownNode { node: v, nodes });
+        }
+        if !self.dirty_list.is_empty() {
+            return Err(QueryError::Stale { node: v });
+        }
+        Ok(())
     }
 
     /// Marks a single node as edited. Label edits mark only the edited
@@ -613,8 +623,9 @@ impl<A: Propagate> DynForest<A> {
             // Reads resolve from the death records, and the structure phase
             // evicts them from cache: it reads the old round state all over
             // the trace. One sequential pass (about 0.1 ms per 100k nodes)
-            // puts them back; on `dtc-e2e`'s `mixed-random`, reads after a
-            // structural batch ran ~30% slower without it.
+            // puts them back. On `dtc-e2e`'s `mixed-random`, settled reads
+            // ran 1.6x slower without it (median `read_p50_ns` of ten
+            // alternating pairs on a 2-vCPU host, with and without the pass).
             let finished = trace.death.iter().filter(|d| matches!(d, Death::Root(_)));
             std::hint::black_box(finished.count());
         }
@@ -662,14 +673,16 @@ impl<A: Propagate> DynForest<A> {
             });
         }
         let trace = &self.trace;
-        let shape = self
-            .shape
-            .get_or_init(|| Shape::new(&self.forest, &trace.links));
         let (forest, links, alg) = (&self.forest, &trace.links, &self.alg);
+        let (shape, victims) = self.shape.get_or_init(|| {
+            let shape = Shape::new(forest, links);
+            let victims = shape.victims(&links.hops);
+            (shape, victims)
+        });
         // The backsolve runs last: the death records it sweeps are what the
         // caller's next reads resolve from, so it leaves them in cache.
         let hop_pref = query::hop_prefixes(forest, links, shape, alg);
-        let values = trace.backsolve(alg, shape.victims.iter().copied());
+        let values = trace.backsolve(alg, victims.iter().copied());
         Ok(query::resolve(
             forest, links, shape, hop_pref, &values, alg, batch,
         ))
@@ -798,9 +811,10 @@ impl<A: Propagate> DynForest<A> {
                 )));
             }
         }
-        if let Some(index) = self.shape.get() {
+        if let Some((index, victims)) = self.shape.get() {
+            let fresh_index = Shape::new(&self.forest, f);
             ensure!(
-                *index == Shape::new(&self.forest, f),
+                *index == fresh_index && *victims == fresh_index.victims(&f.hops),
                 "the kept query index differs from one built from a fresh contraction"
             );
         }

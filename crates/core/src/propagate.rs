@@ -50,7 +50,7 @@
 //!   patches one child without refolding the other 10⁵ − 1.
 
 use crate::algebra::{Algebra, Propagate};
-use crate::arena::{Csr, Forest};
+use crate::arena::{clone_with_reserve, Csr, Forest};
 use crate::engine::{Death, Trace};
 use crate::obs::{Phase, Sink};
 use crate::NodeId;
@@ -83,7 +83,6 @@ pub(crate) fn resolve_val<A: Algebra>(alg: &A, death: &[Death<A>], v: u32) -> A:
 
 /// Per-node aggregates of child contributions, strategy picked at build
 /// time by [`Propagate::INVERTIBLE`].
-#[derive(Clone)]
 pub(crate) enum Kids<A: Propagate> {
     /// One merged `Part` per node; patched by subtract/re-add.
     Flat(Vec<A::Part>),
@@ -97,13 +96,26 @@ pub(crate) enum Kids<A: Propagate> {
     /// slot remerges only its leaf-to-root path: `O(log degree)`. A tree
     /// whose size changes moves to the end of the buffer, into capacity
     /// reserved when the trees were laid out; only when the reserve runs
-    /// out are the trees packed again. The trees hold up to about `5n`
-    /// parts, so the starts are `usize`.
+    /// out are the trees packed again (a clone keeps the reserve). The
+    /// trees hold up to about `5n` parts, so the starts are `usize`.
     Trees {
         start: Vec<usize>,
         lg: Vec<u8>,
         parts: Vec<A::Part>,
     },
+}
+
+impl<A: Propagate> Clone for Kids<A> {
+    fn clone(&self) -> Self {
+        match self {
+            Kids::Flat(parts) => Kids::Flat(parts.clone()),
+            Kids::Trees { start, lg, parts } => Kids::Trees {
+                start: start.clone(),
+                lg: lg.clone(),
+                parts: clone_with_reserve(parts),
+            },
+        }
+    }
 }
 
 impl<A: Propagate> Kids<A> {

@@ -284,10 +284,6 @@ pub(crate) struct Shape {
     /// victim dies strictly before its host, so in this order every
     /// victim's own hop list comes before its host's.
     hosts: Vec<u32>,
-    /// Every victim, hosts in descending death round: a backsolve order
-    /// ([`Trace::backsolve`](crate::engine::Trace::backsolve)), since each
-    /// victim's record names its host, which dies later.
-    pub victims: Vec<u32>,
 }
 
 impl Shape {
@@ -334,19 +330,20 @@ impl Shape {
         by_round.regroup(rounds as usize + 1, || {
             hosts().map(|x| (death_round[x as usize], x))
         });
-        let hosts = by_round.items;
-        let victims = hosts
-            .iter()
-            .rev()
-            .flat_map(|&x| hops.of(x).iter().copied())
-            .collect();
         Shape {
             tin,
             tout,
             root,
-            hosts,
-            victims,
+            hosts: by_round.items,
         }
+    }
+
+    /// Every victim of the indexed `hops`, hosts in descending death round:
+    /// a backsolve order ([`Trace::backsolve`](crate::engine::Trace::backsolve)),
+    /// since each victim's record names its host, which dies later.
+    pub fn victims(&self, hops: &Csr) -> Vec<u32> {
+        let hosts = self.hosts.iter().rev();
+        hosts.flat_map(|&x| hops.of(x).iter().copied()).collect()
     }
 
     /// `true` iff `a` is an ancestor of `b` (or equal).
