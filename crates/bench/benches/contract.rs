@@ -94,28 +94,22 @@ fn main() {
         let base = DynForest::new(f, SubtreeSum);
         let name = "batch_churn_512/random_100k";
         if h.selected(name) {
-            h.bench(
-                name,
-                || base.clone(),
-                |d| {
-                    let mut last = None;
-                    for chunk in script.chunks(16) {
-                        for op in chunk {
-                            let edited = match *op {
-                                ChurnOp::Cut(v) => d.try_batch_cut(&[v]),
-                                ChurnOp::Link { child, parent } => {
-                                    d.try_batch_link(&[(child, parent)])
-                                }
-                                ChurnOp::Weight(v, w) => d.batch_update_weights(&[(v, w)]),
-                            };
-                            edited.unwrap();
-                        }
-                        last = Some(d.recompute());
-                    }
-                    last
-                },
-            );
+            h.bench(name, || base.clone(), |d| churn(d, &script));
             h.attach(name, "ops", Json::num(script.len() as u32));
+            let mut probe = base.clone();
+            probe.enable_profiling();
+            let (replayed, reused) = churn(&mut probe, &script);
+            let oracle = probe.forest().sequential_fold(&SubtreeSum);
+            for v in probe.forest().node_ids() {
+                assert_eq!(
+                    probe.try_subtree_value(v).unwrap(),
+                    oracle[v.index()],
+                    "{name}: recomputed value of {v} differs from sequential_fold"
+                );
+            }
+            h.attach(name, "replayed_slots", Json::Num(replayed as f64));
+            h.attach(name, "reused_slots", Json::Num(reused as f64));
+            attach_profile(&h, name, probe.profile().unwrap());
         }
     }
 
@@ -264,6 +258,26 @@ fn settle_structure<A: Propagate>(d: &mut DynForest<A>) {
     d.try_batch_cut(&[v]).unwrap();
     d.try_batch_link(&[(v, p)]).unwrap();
     d.recompute();
+}
+
+/// Applies `script` to `d` in chunks of 16 ops, one recompute per chunk,
+/// and returns the trace slots those recomputes replayed and reused.
+fn churn(d: &mut DynForest<SubtreeSum>, script: &[ChurnOp]) -> (usize, usize) {
+    let (mut replayed, mut reused) = (0, 0);
+    for chunk in script.chunks(16) {
+        for op in chunk {
+            let edited = match *op {
+                ChurnOp::Cut(v) => d.try_batch_cut(&[v]),
+                ChurnOp::Link { child, parent } => d.try_batch_link(&[(child, parent)]),
+                ChurnOp::Weight(v, w) => d.batch_update_weights(&[(v, w)]),
+            };
+            edited.unwrap();
+        }
+        let stats = d.recompute();
+        replayed += stats.replayed_slots;
+        reused += stats.reused_slots;
+    }
+    (replayed, reused)
 }
 
 /// A reproducible 1k-query mix: equal parts subtree, path, LCA, and
