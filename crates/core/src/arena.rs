@@ -260,35 +260,40 @@ impl<L> Forest<L> {
     }
 }
 
-/// Node ids grouped by node: group `k` is `items[lo..hi]` for its span
+/// Items grouped by node: group `k` is `items[lo..hi]` for its span
 /// `[lo, hi)`. A trace holds two: the loaded forest's child lists, built
 /// once per load by [`Scratch::load`](crate::engine::Scratch::load) in id
 /// order (the order the contraction engine numbers sibling slots in), and
 /// its hop lists, built once per run. A dynamic forest also keeps each
-/// node's raked children. A run lays the groups out packed, in group order;
-/// a structure phase replaces single groups ([`Csr::set`]): a list that
+/// node's raked children and, under a non-invertible algebra, its sibling
+/// tree (`propagate.rs`). A run lays the groups out packed, in group order;
+/// a structure phase resizes single groups ([`Csr::resize`]): a group that
 /// fits is rewritten in place, and a longer one moves to the end of
 /// `items`, into capacity reserved when the groups were laid out. So a
 /// batch touches only the groups it changes; only when the reserve runs
 /// out are the groups packed again. Packing costs `O(groups + items)`, so
 /// the reserve is a quarter of that: a pack is paid for by the moved items
 /// that filled the reserve, even when the groups are mostly empty (hop
-/// lists). A clone keeps the reserve.
-#[derive(Debug, Default)]
-pub(crate) struct Csr {
+/// lists). A clone keeps the reserve. Offsets are `u32`, checked by
+/// [`offset`].
+#[derive(Debug)]
+pub(crate) struct Csr<T = u32> {
     /// `[lo, hi)` of every group in `items`.
     span: Vec<[u32; 2]>,
-    /// Every grouped id, plus dead items left behind by [`Csr::set`].
-    pub items: Vec<u32>,
+    /// Every grouped item, plus dead items left behind by [`Csr::resize`].
+    pub items: Vec<T>,
+}
+
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Csr {
+            span: Vec::new(),
+            items: Vec::new(),
+        }
+    }
 }
 
 impl Csr {
-    /// Number of groups.
-    #[cfg(feature = "check")]
-    pub fn groups(&self) -> usize {
-        self.span.len()
-    }
-
     /// Regroups the `(group, id)` pairs `pairs()` yields into `groups`
     /// packed groups, each in yield order. `pairs` is called twice: once to
     /// count and once to fill. `O(groups + pairs)`, no allocation once the
@@ -304,13 +309,13 @@ impl Csr {
             span[g as usize][1] += 1;
         }
         // Each group's end starts out as its cursor, at its start.
-        let mut total = 0;
+        let mut end = 0;
         for s in span.iter_mut() {
-            let len = s[1];
-            *s = [total, total];
-            total += len;
+            let lo = end;
+            end = offset(lo as usize + s[1] as usize);
+            *s = [lo, lo];
         }
-        lay_items(&mut self.items, total as usize, groups);
+        lay_items(&mut self.items, end as usize, groups, 0);
         for (g, id) in pairs() {
             let cursor = &mut span[g as usize][1];
             self.items[*cursor as usize] = id;
@@ -318,16 +323,30 @@ impl Csr {
         }
     }
 
-    /// Lays out packed groups of the given lengths with zeroed items, for
-    /// the caller to fill through [`Csr::range`].
-    pub fn lay_out(&mut self, lens: impl Iterator<Item = u32>) {
+    /// Replaces group `k` by `ids` ([`Csr::resize`]).
+    pub fn set(&mut self, k: u32, ids: &[u32]) {
+        self.resize(k, ids.len(), 0).copy_from_slice(ids);
+    }
+}
+
+impl<T: Clone> Csr<T> {
+    /// Number of groups.
+    #[cfg(feature = "check")]
+    pub fn groups(&self) -> usize {
+        self.span.len()
+    }
+
+    /// Lays out packed groups of the given lengths, every item `fill`, for
+    /// the caller to fill through [`Csr::range`] or [`Csr::of_mut`].
+    pub fn lay_out(&mut self, lens: impl Iterator<Item = usize>, fill: T) {
         self.span.clear();
-        let mut total = 0;
+        let mut end = 0;
         for len in lens {
-            self.span.push([total, total + len]);
-            total += len;
+            let lo = end;
+            end = offset(lo as usize + len);
+            self.span.push([lo, end]);
         }
-        lay_items(&mut self.items, total as usize, self.span.len());
+        lay_items(&mut self.items, end as usize, self.span.len(), fill);
     }
 
     /// The `[lo, hi)` range of group `k` in `items`.
@@ -339,26 +358,33 @@ impl Csr {
 
     /// Group `k`.
     #[inline]
-    pub fn of(&self, k: u32) -> &[u32] {
+    pub fn of(&self, k: u32) -> &[T] {
         let (lo, hi) = self.range(k);
         &self.items[lo..hi]
     }
 
-    /// Replaces group `k` by `ids`: in place when they fit in its span,
-    /// else at the end of `items`, packing the groups first if that would
-    /// outgrow the reserve. `O(len)` amortized.
-    pub fn set(&mut self, k: u32, ids: &[u32]) {
+    /// Group `k`, mutably.
+    #[inline]
+    pub fn of_mut(&mut self, k: u32) -> &mut [T] {
+        let (lo, hi) = self.range(k);
+        &mut self.items[lo..hi]
+    }
+
+    /// Group `k` resized to `len` items, for the caller to overwrite: in
+    /// place when they fit in its span, else `len` copies of `fill` at the
+    /// end of `items`, packing the groups first if that would outgrow the
+    /// reserve. `O(len)` amortized.
+    pub fn resize(&mut self, k: u32, len: usize, fill: T) -> &mut [T] {
         let (mut lo, hi) = self.range(k);
-        if ids.len() > hi - lo {
-            if self.items.len() + ids.len() > self.items.capacity() {
+        if len > hi - lo {
+            if self.items.len() + len > self.items.capacity() {
                 self.pack();
             }
             lo = self.items.len();
-            self.items.extend_from_slice(ids);
-        } else {
-            self.items[lo..lo + ids.len()].copy_from_slice(ids);
+            self.items.resize(lo + len, fill);
         }
-        self.span[k as usize] = [lo as u32, (lo + ids.len()) as u32];
+        self.span[k as usize] = [offset(lo), offset(lo + len)];
+        &mut self.items[lo..lo + len]
     }
 
     /// Packs the groups again, in group order, with a fresh reserve: one
@@ -367,12 +393,26 @@ impl Csr {
         let live: usize = self.span.iter().map(|s| (s[1] - s[0]) as usize).sum();
         let mut packed = Vec::with_capacity(live + reserve(live, self.span.len()));
         for s in &mut self.span {
-            let start = packed.len() as u32;
+            let lo = offset(packed.len());
             packed.extend_from_slice(&self.items[s[0] as usize..s[1] as usize]);
-            *s = [start, packed.len() as u32];
+            *s = [lo, offset(packed.len())];
         }
         self.items = packed;
     }
+}
+
+/// `i` as an offset into a table's items.
+///
+/// # Panics
+/// Panics when `i` does not fit in a `u32` (ARCHITECTURE.md lists the
+/// forest sizes at which each table reaches that).
+#[inline]
+fn offset(i: usize) -> u32 {
+    assert!(
+        i <= u32::MAX as usize,
+        "list table exceeds u32 offset capacity: offset {i}"
+    );
+    i as u32
 }
 
 /// Spare items kept behind `len` items in `groups` groups.
@@ -380,34 +420,31 @@ fn reserve(len: usize, groups: usize) -> usize {
     (len + groups) / 4
 }
 
-/// Refills `items` with `len` zeros and [`reserve`]s room behind them.
-fn lay_items(items: &mut Vec<u32>, len: usize, groups: usize) {
+/// Refills `items` with `len` copies of `fill` and [`reserve`]s room
+/// behind them.
+fn lay_items<T: Clone>(items: &mut Vec<T>, len: usize, groups: usize, fill: T) {
     items.clear();
     items.reserve_exact(len + reserve(len, groups));
-    items.resize(len, 0);
+    items.resize(len, fill);
 }
 
-impl Clone for Csr {
+impl<T: Clone> Clone for Csr<T> {
+    /// A copy with the same capacity. A derived clone allocates just the
+    /// length, so the first relocation into the reserve would pack the
+    /// whole table instead.
     fn clone(&self) -> Self {
+        let mut items = Vec::with_capacity(self.items.capacity());
+        items.extend_from_slice(&self.items);
         Csr {
             span: self.span.clone(),
-            items: clone_with_reserve(&self.items),
+            items,
         }
     }
 }
 
-/// A copy of `v` with the same capacity. A derived clone allocates just the
-/// length, so the first relocation into a table's reserve would pack the
-/// whole table instead.
-pub(crate) fn clone_with_reserve<T: Clone>(v: &Vec<T>) -> Vec<T> {
-    let mut copy = Vec::with_capacity(v.capacity());
-    copy.extend_from_slice(v);
-    copy
-}
-
 #[cfg(test)]
 mod tests {
-    use super::Csr;
+    use super::{offset, Csr};
 
     /// 1000 groups holding ten items between them, like a tree's hop lists.
     fn sparse() -> Csr {
@@ -443,5 +480,17 @@ mod tests {
         for k in 0..1000 {
             assert_eq!(c.of(k), [k, k, k], "group {k}");
         }
+    }
+
+    #[test]
+    fn offsets_up_to_u32_max_convert() {
+        assert_eq!(offset(0), 0);
+        assert_eq!(offset(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "list table exceeds u32 offset capacity")]
+    fn an_offset_past_u32_max_panics() {
+        offset(u32::MAX as usize + 1);
     }
 }

@@ -418,7 +418,9 @@ pub(crate) fn must(r: Result<(), ConflictError>) {
 /// visits all nodes).
 #[cfg(feature = "check")]
 pub(crate) struct Euler {
+    /// Preorder index: one tick per node, so the clock cannot wrap.
     tin: Vec<u32>,
+    /// The last preorder index in the node's subtree.
     tout: Vec<u32>,
 }
 
@@ -455,8 +457,7 @@ impl Euler {
                     visited += 1;
                     stack.push((k, 0));
                 } else {
-                    tout[u as usize] = clock;
-                    clock += 1;
+                    tout[u as usize] = clock - 1;
                     stack.pop();
                 }
             }

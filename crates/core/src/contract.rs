@@ -245,6 +245,12 @@ impl<'f, L> ContractOptions<'f, L> {
     }
 
     /// Runs the contraction under `alg`.
+    ///
+    /// # Panics
+    /// Panics if one of the trace's list tables outgrows its `u32` offsets.
+    /// A contraction's child and hop lists hold at most one id per node and
+    /// are laid out packed, so a forest within [`Forest::add_root`]'s
+    /// `u32` node capacity stays inside that limit.
     pub fn run<A>(self, alg: &A) -> Contraction<A>
     where
         A: Algebra<Label = L>,

@@ -237,12 +237,22 @@ impl<A: Propagate> DynForest<A> {
     /// Wraps `forest` and runs the initial full contraction (which also
     /// builds the replay caches, so a freshly constructed forest is ready
     /// to recompute).
+    ///
+    /// # Panics
+    /// As [`DynForest::with_seed`] does.
     pub fn new(forest: Forest<A::Label>, alg: A) -> Self {
         Self::with_seed(forest, alg, 0xD15EA5E)
     }
 
     /// Like [`DynForest::new`] with an explicit coin seed: the maintained
     /// trace is always the one `forest.contraction().seed(seed)` records.
+    ///
+    /// # Panics
+    /// Panics if a table outgrows its `u32` offsets, here or in a later
+    /// [`recompute`](DynForest::recompute): past ~660 M nodes under a
+    /// non-invertible algebra, whose sibling trees hold up to `6.5n` parts
+    /// with room to grow, and past ~2.8 G nodes otherwise (the list tables
+    /// hold up to `1.5n` ids).
     pub fn with_seed(forest: Forest<A::Label>, alg: A, seed: u64) -> Self {
         let n = forest.len();
         let mut d = DynForest {
@@ -263,10 +273,13 @@ impl<A: Propagate> DynForest<A> {
         d
     }
 
-    /// Turns on telemetry collection: every subsequent batch edit and
-    /// [`DynForest::recompute`] reports dirty-mark / plan / apply /
-    /// propagate spans and per-round counters into an internal
-    /// [`Profile`], and [`UpdateStats::counters`] becomes `Some`.
+    /// Turns on telemetry collection: every subsequent batch edit reports a
+    /// dirty-mark span, and every [`DynForest::recompute`] a propagate span
+    /// and, after cuts or links, a restructure span with per-round counters
+    /// of the nodes it re-decided, into an internal [`Profile`];
+    /// [`UpdateStats::counters`] becomes `Some`. A `DynForest` runs the
+    /// contraction engine only when it is built, before profiling can be
+    /// on, so its profile holds no plan, apply or backsolve spans.
     ///
     /// Idempotent; an already-collected profile is kept. The unprofiled
     /// default pays zero overhead (the engine is compiled with a no-op
@@ -548,6 +561,10 @@ impl<A: Propagate> DynForest<A> {
     /// contraction of the current forest records under the forest's seed.
     /// On a structural batch, [`UpdateStats`] reports the rounds and
     /// counters of both phases (see its fields).
+    ///
+    /// # Panics
+    /// Panics if a table outgrows its `u32` offsets, as described on
+    /// [`DynForest::with_seed`].
     pub fn recompute(&mut self) -> UpdateStats {
         let n = self.forest.len();
         let edited = self.dirty_list.len();
@@ -594,11 +611,9 @@ impl<A: Propagate> DynForest<A> {
                 Some(p) => restructure.run(&recorded, forest, moved, *seed, p.as_mut()),
                 None => restructure.run(&recorded, forest, moved, *seed, &mut NoopSink),
             };
-            replay.detach(alg, trace, &restructure.changed, &mut seeds);
             restructure.commit(alg, forest, trace, raked);
-            let (changed, renumbered) = (&restructure.changed, &restructure.renumbered);
-            let shifted = &restructure.shifted;
-            replay.reattach(alg, trace, raked, changed, renumbered, shifted, &mut seeds);
+            replay.relay(alg, trace, raked, &restructure.parents, &mut seeds);
+            let changed = &restructure.changed;
             // A changed node re-derives its splice chain, and so does the
             // host of a changed victim, whose placeholder function it owns.
             refolds.extend(changed.iter().copied());

@@ -382,7 +382,7 @@ impl<A: Algebra> Scratch<A> {
         // group lengths, and each node's slot is its place in its parent's
         // list.
         let children = &mut links.children;
-        children.lay_out(self.count.iter().copied());
+        children.lay_out(self.count.iter().map(|&c| c as usize), 0);
         for (v, &p) in self.par.iter().enumerate() {
             if p != NONE {
                 let at = children.range(p).0 + sib[v] as usize;

@@ -51,14 +51,16 @@ pub enum Phase {
     Apply,
     /// Reverse replay of the death trace recovering per-node values.
     Backsolve,
-    /// Dirty-path marking performed by a batch edit.
+    /// A batch edit: applying its cuts, links or labels and marking the
+    /// edited nodes (each marks only the nodes it names).
     DirtyMark,
     /// Trace replay performed by change propagation (affected-slot
     /// scheduling plus per-slot re-execution).
     Propagate,
     /// The structure phase of a recompute after cuts or links: re-deciding
-    /// the nodes whose round state the batch disturbed, and patching the
-    /// trace records, lists and child aggregates they own.
+    /// the nodes whose round state the batch disturbed, patching the trace
+    /// records and lists they own, and laying out afresh the child
+    /// aggregates of the parents they touched.
     Restructure,
 }
 

@@ -27,16 +27,15 @@
 //!
 //! A cut or link changes the shape the trace describes. The dynamic
 //! layer's structure phase (`restructure.rs`) rewrites the records of the
-//! nodes whose death changed; around its commit, [`Replay::detach`] takes
-//! their stale contributions out of the child aggregates (read from the
-//! trace before the commit) and [`Replay::reattach`] lays out again the
-//! aggregate of every parent that gained or lost a child — its slots shift,
-//! and its sibling tree is resized when its degree crosses a power of two —
-//! and puts a placeholder contribution where each rewritten rake now lands.
-//! Propagation, seeded with the rewritten nodes (whose splice chains it
-//! refolds) and the parents whose aggregates changed, then replaces the
-//! placeholders by the real values. Afterwards the trace is exactly the one
-//! a fresh contraction with the forest's seed records.
+//! nodes whose death changed and commits the new raked-child lists. Change
+//! propagation then re-runs what those edits touched from its current
+//! inputs instead of patching old results: [`Replay::relay`] lays out
+//! afresh, from its raked-child list, the aggregate of every parent whose
+//! raked children, their slots or its degree changed (a rewritten rake
+//! contributes its placeholder value), and propagation, seeded with those
+//! parents and the rewritten nodes (whose splice chains it refolds),
+//! replaces the placeholders by the real values. Afterwards the trace is
+//! exactly the one a fresh contraction with the forest's seed records.
 //!
 //! Child aggregates come in two flavours, chosen by
 //! [`Propagate::INVERTIBLE`]:
@@ -45,12 +44,12 @@
 //!   keep one merged `Part` per node and patch a changed child by
 //!   subtract/re-add in `O(1)`;
 //! * **sibling trees** — non-invertible algebras keep a balanced binary
-//!   tree over each node's child slots, all laid out in one buffer, and
-//!   replay an `O(log degree)` leaf-to-root path, so even a 10⁵-ary star
-//!   patches one child without refolding the other 10⁵ − 1.
+//!   tree over each node's child slots, one group of a [`Csr`] table per
+//!   node, and replay an `O(log degree)` leaf-to-root path, so even a
+//!   10⁵-ary star patches one child without refolding the other 10⁵ − 1.
 
 use crate::algebra::{Algebra, Propagate};
-use crate::arena::{clone_with_reserve, Csr, Forest};
+use crate::arena::{Csr, Forest};
 use crate::engine::{Death, Trace};
 use crate::obs::{Phase, Sink};
 use crate::NodeId;
@@ -83,66 +82,41 @@ pub(crate) fn resolve_val<A: Algebra>(alg: &A, death: &[Death<A>], v: u32) -> A:
 
 /// Per-node aggregates of child contributions, strategy picked at build
 /// time by [`Propagate::INVERTIBLE`].
+#[derive(Clone)]
 pub(crate) enum Kids<A: Propagate> {
     /// One merged `Part` per node; patched by subtract/re-add.
     Flat(Vec<A::Part>),
-    /// One balanced sibling-accumulation tree per node, all in one buffer:
-    /// node `p`'s tree starts at `start[p]`, a 0-based heap of `2 × size −
-    /// 1` entries (`size = 1 << lg[p]`, the degree rounded up to a power of
-    /// two, 1 for a childless node) with the leaf of child slot `s` at
-    /// `size − 1 + s`, padded with [`Propagate::part_empty`]. Entry `i`
-    /// merges entries `2i + 1` and `2i + 2`, lower slots on the left, so
-    /// entry 0 is the in-order aggregate of every slot, and patching one
-    /// slot remerges only its leaf-to-root path: `O(log degree)`. A tree
-    /// whose size changes moves to the end of the buffer, into capacity
-    /// reserved when the trees were laid out; only when the reserve runs
-    /// out are the trees packed again (a clone keeps the reserve). The
-    /// trees hold up to about `5n` parts, so the starts are `usize`.
-    Trees {
-        start: Vec<usize>,
-        lg: Vec<u8>,
-        parts: Vec<A::Part>,
-    },
-}
-
-impl<A: Propagate> Clone for Kids<A> {
-    fn clone(&self) -> Self {
-        match self {
-            Kids::Flat(parts) => Kids::Flat(parts.clone()),
-            Kids::Trees { start, lg, parts } => Kids::Trees {
-                start: start.clone(),
-                lg: lg.clone(),
-                parts: clone_with_reserve(parts),
-            },
-        }
-    }
+    /// One balanced sibling-accumulation tree per node: group `p` is `p`'s
+    /// 0-based heap of `2 × size − 1` parts (`size` the degree rounded up
+    /// to a power of two, 1 for a childless node) with the leaf of child
+    /// slot `s` at `size − 1 + s`, padded with [`Propagate::part_empty`].
+    /// Entry `i` merges entries `2i + 1` and `2i + 2`, lower slots on the
+    /// left, so entry 0 is the in-order aggregate of every slot, and
+    /// patching one slot remerges only its leaf-to-root path:
+    /// `O(log degree)`. A tree is rewritten in place unless its size
+    /// changes; then it moves into the table's reserve ([`Csr::resize`]).
+    Trees(Csr<A::Part>),
 }
 
 impl<A: Propagate> Kids<A> {
     fn root(&self, u: usize) -> &A::Part {
         match self {
             Kids::Flat(parts) => &parts[u],
-            Kids::Trees { start, parts, .. } => &parts[start[u]],
+            Kids::Trees(trees) => &trees.of(u as u32)[0],
         }
     }
 
-    /// Replaces the contribution at `slot` of `u`: `old` leaves (if any),
-    /// `new` arrives (if any). A sibling tree needs only `new`.
-    fn patch(&mut self, alg: &A, u: usize, slot: u32, old: Option<A::Val>, new: Option<A::Val>) {
+    /// Replaces the contribution `old` at `slot` of `u` by `new`.
+    fn patch(&mut self, alg: &A, u: usize, slot: u32, old: A::Val, new: A::Val) {
         match self {
             Kids::Flat(parts) => {
-                if let Some(old) = old {
-                    alg.part_remove(&mut parts[u], slot, old);
-                }
-                if let Some(new) = new {
-                    parts[u] = alg.part_merge(&parts[u], &alg.part_of(slot, new));
-                }
+                alg.part_remove(&mut parts[u], slot, old);
+                parts[u] = alg.part_merge(&parts[u], &alg.part_of(slot, new));
             }
-            Kids::Trees { start, lg, parts } => {
-                let size = 1usize << lg[u];
-                let tree = &mut parts[start[u]..start[u] + 2 * size - 1];
-                let mut i = size - 1 + slot as usize;
-                tree[i] = new.map_or_else(|| alg.part_empty(), |c| alg.part_of(slot, c));
+            Kids::Trees(trees) => {
+                let tree = trees.of_mut(u as u32);
+                let mut i = tree.len() / 2 + slot as usize;
+                tree[i] = alg.part_of(slot, new);
                 while i > 0 {
                     i = (i - 1) / 2;
                     tree[i] = alg.part_merge(&tree[2 * i + 1], &tree[2 * i + 2]);
@@ -152,8 +126,7 @@ impl<A: Propagate> Kids<A> {
     }
 
     /// Lays out `u`'s aggregate afresh over `degree` child slots from its
-    /// `contributions` (slot, value), moving its sibling tree to the end of
-    /// the buffer when its size changes.
+    /// `contributions` (slot, value).
     fn relay(
         &mut self,
         alg: &A,
@@ -167,41 +140,29 @@ impl<A: Propagate> Kids<A> {
                     alg.part_merge(&acc, &alg.part_of(slot, c))
                 });
             }
-            Kids::Trees { start, lg, parts } => {
-                let size = degree.next_power_of_two();
-                let len = 2 * size - 1;
-                if size != 1 << lg[u] {
-                    if parts.len() + len > parts.capacity() {
-                        pack(start, lg, parts);
-                    }
-                    start[u] = parts.len();
-                    lg[u] = size.trailing_zeros() as u8;
-                    parts.resize(parts.len() + len, alg.part_empty());
-                }
-                let tree = &mut parts[start[u]..start[u] + len];
+            Kids::Trees(trees) => {
+                let tree = trees.resize(u as u32, tree_len(degree), alg.part_empty());
                 tree.fill(alg.part_empty());
                 for (slot, c) in contributions {
-                    tree[size - 1 + slot as usize] = alg.part_of(slot, c);
+                    tree[tree.len() / 2 + slot as usize] = alg.part_of(slot, c);
                 }
-                for i in (0..size - 1).rev() {
-                    tree[i] = alg.part_merge(&tree[2 * i + 1], &tree[2 * i + 2]);
-                }
+                merge_up(alg, tree);
             }
         }
     }
 }
 
-/// Packs the sibling trees again, in node order, with a fresh reserve: one
-/// sequential pass, once per reserve's worth of moved trees.
-fn pack<P: Clone>(start: &mut [usize], lg: &[u8], parts: &mut Vec<P>) {
-    let tree = |l: u8| 2 * (1usize << l) - 1;
-    let live: usize = lg.iter().map(|&l| tree(l)).sum();
-    let mut packed = Vec::with_capacity(live + live / 4);
-    for (s, &l) in start.iter_mut().zip(lg) {
-        packed.extend_from_slice(&parts[*s..*s + tree(l)]);
-        *s = packed.len() - tree(l);
+/// The parts in the sibling tree of a node with `degree` child slots.
+fn tree_len(degree: usize) -> usize {
+    2 * degree.next_power_of_two() - 1
+}
+
+/// Merges every inner entry of the sibling tree `tree` from its two
+/// children, bottom-up, once its leaves are in place.
+fn merge_up<A: Propagate>(alg: &A, tree: &mut [A::Part]) {
+    for i in (0..tree.len() / 2).rev() {
+        tree[i] = alg.part_merge(&tree[2 * i + 1], &tree[2 * i + 2]);
     }
-    *parts = packed;
 }
 
 /// What one propagation pass did, for [`UpdateStats`](crate::UpdateStats).
@@ -217,7 +178,7 @@ pub(crate) struct PropagateOutcome {
 ///
 /// Built from one full contraction's trace by [`Replay::rebuild`], then kept
 /// valid by [`Replay::propagate`], and across a structure phase by
-/// [`Replay::detach`] and [`Replay::reattach`].
+/// [`Replay::relay`] and the propagation after it.
 #[derive(Clone)]
 pub(crate) struct Replay<A: Propagate> {
     /// Aggregated child contributions per node (minus the surviving
@@ -255,50 +216,33 @@ impl<A: Propagate> Replay<A> {
         self.refold.clear();
         self.refold.resize(n, false);
 
-        let Trace {
-            links,
-            death,
-            fun,
-            sib,
-            ..
-        } = trace;
-        let rakes = (0..n).filter_map(|u| match &death[u] {
-            Death::Raked(val) => Some((
-                links.up[u] as usize,
-                sib[u],
-                alg.apply(&fun[u], val.clone()),
-            )),
-            _ => None,
+        let (up, sib) = (&trace.links.up, &trace.sib);
+        let rakes = (0..n as u32).filter_map(|u| {
+            let c = Self::contribution(alg, trace, u)?;
+            Some((up[u as usize], sib[u as usize], c))
         });
         self.kids = if A::INVERTIBLE {
             let mut parts = vec![alg.part_empty(); n];
             for (p, slot, c) in rakes {
+                let p = p as usize;
                 parts[p] = alg.part_merge(&parts[p], &alg.part_of(slot, c));
             }
             Kids::Flat(parts)
         } else {
-            let mut start = Vec::with_capacity(n);
-            let mut lg = Vec::with_capacity(n);
-            let mut len = 0;
-            for p in 0..n as u32 {
-                let size = links.children.of(p).len().next_power_of_two();
-                start.push(len);
-                lg.push(size.trailing_zeros() as u8);
-                len += 2 * size - 1;
-            }
-            let mut parts = Vec::with_capacity(len + len / 4);
-            parts.resize(len, alg.part_empty());
+            let mut trees = Csr::default();
+            let children = &trace.links.children;
+            trees.lay_out(
+                (0..n as u32).map(|p| tree_len(children.of(p).len())),
+                alg.part_empty(),
+            );
             for (p, slot, c) in rakes {
-                parts[start[p] + (1usize << lg[p]) - 1 + slot as usize] = alg.part_of(slot, c);
+                let tree = trees.of_mut(p);
+                tree[tree.len() / 2 + slot as usize] = alg.part_of(slot, c);
             }
-            for p in 0..n {
-                let size = 1usize << lg[p];
-                let tree = &mut parts[start[p]..start[p] + 2 * size - 1];
-                for i in (0..size - 1).rev() {
-                    tree[i] = alg.part_merge(&tree[2 * i + 1], &tree[2 * i + 2]);
-                }
+            for p in 0..n as u32 {
+                merge_up(alg, trees.of_mut(p));
             }
-            Kids::Trees { start, lg, parts }
+            Kids::Trees(trees)
         };
     }
 
@@ -311,77 +255,30 @@ impl<A: Propagate> Replay<A> {
         }
     }
 
-    /// Before a structure phase commits: takes the contribution of every
-    /// `changed` node the trace still records as raked out of its death
-    /// parent's aggregate, at its recorded slot, and lists that parent in
-    /// `seeds`.
-    pub fn detach(&mut self, alg: &A, trace: &Trace<A>, changed: &[u32], seeds: &mut Vec<u32>) {
-        for &x in changed {
-            if let Some(c) = Self::contribution(alg, trace, x) {
-                let (p, slot) = (trace.links.up[x as usize], trace.sib[x as usize]);
-                self.kids.patch(alg, p as usize, slot, Some(c), None);
-                seeds.push(p);
-            }
-        }
-    }
-
-    /// After the commit: lays out the aggregate of every `renumbered`
-    /// parent afresh from its raked children at their new slots (resizing
-    /// its sibling tree when the degree crossed a power of two), moves the
-    /// contribution of every `shifted` node from its old slot to its new
-    /// one, then adds the placeholder contribution of every `changed` node
-    /// now raked. A sibling-tree leaf is overwritten, not summed, so every
-    /// contribution leaves its slot before any arrives. Lists every parent
-    /// it touched in `seeds`; propagation then replaces the placeholders by
-    /// the real values. `O(degree)` per renumbered parent.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reattach(
+    /// After a structure phase's commit: lays out afresh, from its raked
+    /// children at their current slots, the aggregate of every parent in
+    /// `parents` (those whose raked children, their slots or its degree
+    /// changed), and lists them in `seeds`. A rewritten rake contributes
+    /// its placeholder value; propagation, seeded with these parents and
+    /// the rewritten nodes, replaces it by the real one. `O(degree)` per
+    /// parent.
+    pub fn relay(
         &mut self,
         alg: &A,
         trace: &Trace<A>,
         raked: &Csr,
-        changed: &[u32],
-        renumbered: &[u32],
-        shifted: &[(u32, u32)],
+        parents: &[u32],
         seeds: &mut Vec<u32>,
     ) {
-        for &p in renumbered {
+        for &p in parents {
             let degree = trace.links.children.of(p).len();
             let contributions = raked
                 .of(p)
                 .iter()
                 .filter_map(|&x| Some((trace.sib[x as usize], Self::contribution(alg, trace, x)?)));
             self.kids.relay(alg, p as usize, degree, contributions);
-            seeds.push(p);
         }
-        let shifted = || {
-            shifted.iter().filter_map(|&(x, old)| {
-                let p = trace.links.up[x as usize];
-                let c = Self::contribution(alg, trace, x)?;
-                renumbered
-                    .binary_search(&p)
-                    .is_err()
-                    .then_some((x, p, old, c))
-            })
-        };
-        for (_, p, old, c) in shifted() {
-            self.kids.patch(alg, p as usize, old, Some(c), None);
-        }
-        for (x, p, _, c) in shifted() {
-            let slot = trace.sib[x as usize];
-            self.kids.patch(alg, p as usize, slot, None, Some(c));
-            seeds.push(p);
-        }
-        for &x in changed {
-            if let Some(c) = Self::contribution(alg, trace, x) {
-                let p = trace.links.up[x as usize];
-                if renumbered.binary_search(&p).is_err() {
-                    self.kids
-                        .patch(alg, p as usize, trace.sib[x as usize], None, Some(c));
-                }
-                seeds.push(p);
-            }
-        }
+        seeds.extend_from_slice(parents);
     }
 
     /// Replays the trace slots affected by the nodes in `dirty` (edited
@@ -465,7 +362,7 @@ impl<A: Propagate> Replay<A> {
                     death[ui] = Death::Raked(val);
                     if new != old {
                         let p = links.up[ui];
-                        kids.patch(alg, p as usize, sib[ui], Some(old), Some(new));
+                        kids.patch(alg, p as usize, sib[ui], old, new);
                         schedule(affected, &mut heap, links.round[p as usize], p);
                     }
                     // else: the recorded result still holds — the wave cuts

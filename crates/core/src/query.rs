@@ -274,9 +274,11 @@ pub type QueryOutcome<A> =
 /// valid until a structural batch rewrites them.
 #[derive(Clone, PartialEq)]
 pub(crate) struct Shape {
-    /// Euler entry time (ancestor tests in O(1)).
+    /// Preorder index (ancestor tests in O(1)). One tick per node, so the
+    /// clock stays below the node count and cannot wrap.
     tin: Vec<u32>,
-    /// Euler exit time.
+    /// The last preorder index in the node's subtree: `u`'s subtree is
+    /// exactly the nodes `v` with `tin[u] <= tin[v] <= tout[u]`.
     tout: Vec<u32>,
     /// Component root of every node.
     root: Vec<u32>,
@@ -312,8 +314,7 @@ impl Shape {
                     root[k as usize] = rr;
                     stack.push((k, children.range(k).0 as u32));
                 } else {
-                    tout[u as usize] = clock;
-                    clock += 1;
+                    tout[u as usize] = clock - 1;
                     stack.pop();
                 }
             }
@@ -354,24 +355,25 @@ impl Shape {
     }
 }
 
-/// Euler-interval nesting sweep (`check` feature): every interval is
-/// non-empty and every non-root's interval lies strictly inside its
-/// parent's — the property the batch engine's `O(1)` ancestor tests and
-/// victim-list binary searches rest on. `O(n)` per shape index.
+/// Euler-interval nesting sweep (`check` feature): every closed interval
+/// `[tin, tout]` is non-empty and every non-root's interval lies inside its
+/// parent's, starting strictly after it — the property the batch engine's
+/// `O(1)` ancestor tests and victim-list binary searches rest on. `O(n)`
+/// per shape index.
 #[cfg(feature = "check")]
 fn check_euler<L>(forest: &Forest<L>, tin: &[u32], tout: &[u32]) {
     use crate::check::invariant;
     for v in 0..forest.len() as u32 {
         let vi = v as usize;
         invariant!(
-            tin[vi] < tout[vi],
+            tin[vi] <= tout[vi],
             "Euler interval of n{v} is empty or inverted"
         );
         let p = forest.parent_raw(v);
         if p != NONE {
             let pi = p as usize;
             invariant!(
-                tin[pi] < tin[vi] && tout[vi] < tout[pi],
+                tin[pi] < tin[vi] && tout[vi] <= tout[pi],
                 "Euler interval of n{v} is not nested inside its parent n{p}"
             );
         }

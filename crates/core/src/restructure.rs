@@ -31,7 +31,9 @@
 //! staged while the rounds run and written only by
 //! [`Restructure::commit`], which also patches the child lists, hop lists
 //! and raked-children lists, renumbers the sibling slots of every parent
-//! that gained or lost a child.
+//! that gained or lost a child, and lists every parent whose raked
+//! children, their slots or its degree changed: the parents whose child
+//! aggregates propagation lays out afresh from the committed lists.
 
 use crate::algebra::Algebra;
 use crate::arena::{Csr, Forest, NONE};
@@ -203,10 +205,12 @@ pub(crate) struct Restructure {
     /// Nodes whose death record or hop list changed, ascending.
     pub changed: Vec<u32>,
     /// Parents that gained or lost a child, ascending.
-    pub renumbered: Vec<u32>,
-    /// `(node, old slot)` for every unchanged raked node whose slot moved
-    /// because a changed node on its splice chain moved the chain's top.
-    pub shifted: Vec<(u32, u32)>,
+    renumbered: Vec<u32>,
+    /// Parents whose raked children, their slots or their degree changed,
+    /// ascending: the renumbered parents, the old and new death parents of
+    /// every rewritten rake, and the parent of every raked node whose slot
+    /// moved. Their child aggregates are the ones to lay out afresh.
+    pub parents: Vec<u32>,
 }
 
 /// Splits `items`, sorted by `key`, into its runs of equal keys.
@@ -623,13 +627,18 @@ impl Restructure {
     /// nodes (values are placeholders until propagation: a raked node or
     /// root holds its own label's value, a compressed node the identity),
     /// their hop lists, the raked-children lists in `raked`, the child
-    /// lists of the renumbered parents, and the sibling slots.
+    /// lists of the renumbered parents, and the sibling slots. Lists in
+    /// `parents` every parent whose raked children, their slots or its
+    /// degree changed, for propagation to lay out afresh.
     ///
     /// A slot is the position of the chain's top node — the original child
     /// of the death parent on the node's path — in the parent's id-ordered
     /// child list. So a renumbered parent's children are walked down their
     /// splice chains, and a changed node elsewhere finds its top by
-    /// stepping to its last victim until the hop list is empty.
+    /// stepping to its last victim until the hop list is empty. That can
+    /// move the slot of a raked node below it on the chain while its
+    /// parent's child list and raked children stay the same, so such a
+    /// parent is listed too.
     pub fn commit<A: Algebra>(
         &mut self,
         alg: &A,
@@ -646,7 +655,7 @@ impl Restructure {
             hop_items,
             changed,
             renumbered,
-            shifted,
+            parents,
             ..
         } = self;
         // Raked-children lists: `(parent, death round, node)` for every
@@ -674,13 +683,14 @@ impl Restructure {
         }
         gone.sort_unstable();
         added.sort_unstable();
-        let mut parents: Vec<u32> = gone.iter().chain(&added).map(|e| e.0).collect();
+        parents.clear();
+        parents.extend(gone.iter().chain(&added).map(|e| e.0));
         parents.sort_unstable();
         parents.dedup();
         let links = &mut trace.links;
         let mut edits = Vec::new();
         buf.clear();
-        for &p in &parents {
+        for &p in &*parents {
             let lo = buf.len();
             let (old, gone, added) = (raked.of(p), group_of(&gone, p), group_of(&added, p));
             edit_sorted(buf, old, gone, added, |x| (links.round[x as usize], x));
@@ -727,7 +737,6 @@ impl Restructure {
         // A changed node's chain top may have moved, and with it the slot
         // of every node below it on the chain: those the chain's hosts
         // spliced it out for, down to the raked end.
-        shifted.clear();
         for &x in changed.iter() {
             let p = links.up[x as usize];
             let mut top = x;
@@ -754,11 +763,13 @@ impl Restructure {
                 }
                 y = child;
                 let old = std::mem::replace(&mut sib[y as usize], slot);
-                let raked = matches!(trace.death[y as usize], Death::Raked(_));
-                if old != slot && raked && changed.binary_search(&y).is_err() {
-                    shifted.push((y, old));
+                if old != slot && matches!(trace.death[y as usize], Death::Raked(_)) {
+                    parents.push(p);
                 }
             }
         }
+        parents.extend_from_slice(renumbered);
+        parents.sort_unstable();
+        parents.dedup();
     }
 }

@@ -242,3 +242,19 @@ fn validator_confirms_value_identity_at_100k() {
         d.validate_trace().unwrap();
     }
 }
+
+/// A cut and a relink in one recompute that move the top of a splice
+/// chain, and with it the sibling slot of the raked node at the chain's
+/// end, under a parent whose child list and raked children stay the same:
+/// the parent's sibling tree must be laid out again from the new slots.
+/// Shrunk by the script fuzzer from a `MinMax` failure.
+#[test]
+fn minmax_relink_that_moves_a_raked_slot() {
+    const S: u64 = 0x5eca_73a6_96b6_4d55;
+    let mut d = DynForest::with_seed(gen::caterpillar(41, 2, S), MinMax, S);
+    let (n2, n9) = (NodeId::from_index(2), NodeId::from_index(9));
+    d.try_batch_cut(&[n9]).unwrap();
+    d.try_batch_link(&[(n9, n2)]).unwrap();
+    d.recompute();
+    assert_matches_fresh("caterpillar(41,2): cut n9, link under n2", &d, &MinMax, S);
+}
