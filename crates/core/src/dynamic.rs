@@ -14,9 +14,10 @@
 //!   pointers and mark the moved nodes. Recompute then re-decides, round by
 //!   round, just the nodes whose round state (alive, working parent, live
 //!   child count) the moves disturbed, reading every other node's state
-//!   from the trace itself, and rewrites the records, hop lists and sibling
-//!   slots of the nodes whose death changed (`restructure.rs`). No node
-//!   outside that set is visited and no contraction runs. Children are
+//!   from the trace itself, rewrites the records of the nodes whose death
+//!   changed, and patches the child, hop and raked-child lists and the
+//!   raked nodes' sibling slots that depend on them (`restructure.rs`). No
+//!   node outside that set is visited and no contraction runs. Children are
 //!   always numbered in id order, the order [`Forest::sequential_fold`]
 //!   folds them in, so ordered algebras stay exact across cuts and links.
 //!   A label-only batch is the case where this phase has nothing to do;
@@ -594,7 +595,7 @@ impl<A: Propagate> DynForest<A> {
             ..
         } = self;
         let mut seeds: Vec<u32> = Vec::new();
-        let mut refolds: Vec<u32> = Vec::new();
+        let mut refolds: &[u32] = &[];
         let mut structure = EngineCounters::default();
         if !moved.is_empty() {
             let start = profiled.then(Instant::now);
@@ -611,28 +612,17 @@ impl<A: Propagate> DynForest<A> {
                 Some(p) => restructure.run(&recorded, forest, moved, *seed, p.as_mut()),
                 None => restructure.run(&recorded, forest, moved, *seed, &mut NoopSink),
             };
-            restructure.commit(alg, forest, trace, raked);
+            restructure.commit(alg, forest, moved, trace, raked);
             replay.relay(alg, trace, raked, &restructure.parents, &mut seeds);
-            let changed = &restructure.changed;
-            // A changed node re-derives its splice chain, and so does the
-            // host of a changed victim, whose placeholder function it owns.
-            refolds.extend(changed.iter().copied());
-            refolds.extend(
-                changed
-                    .iter()
-                    .filter_map(|&x| match trace.death[x as usize] {
-                        Death::Compressed { child, .. } => Some(child),
-                        _ => None,
-                    }),
-            );
+            refolds = &restructure.changed;
             if let (Some(t), Some(p)) = (start, profile.as_mut()) {
                 p.phase(Phase::Restructure, t.elapsed().as_nanos() as u64);
             }
         }
         seeds.extend_from_slice(dirty_list);
         let outcome = match profile {
-            Some(p) => replay.propagate(alg, forest, trace, &seeds, &refolds, p.as_mut()),
-            None => replay.propagate(alg, forest, trace, &seeds, &refolds, &mut NoopSink),
+            Some(p) => replay.propagate(alg, forest, trace, &seeds, refolds, p.as_mut()),
+            None => replay.propagate(alg, forest, trace, &seeds, refolds, &mut NoopSink),
         };
         if !moved.is_empty() {
             // Reads resolve from the death records, and the structure phase
@@ -758,12 +748,17 @@ impl<A: Propagate> DynForest<A> {
     /// [`Contraction::validate`](crate::Contraction::validate); then the
     /// two traces are compared node by node — child lists, death rounds,
     /// death parents, hop lists, slot kinds, the sibling slot of every raked
-    /// node, raked-children lists and backsolved values — and the first node
-    /// that differs is named. When a query batch has built the
-    /// shape index, also compares it with one built from the fresh trace.
-    /// Requires a clean forest (no pending edits). `O(n log n)` w.h.p.
+    /// node, raked-child lists, child aggregates (part for part against
+    /// replay caches built from the fresh trace) and backsolved values —
+    /// and the first node that differs is named. When a query batch has
+    /// built the shape index, also compares it with one built from the
+    /// fresh trace. Requires a clean forest (no pending edits).
+    /// `O(n log n)` w.h.p.
     #[cfg(feature = "check")]
-    pub fn validate_trace(&self) -> Result<(), crate::check::InvariantError> {
+    pub fn validate_trace(&self) -> Result<(), crate::check::InvariantError>
+    where
+        A::Part: PartialEq,
+    {
         use crate::check::{ensure, InvariantError};
         use crate::engine::Death;
         ensure!(
@@ -797,6 +792,8 @@ impl<A: Propagate> DynForest<A> {
             .map(|v| resolve_val(&self.alg, &kept.death, v))
             .collect();
         let fresh_raked = fresh.raked_lists();
+        let mut fresh_replay = Replay::new();
+        fresh_replay.rebuild(&self.alg, fresh);
         for v in 0..n as u32 {
             let vi = v as usize;
             let raked = matches!(fresh.death[vi], Death::Raked(_));
@@ -813,6 +810,7 @@ impl<A: Propagate> DynForest<A> {
                         .as_ref()
                         .is_some_and(|r| r.of(v) != fresh_raked.of(v)),
                 ),
+                ("child aggregate", !self.replay.same_kids(&fresh_replay, v)),
                 ("value", kept_vals[vi] != fresh_vals[vi]),
             ];
             if let Some((what, _)) = differs.iter().find(|(_, d)| *d) {

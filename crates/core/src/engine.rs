@@ -129,7 +129,10 @@ pub(crate) struct Trace<A: Algebra> {
     /// algebras can reassemble children in child-list order even though
     /// rake retires siblings in arbitrary round order. A spliced-out
     /// node bequeaths its slot to its surviving child, so a raked node's
-    /// slot is where its contribution landed in its death parent.
+    /// slot is where its contribution landed in its death parent. Only
+    /// raked nodes' slots are read after a run, so after a structural
+    /// batch a dynamic forest keeps only those: any other node's slot may
+    /// be stale.
     pub sib: Vec<u32>,
 }
 

@@ -246,6 +246,21 @@ impl<A: Propagate> Replay<A> {
         };
     }
 
+    /// Whether the child aggregate of `u` equals `other`'s part for part:
+    /// the merged part, or every entry of the sibling tree (`check`
+    /// feature).
+    #[cfg(feature = "check")]
+    pub fn same_kids(&self, other: &Self, u: u32) -> bool
+    where
+        A::Part: PartialEq,
+    {
+        match (&self.kids, &other.kids) {
+            (Kids::Flat(a), Kids::Flat(b)) => a[u as usize] == b[u as usize],
+            (Kids::Trees(a), Kids::Trees(b)) => a.of(u) == b.of(u),
+            _ => false,
+        }
+    }
+
     /// The contribution the trace records for the raked node `x`: its value
     /// through its edge function.
     fn contribution(alg: &A, trace: &Trace<A>, x: u32) -> Option<A::Val> {

@@ -27,21 +27,23 @@
 //! The new run may also outlive the recorded one; there the recorded state
 //! is "dead".
 //!
-//! The oracle reads the *recorded* trace throughout, so the new records are
+//! The oracle reads the *recorded* trace throughout, so the new deaths are
 //! staged while the rounds run and written only by
-//! [`Restructure::commit`], which also patches the child lists, hop lists
-//! and raked-children lists, renumbers the sibling slots of every parent
-//! that gained or lost a child, and lists every parent whose raked
-//! children, their slots or its degree changed: the parents whose child
-//! aggregates propagation lays out afresh from the committed lists.
+//! [`Restructure::commit`]. It patches the three lists derived from the
+//! records and parent pointers (child lists, hop lists and raked-child
+//! lists) by one rule: each touched group loses the nodes that left it and
+//! gains those that joined it, in its own order. It then re-derives the
+//! sibling slots of raked nodes, the only slots read after a run, and lists
+//! every parent whose raked children, their slots or its degree changed:
+//! the parents whose child aggregates propagation lays out afresh from the
+//! committed lists.
 
 use crate::algebra::Algebra;
 use crate::arena::{Csr, Forest, NONE};
 use crate::check::{self, invariant};
-use crate::engine::{decide_by, Action, Death, Recorded, Trace};
+use crate::engine::{decide_by, Action, Death, Links, Recorded, Trace};
 use crate::obs::{EngineCounters, RoundCounters, Sink};
 use crate::NodeId;
-use std::ops::Range;
 
 /// A node's state before a round, as `decide` reads it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,15 +70,6 @@ enum Move {
     Splice(u32),
 }
 
-impl Move {
-    fn victim(self) -> u32 {
-        match self {
-            Move::Splice(v) => v,
-            _ => NONE,
-        }
-    }
-}
-
 /// How a node dies in the new run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kind {
@@ -91,6 +84,41 @@ struct Born {
     round: u32,
     up: u32,
     kind: Kind,
+}
+
+/// `(group, key, node, joins)`: `node` leaves the list of `group`, or joins
+/// it when `joins`; the list's items are sorted by `(key, node)`.
+type Edit = (u32, u32, u32, bool);
+
+/// The lists [`Restructure::commit`] patches, as indices of its edits.
+const CHILDREN: usize = 0;
+const RAKED: usize = 1;
+const HOPS: usize = 2;
+
+impl Born {
+    /// The death the trace records for `x`, if it has one.
+    fn recorded<A: Algebra>(links: &Links, death: &[Death<A>], x: u32) -> Option<Born> {
+        let kind = match death[x as usize] {
+            Death::Raked(_) => Kind::Raked,
+            Death::Root(_) => Kind::Root,
+            Death::Compressed { child, .. } => Kind::Compressed(child),
+            Death::None => return None,
+        };
+        let (round, up) = (links.round[x as usize], links.up[x as usize]);
+        Some(Born { round, up, kind })
+    }
+
+    /// The list this death puts its node in, as `(list, group, key)`, keyed
+    /// by death round: a rake is in the raked-child list of its death
+    /// parent, a compressed node in the hop list of its host, a root in
+    /// neither.
+    fn entry(self) -> Option<(usize, u32, u32)> {
+        match self.kind {
+            Kind::Raked => Some((RAKED, self.up, self.round)),
+            Kind::Compressed(host) => Some((HOPS, host, self.round)),
+            Kind::Root => None,
+        }
+    }
 }
 
 /// A node's entry in one round's work list: its state before the round in
@@ -192,17 +220,9 @@ pub(crate) struct Restructure {
     cands: Vec<usize>,
     /// The new run's deaths, staged in the order they happen.
     born: Vec<(u32, Born)>,
-    /// `(host, recorded victim, new victim)` for every round a candidate
-    /// splices differently; `NONE` for no splice.
-    hop_edits: Vec<(u32, u32, u32)>,
-    /// `(parent, node)` for every moved node's new parent, and its old one.
-    arrivals: Vec<(u32, u32)>,
-    departures: Vec<(u32, u32)>,
     buf: Vec<u32>,
-    /// Hosts with a new hop list: `(host, range of hop_items)`.
-    new_hops: Vec<(u32, Range<usize>)>,
-    hop_items: Vec<u32>,
-    /// Nodes whose death record or hop list changed, ascending.
+    /// Nodes whose death record changed, and every host whose hop list one
+    /// of them left or joined, ascending: the splice chains to refold.
     pub changed: Vec<u32>,
     /// Parents that gained or lost a child, ascending.
     renumbered: Vec<u32>,
@@ -213,56 +233,53 @@ pub(crate) struct Restructure {
     pub parents: Vec<u32>,
 }
 
-/// Splits `items`, sorted by `key`, into its runs of equal keys.
-fn runs<T>(items: &[T], key: impl Fn(&T) -> u32) -> impl Iterator<Item = &[T]> {
-    let mut rest = items;
-    std::iter::from_fn(move || {
-        let first = key(rest.first()?);
-        let len = rest.iter().take_while(|t| key(t) == first).count();
-        let (run, tail) = rest.split_at(len);
-        rest = tail;
-        Some(run)
-    })
-}
-
-/// The items of `group` sorted by `key`, extracted from edits sorted by
-/// `(group, …)`.
-fn group_of<K>(edits: &[(u32, K, u32)], group: u32) -> impl Iterator<Item = u32> + '_ {
-    let at = edits.partition_point(|e| e.0 < group);
-    edits[at..]
-        .iter()
-        .take_while(move |e| e.0 == group)
-        .map(|e| e.2)
-}
-
-/// Appends to `out` the sorted list `old` without `gone` (listed in the
-/// same order) and with `add` (sorted by `key`) merged in. `O(old + add)`.
-fn edit_sorted<K: Ord>(
-    out: &mut Vec<u32>,
-    old: &[u32],
-    gone: impl Iterator<Item = u32>,
-    add: impl Iterator<Item = u32>,
-    key: impl Fn(u32) -> K,
+/// Patches every group of `lists` that `edits` names. A group is sorted by
+/// `(key, node)`, a node that stays having key `key(node)`, and a leaving
+/// node is named at its key in the unpatched group. Each touched group drops
+/// what left it, merges in what joined it, and is pushed onto `touched` in
+/// ascending order. `O(group + edits)` per touched group.
+fn patch(
+    lists: &mut Csr,
+    edits: &mut [Edit],
+    key: impl Fn(u32) -> u32,
+    touched: &mut Vec<u32>,
+    buf: &mut Vec<u32>,
 ) {
-    let (mut gone, mut add) = (gone.peekable(), add.peekable());
-    for &x in old {
-        if gone.peek() == Some(&x) {
-            gone.next();
-            continue;
+    edits.sort_unstable();
+    let mut rest = &*edits;
+    while let Some(&(g, ..)) = rest.first() {
+        let (edits, tail) = rest.split_at(rest.partition_point(|e| e.0 == g));
+        rest = tail;
+        let mut gone = edits.iter().filter(|e| !e.3).peekable();
+        let mut add = edits.iter().filter(|e| e.3).peekable();
+        buf.clear();
+        for &x in lists.of(g) {
+            if gone.next_if(|e| e.2 == x).is_some() {
+                continue;
+            }
+            while let Some(e) = add.next_if(|e| (e.1, e.2) < (key(x), x)) {
+                buf.push(e.2);
+            }
+            buf.push(x);
         }
-        while let Some(y) = add.next_if(|&y| key(y) < key(x)) {
-            out.push(y);
-        }
-        out.push(x);
+        buf.extend(add.map(|e| e.2));
+        lists.set(g, buf);
+        touched.push(g);
     }
-    out.extend(add);
 }
 
-/// Replaces the groups `edits` names, each by its range of `src`.
-fn set_all(lists: &mut Csr, edits: &[(u32, Range<usize>)], src: &[u32]) {
-    for (k, ids) in edits {
-        lists.set(*k, &src[ids.clone()]);
+/// The raked end of the chain that `x`, dead under `p`, starts: step to the
+/// child that spliced a node out while that child also died under `p`.
+/// `None` when `x` did not die under `p` or the chain spliced `p` out too.
+fn raked_end<A: Algebra>(links: &Links, death: &[Death<A>], mut x: u32, p: u32) -> Option<u32> {
+    while links.up[x as usize] == p {
+        match death[x as usize] {
+            Death::Raked(_) => return Some(x),
+            Death::Compressed { child, .. } => x = child,
+            _ => return None,
+        }
     }
+    None
 }
 
 /// The recorded state of `x` before round `r`.
@@ -302,7 +319,7 @@ fn recorded_move<A: Algebra>(old: &Recorded<A>, x: u32, r: u32) -> Move {
 impl Restructure {
     /// Re-decides the nodes whose round state differs from the recorded
     /// run's once `moved` (sorted, distinct) hang under their parents in
-    /// `forest`, and stages the records that change. Reports one
+    /// `forest`, and stages their deaths in the new run. Reports one
     /// [`RoundCounters`] per round into `sink` (frontier = candidates) and
     /// returns their totals. A batch that moved nothing re-decides nothing.
     pub fn run<A: Algebra, S: Sink>(
@@ -314,10 +331,6 @@ impl Restructure {
         sink: &mut S,
     ) -> EngineCounters {
         self.born.clear();
-        self.hop_edits.clear();
-        self.arrivals.clear();
-        self.departures.clear();
-        self.renumbered.clear();
         let work = &mut self.work;
         work.slot.resize(forest.len(), NONE);
         work.list.clear();
@@ -331,14 +344,10 @@ impl Restructure {
             if from != NONE {
                 let e = work.entry(old, from, 1);
                 work.list[e].st.count = work.list[e].st.count.wrapping_sub(1);
-                self.renumbered.push(from);
-                self.departures.push((from, m));
             }
             if to != NONE {
                 let e = work.entry(old, to, 1);
                 work.list[e].st.count = work.list[e].st.count.wrapping_add(1);
-                self.renumbered.push(to);
-                self.arrivals.push((to, m));
             }
         }
         self.carry.clear();
@@ -348,8 +357,6 @@ impl Restructure {
                 .filter(|e| e.st != recorded(old, e.node, 1))
                 .map(|e| (e.node, e.st, true)),
         );
-        self.renumbered.sort_unstable();
-        self.renumbered.dedup();
 
         let mut totals = EngineCounters::default();
         let mut r = 1;
@@ -368,7 +375,6 @@ impl Restructure {
             }
             r += 1;
         }
-        self.stage(old);
         totals
     }
 
@@ -381,7 +387,6 @@ impl Restructure {
             carry,
             cands,
             born,
-            hop_edits,
             buf,
             ..
         } = self;
@@ -498,9 +503,6 @@ impl Restructure {
                 }
                 Move::Stay | Move::Finish => {}
             }
-            if was.victim() != now.victim() {
-                hop_edits.push((c, was.victim(), now.victim()));
-            }
             let (x, up, kind) = match now {
                 Move::Stay => continue,
                 Move::Finish => {
@@ -568,186 +570,117 @@ impl Restructure {
         rc
     }
 
-    /// Keeps the staged deaths that differ from the recorded ones, builds
-    /// the new hop lists, and lists the nodes whose death or hop list
-    /// changed.
-    fn stage<A: Algebra>(&mut self, old: &Recorded<A>) {
+    /// Writes the staged deaths that differ from the recorded ones into
+    /// `trace` (values are placeholders until propagation: a raked node or
+    /// root holds its own label's value, a compressed node the identity) and
+    /// patches what depends on them, given the nodes the batch `moved`.
+    ///
+    /// The three lists are patched by one rule ([`patch`]). A moved node
+    /// leaves the child list of its recorded parent and joins its new
+    /// parent's, keyed by id. A changed record leaves the list it was in and
+    /// joins the one it is in now, keyed by death round: a rake the
+    /// raked-child list (in `raked`) of its death parent, a compressed node
+    /// the hop list of its host. `changed` lists the changed records and
+    /// every host one left or joined; `parents` every parent whose raked
+    /// children, their slots or its degree changed, for propagation to lay
+    /// out afresh.
+    ///
+    /// Only raked nodes' slots are kept, since no other is read after a run.
+    /// A raked node's slot is the position of its chain's top (the original
+    /// child of its death parent on its path) in that parent's id-ordered
+    /// child list, and the nodes of the chain that died under the parent
+    /// share the top. So a parent that gained or lost a child walks its
+    /// children down to their raked ends, and each changed node's raked end
+    /// takes the position of the top found by stepping to the last victim
+    /// until the hop list is empty. That can move a slot while the parent's
+    /// child list and raked children stay the same, so such a parent is
+    /// listed too.
+    pub fn commit<A: Algebra>(
+        &mut self,
+        alg: &A,
+        forest: &Forest<A::Label>,
+        moved: &[u32],
+        trace: &mut Trace<A>,
+        raked: &mut Csr,
+    ) {
         let Restructure {
             born,
-            hop_edits,
-            new_hops,
-            hop_items,
+            buf,
             changed,
+            renumbered,
+            parents,
             ..
         } = self;
+        let Trace {
+            links, death, sib, ..
+        } = trace;
+        let mut edits: [Vec<Edit>; 3] = Default::default();
+        for &m in moved {
+            // The recorded parent is the working parent at round 1.
+            let from = links.hops.of(m).first().copied();
+            let (from, to) = (from.unwrap_or(links.up[m as usize]), forest.parent_raw(m));
+            if from != to {
+                edits[CHILDREN].extend((from != NONE).then_some((from, m, m, false)));
+                edits[CHILDREN].extend((to != NONE).then_some((to, m, m, true)));
+            }
+        }
         born.sort_unstable_by_key(|b| b.0);
         if check::ENABLED {
             for w in born.windows(2) {
                 invariant!(w[0].0 != w[1].0, "n{} dies twice in the new run", w[0].0);
             }
         }
-        born.retain(|&(x, b)| {
-            let kind = match old.death[x as usize] {
-                Death::Raked(_) => Some(Kind::Raked),
-                Death::Root(_) => Some(Kind::Root),
-                Death::Compressed { child, .. } => Some(Kind::Compressed(child)),
-                Death::None => None,
-            };
-            (b.round, b.up, Some(b.kind)) != (old.round(x), old.links.up[x as usize], kind)
-        });
         changed.clear();
-        changed.extend(born.iter().map(|b| b.0));
-        new_hops.clear();
-        hop_items.clear();
-        hop_edits.sort_unstable();
-        let round = |v: u32| {
-            born.binary_search_by_key(&v, |b| b.0)
-                .map_or(old.round(v), |i| born[i].1.round)
-        };
-        for edits in runs(hop_edits, |e| e.0) {
-            let host = edits[0].0;
-            let lo = hop_items.len();
-            let gone = |v: &u32| edits.iter().any(|e| e.1 == *v);
-            hop_items.extend(old.links.hops.of(host).iter().filter(|v| !gone(v)));
-            hop_items.extend(edits.iter().map(|e| e.2).filter(|&v| v != NONE));
-            hop_items[lo..].sort_unstable_by_key(|&v| round(v));
-            if hop_items[lo..] == *old.links.hops.of(host) {
-                hop_items.truncate(lo);
-            } else {
-                new_hops.push((host, lo..hop_items.len()));
-                changed.push(host);
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
-    }
-
-    /// Writes the staged records into `trace` and patches the lists that
-    /// depend on them: death rounds, death parents and kinds of the changed
-    /// nodes (values are placeholders until propagation: a raked node or
-    /// root holds its own label's value, a compressed node the identity),
-    /// their hop lists, the raked-children lists in `raked`, the child
-    /// lists of the renumbered parents, and the sibling slots. Lists in
-    /// `parents` every parent whose raked children, their slots or its
-    /// degree changed, for propagation to lay out afresh.
-    ///
-    /// A slot is the position of the chain's top node — the original child
-    /// of the death parent on the node's path — in the parent's id-ordered
-    /// child list. So a renumbered parent's children are walked down their
-    /// splice chains, and a changed node elsewhere finds its top by
-    /// stepping to its last victim until the hop list is empty. That can
-    /// move the slot of a raked node below it on the chain while its
-    /// parent's child list and raked children stay the same, so such a
-    /// parent is listed too.
-    pub fn commit<A: Algebra>(
-        &mut self,
-        alg: &A,
-        forest: &Forest<A::Label>,
-        trace: &mut Trace<A>,
-        raked: &mut Csr,
-    ) {
-        let Restructure {
-            born,
-            arrivals,
-            departures,
-            buf,
-            new_hops,
-            hop_items,
-            changed,
-            renumbered,
-            parents,
-            ..
-        } = self;
-        // Raked-children lists: `(parent, death round, node)` for every
-        // changed rake, recorded and new.
-        let (mut gone, mut added) = (Vec::new(), Vec::new());
         for &(x, b) in born.iter() {
-            let xi = x as usize;
-            if matches!(trace.death[xi], Death::Raked(_)) {
-                gone.push((trace.links.up[xi], trace.links.round[xi], x));
+            let was = Born::recorded(links, death, x);
+            if was == Some(b) {
+                continue;
+            }
+            changed.push(x);
+            for (record, joins) in [(was, false), (Some(b), true)] {
+                if let Some((list, group, key)) = record.and_then(Born::entry) {
+                    edits[list].push((group, key, x, joins));
+                }
             }
             let leaf = || alg.finish(&alg.init_acc(forest.label(NodeId(x))));
-            trace.death[xi] = match b.kind {
-                Kind::Raked => {
-                    added.push((b.up, b.round, x));
-                    Death::Raked(leaf())
-                }
+            death[x as usize] = match b.kind {
+                Kind::Raked => Death::Raked(leaf()),
                 Kind::Root => Death::Root(leaf()),
                 Kind::Compressed(child) => Death::Compressed {
                     child,
                     fun: alg.identity(),
                 },
             };
-            trace.links.round[xi] = b.round;
-            trace.links.up[xi] = b.up;
+            links.round[x as usize] = b.round;
+            links.up[x as usize] = b.up;
         }
-        gone.sort_unstable();
-        added.sort_unstable();
+        let [kids, rakes, hops] = &mut edits;
+        renumbered.clear();
+        patch(&mut links.children, kids, |x| x, renumbered, buf);
+        let round = |x: u32| links.round[x as usize];
         parents.clear();
-        parents.extend(gone.iter().chain(&added).map(|e| e.0));
-        parents.sort_unstable();
-        parents.dedup();
-        let links = &mut trace.links;
-        let mut edits = Vec::new();
-        buf.clear();
-        for &p in &*parents {
-            let lo = buf.len();
-            let (old, gone, added) = (raked.of(p), group_of(&gone, p), group_of(&added, p));
-            edit_sorted(buf, old, gone, added, |x| (links.round[x as usize], x));
-            edits.push((p, lo..buf.len()));
-        }
-        set_all(raked, &edits, buf);
-        set_all(&mut links.hops, new_hops, hop_items);
+        patch(raked, rakes, round, parents, buf);
+        patch(&mut links.hops, hops, round, changed, buf);
+        changed.sort_unstable();
+        changed.dedup();
 
-        // Child lists of the parents that gained or lost a child.
-        let by_parent = |moves: &mut Vec<(u32, u32)>| {
-            moves.sort_unstable();
-            moves.iter().map(|&(p, x)| (p, (), x)).collect::<Vec<_>>()
-        };
-        let (arrivals, departures) = (by_parent(arrivals), by_parent(departures));
-        edits.clear();
-        buf.clear();
-        for &p in renumbered.iter() {
-            let lo = buf.len();
-            let old = links.children.of(p);
-            edit_sorted(
-                buf,
-                old,
-                group_of(&departures, p),
-                group_of(&arrivals, p),
-                |x| x,
-            );
-            edits.push((p, lo..buf.len()));
-        }
-        set_all(&mut links.children, &edits, buf);
-
-        let sib = &mut trace.sib;
         for &p in renumbered.iter() {
             for (slot, &c) in links.children.of(p).iter().enumerate() {
-                let mut x = c;
-                while links.up[x as usize] == p {
-                    sib[x as usize] = slot as u32;
-                    match trace.death[x as usize] {
-                        Death::Compressed { child, .. } => x = child,
-                        _ => break,
-                    }
+                if let Some(y) = raked_end(links, death, c, p) {
+                    sib[y as usize] = slot as u32;
                 }
             }
         }
-        // A changed node's chain top may have moved, and with it the slot
-        // of every node below it on the chain: those the chain's hosts
-        // spliced it out for, down to the raked end.
         for &x in changed.iter() {
             let p = links.up[x as usize];
+            let Some(y) = raked_end(links, death, x, p) else {
+                continue;
+            };
             let mut top = x;
             while let Some(&v) = links.hops.of(top).last() {
                 top = v;
             }
-            let slot = if p == NONE {
-                Ok(0)
-            } else {
-                links.children.of(p).binary_search(&top)
-            };
+            let slot = links.children.of(p).binary_search(&top);
             if check::ENABLED {
                 invariant!(
                     slot.is_ok(),
@@ -755,17 +688,8 @@ impl Restructure {
                 );
             }
             let slot = slot.unwrap_or(0) as u32;
-            sib[x as usize] = slot;
-            let mut y = x;
-            while let Death::Compressed { child, .. } = trace.death[y as usize] {
-                if p == NONE || links.up[child as usize] != p {
-                    break;
-                }
-                y = child;
-                let old = std::mem::replace(&mut sib[y as usize], slot);
-                if old != slot && matches!(trace.death[y as usize], Death::Raked(_)) {
-                    parents.push(p);
-                }
+            if std::mem::replace(&mut sib[y as usize], slot) != slot {
+                parents.push(p);
             }
         }
         parents.extend_from_slice(renumbered);

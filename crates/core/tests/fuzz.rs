@@ -2,17 +2,19 @@
 //!
 //! Each seed generates a forest from the shape zoo (multi-root forests
 //! included) and a script of edit batches: cuts, links and relabels mixed
-//! in one recompute, nodes cut and relinked in the same batch, links that
-//! build on earlier links, and now and then an invalid edit that must be
-//! refused with its typed error and change nothing. Reads, component reads
-//! and query batches run between the batches, some of them while edits are
-//! pending (they must answer `Stale` / `PendingEdits`). Every answer is
-//! checked against [`Forest::sequential_fold`] and the naive walks
-//! [`Forest::naive_lca`] / [`Forest::naive_path_fold`]; with the `check`
-//! feature, `validate()` and `validate_trace()` also run after every
-//! recompute. The algebras are `SubtreeSum`, `MinMax`,
-//! `OrderedRake<SeqHash>` and `ExprEval` (whose scripts link only under
-//! operator nodes: a constant leaf cannot take children).
+//! in one recompute, nodes cut and relinked in the same batch, two nodes
+//! that swap parents in one batch, links that build on earlier links, and
+//! now and then an invalid edit that must be refused with its typed error
+//! and change nothing. Reads, component reads and query batches run
+//! between the batches, some of them while edits are pending (they must
+//! answer `Stale` / `PendingEdits`). Every answer is checked against
+//! [`Forest::sequential_fold`] and the naive walks [`Forest::naive_lca`] /
+//! [`Forest::naive_path_fold`]; with the `check` feature, `validate()` and
+//! `validate_trace()` also run after every recompute (the latter compares
+//! child aggregates too, so the helpers need comparable parts). The
+//! algebras are `SubtreeSum`, `MinMax`, `OrderedRake<SeqHash>` and
+//! `ExprEval` (whose scripts link only under operator nodes: a constant
+//! leaf cannot take children).
 //!
 //! A failing script is shrunk greedily — drop whole ops, then single
 //! elements of the batches — and the test fails with its seed, shape and
@@ -305,7 +307,7 @@ fn generate<A: Subject>(forest: &Forest<A::Label>, batches: usize, seed: u64) ->
     };
     for _ in 0..batches {
         for _ in 0..1 + rng.below(3) {
-            match rng.below(5) {
+            match rng.below(6) {
                 0 => {
                     let mut cuts = Vec::new();
                     for _ in 0..1 + rng.below(3) {
@@ -365,6 +367,26 @@ fn generate<A: Subject>(forest: &Forest<A::Label>, batches: usize, seed: u64) ->
                         .collect();
                     script.push(Op::Label(edits));
                 }
+                3 => {
+                    // Swap the parents of two nodes in one batch: cut both,
+                    // then link each under the other's old parent.
+                    let (a, b) = (pick(&mut rng), pick(&mut rng));
+                    if let (Some(pa), Some(pb)) = (parent[a as usize], parent[b as usize]) {
+                        if pa != pb {
+                            parent[a as usize] = None;
+                            parent[b as usize] = None;
+                            script.push(Op::Cut(vec![a, b]));
+                            let mut links = Vec::new();
+                            for (c, p) in [(a, pb), (b, pa)] {
+                                if root_of(&parent, p) != c {
+                                    parent[c as usize] = Some(p);
+                                    links.push((c, p));
+                                }
+                            }
+                            script.push(Op::Link(links));
+                        }
+                    }
+                }
                 _ => {
                     // Cut a node and relink it in the same batch.
                     let v = pick(&mut rng);
@@ -398,7 +420,10 @@ fn generate<A: Subject>(forest: &Forest<A::Label>, batches: usize, seed: u64) ->
 }
 
 #[cfg(feature = "check")]
-fn validate<A: Propagate>(d: &DynForest<A>) -> Result<(), String> {
+fn validate<A: Propagate>(d: &DynForest<A>) -> Result<(), String>
+where
+    A::Part: PartialEq,
+{
     d.validate().map_err(|e| format!("validate: {e}"))?;
     d.validate_trace()
         .map_err(|e| format!("validate_trace: {e}"))
@@ -421,6 +446,7 @@ where
     A: Subject,
     A::Label: PartialEq + Debug,
     A::Val: PartialEq + Debug,
+    A::Part: PartialEq,
 {
     let n = forest.len();
     let id = |x: u32| NodeId::from_index(x as usize);
@@ -553,6 +579,7 @@ where
     A: Subject,
     A::Label: PartialEq + Debug,
     A::Val: PartialEq + Debug,
+    A::Part: PartialEq,
 {
     panic::catch_unwind(AssertUnwindSafe(|| run(alg, forest, script, seed))).unwrap_or_else(|e| {
         let msg = e
@@ -576,6 +603,7 @@ where
     A: Subject,
     A::Label: PartialEq + Debug,
     A::Val: PartialEq + Debug,
+    A::Part: PartialEq,
 {
     let fails = |s: &[Op<A::Label>]| run_caught(alg, forest, s, seed).is_err();
     loop {
@@ -623,6 +651,7 @@ where
     A: Subject,
     A::Label: PartialEq + Debug,
     A::Val: PartialEq + Debug,
+    A::Part: PartialEq,
 {
     let scripts = env_u64("DTC_FUZZ_SCRIPTS", 40);
     let base = env_u64("DTC_FUZZ_SEED", 0x5EED_F022) ^ salt;

@@ -4,7 +4,10 @@
 //! the whole shape zoo, for invertible and non-invertible algebras alike.
 
 use dtc_core::gen::{self, ChurnOp, XorShift64};
-use dtc_core::{DynForest, ExprEval, ExprLabel, Forest, MinMax, NodeId, Propagate, SubtreeSum};
+use dtc_core::{
+    DynForest, ExprEval, ExprLabel, Forest, MinMax, NodeId, OrderedRake, Propagate, SeqHash,
+    SubtreeSum,
+};
 
 /// Every shape the propagator has to survive, including the adversarial
 /// depth (path, broom handle) and degree (star, broom head) extremes.
@@ -257,4 +260,37 @@ fn minmax_relink_that_moves_a_raked_slot() {
     d.try_batch_link(&[(n9, n2)]).unwrap();
     d.recompute();
     assert_matches_fresh("caterpillar(41,2): cut n9, link under n2", &d, &MinMax, S);
+}
+
+/// Two raked chains that swap places under one parent in one recompute:
+/// `y` and `w` stay raked into `p` and `p`'s child list stays the same, but
+/// their chain tops trade places, so both raked slots move and `p` must be
+/// laid out again. Equal chain labels cut both contributions off, so a stale
+/// layout shows under `MinMax` only after the relabel, and under the
+/// ordered algebra right after the swap.
+#[test]
+fn raked_chains_that_swap_under_one_parent() {
+    fn swap<A: Propagate<Label = i64>>(name: &str, alg: A)
+    where
+        A::Val: std::fmt::Debug,
+    {
+        let mut f = Forest::new();
+        let (p, y, w) = (f.add_root(0), f.add_root(5), f.add_root(7));
+        let (c1, c2) = (f.add_child(p, 3), f.add_child(p, 3));
+        let ya = f.add_child(y, 11);
+        f.add_child(w, 900);
+        let mut d = DynForest::with_seed(f, alg.clone(), 7);
+        d.try_batch_link(&[(y, c1), (w, c2)]).unwrap();
+        d.recompute();
+        assert_matches_fresh(&format!("{name}: link y, w"), &d, &alg, 7);
+        d.try_batch_cut(&[y, w]).unwrap();
+        d.try_batch_link(&[(y, c2), (w, c1)]).unwrap();
+        d.recompute();
+        assert_matches_fresh(&format!("{name}: swap y, w"), &d, &alg, 7);
+        d.batch_update_weights(&[(ya, 12)]).unwrap();
+        d.recompute();
+        assert_matches_fresh(&format!("{name}: relabel ya"), &d, &alg, 7);
+    }
+    swap("MinMax", MinMax);
+    swap("OrderedRake", OrderedRake(SeqHash));
 }
