@@ -119,8 +119,9 @@ fn main() {
     // per query. Deep shapes (path, caterpillar) are where batching wins by
     // orders of magnitude; shallow shapes show the flat cost of the index.
     // `dyn_query_1k` prices the same batch on a `DynForest` that keeps its
-    // index across label batches: one backsolve and the hop prefixes per
-    // batch. All sides run the same 1k-query mix (250 each of subtree /
+    // index across label batches: the hop prefixes and one pass over the
+    // death records per batch, with values resolved per query from the
+    // trace. All sides run the same 1k-query mix (250 each of subtree /
     // path / lca / component-value) and are checked against each other
     // once outside the measured region.
     for (shape, make) in shapes() {

@@ -3,7 +3,7 @@
 //!
 //! A [`Contraction`] owns the [`Trace`] its run recorded — the same type a
 //! [`DynForest`](crate::DynForest) maintains — next to the backsolved
-//! values, and answers queries from that trace's links.
+//! values, and answers queries from that trace.
 
 use crate::algebra::{Algebra, PathAlgebra};
 use crate::arena::Forest;

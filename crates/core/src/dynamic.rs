@@ -35,17 +35,17 @@
 //! per-node value cache to keep coherent), which is why reads return
 //! values rather than references and why *any* pending edit makes every
 //! read stale until [`DynForest::recompute`] runs. Batch queries
-//! ([`DynForest::query_batch`]) read the same trace's links through a shape
-//! index (Euler intervals, component roots, hop hosts) that is built on the
-//! first query after a structural batch and kept across label-only
-//! batches; each query batch then costs one backsolve over the index's
-//! hosts, `O(hosts + victims)` hop prefixes and `O(log² n)` per query.
+//! ([`DynForest::query_batch`]) resolve values and roots as reads do, and
+//! ancestors and paths through a shape index (Euler intervals, hop hosts)
+//! that is built on the first query after a structural batch and kept
+//! across label-only batches; each query batch then costs
+//! `O(hosts + victims)` hop prefixes and `O(log² n)` per query.
 //!
 //! Each operation has one public form, and none panics on a bad input:
 //! edits return `Result<(), EditError>` and leave no trace of a rejected
 //! batch, reads return `Result<_, QueryError>`.
 
-use crate::algebra::{PathAlgebra, Propagate};
+use crate::algebra::{Algebra, PathAlgebra, Propagate};
 use crate::arena::{Csr, Forest, NONE};
 use crate::engine::{Death, Recorded, Scratch, Trace};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile, Sink};
@@ -223,10 +223,9 @@ pub struct DynForest<A: Propagate> {
     /// forest, so a cloned forest is immediately ready to recompute
     /// (benchmarks rely on this).
     replay: Replay<A>,
-    /// The query shape index of the maintained trace and its victims in a
-    /// backsolve order ([`Shape::victims`]): built by the first
+    /// The query shape index of the maintained trace: built by the first
     /// [`DynForest::query_batch`] after a structural batch, which drops it.
-    shape: OnceLock<(Shape, Vec<u32>)>,
+    shape: OnceLock<Shape>,
     /// Coin seed of every contraction this forest runs, fixed for its life.
     seed: u64,
     /// Telemetry collector; `Some` once profiling is enabled. Boxed so the
@@ -355,11 +354,7 @@ impl<A: Propagate> DynForest<A> {
     /// `v` sits.
     pub fn try_component_value(&self, v: NodeId) -> Result<A::Val, QueryError> {
         self.readable(v)?;
-        let up = &self.trace.links.up;
-        let mut root = v.raw();
-        while up[root as usize] != NONE {
-            root = up[root as usize];
-        }
+        let root = self.trace.links.root(v.raw());
         Ok(resolve_val(&self.alg, &self.trace.death, root))
     }
 
@@ -625,14 +620,7 @@ impl<A: Propagate> DynForest<A> {
             None => replay.propagate(alg, forest, trace, &seeds, refolds, &mut NoopSink),
         };
         if !moved.is_empty() {
-            // Reads resolve from the death records, and the structure phase
-            // evicts them from cache: it reads the old round state all over
-            // the trace. One sequential pass (about 0.1 ms per 100k nodes)
-            // puts them back. On `dtc-e2e`'s `mixed-random`, settled reads
-            // ran 1.6x slower without it (median `read_p50_ns` of ten
-            // alternating pairs on a 2-vCPU host, with and without the pass).
-            let finished = trace.death.iter().filter(|d| matches!(d, Death::Root(_)));
-            std::hint::black_box(finished.count());
+            warm(&trace.death);
         }
         let rounds = structure.rounds.max(outcome.rounds);
         let stats = UpdateStats {
@@ -660,37 +648,25 @@ impl<A: Propagate> DynForest<A> {
     /// Answers come from the maintained trace, which every recompute
     /// leaves equal to a fresh contraction of the current forest. The first
     /// batch after a structural recompute builds the trace's shape index
-    /// in `O(n)`; label-only recomputes keep it. Every batch then pays one
-    /// backsolve for the subtree values (over the index's hop hosts, in
-    /// descending death round), `O(hosts + victims)` for the hop prefixes
-    /// of the current labels, and `O(log² n)` per query (see
+    /// in `O(n)`; label-only recomputes keep it. Every batch then pays
+    /// `O(hosts + victims)` for the hop prefixes of the current labels and
+    /// `O(log² n)` per query, in query order on the calling thread (see
     /// [`Contraction::query_batch`](crate::Contraction::query_batch)).
     pub fn query_batch(&self, batch: &QueryBatch) -> Result<Vec<QueryOutcome<A>>, QueryError>
     where
-        A: PathAlgebra + Sync,
-        A::Label: Sync,
-        A::Val: Send + Sync,
-        A::PathVal: Send + Sync,
+        A: PathAlgebra,
     {
         if !self.dirty_list.is_empty() {
             return Err(QueryError::PendingEdits {
                 pending: self.dirty_list.len(),
             });
         }
-        let trace = &self.trace;
-        let (forest, links, alg) = (&self.forest, &trace.links, &self.alg);
-        let (shape, victims) = self.shape.get_or_init(|| {
-            let shape = Shape::new(forest, links);
-            let victims = shape.victims(&links.hops);
-            (shape, victims)
-        });
-        // The backsolve runs last: the death records it sweeps are what the
-        // caller's next reads resolve from, so it leaves them in cache.
-        let hop_pref = query::hop_prefixes(forest, links, shape, alg);
-        let values = trace.backsolve(alg, victims.iter().copied());
-        Ok(query::resolve(
-            forest, links, shape, hop_pref, &values, alg, batch,
-        ))
+        let (forest, trace, alg) = (&self.forest, &self.trace, &self.alg);
+        let shape = self.shape.get_or_init(|| Shape::new(forest, &trace.links));
+        let hop_pref = query::hop_prefixes(forest, &trace.links, shape, alg);
+        let answers = query::resolve(forest, trace, shape, hop_pref, alg, batch);
+        warm(&trace.death);
+        Ok(answers)
     }
 
     /// Verifies the structural invariants of the dynamic layer
@@ -824,13 +800,28 @@ impl<A: Propagate> DynForest<A> {
                 )));
             }
         }
-        if let Some((index, victims)) = self.shape.get() {
-            let fresh_index = Shape::new(&self.forest, f);
+        if let Some(index) = self.shape.get() {
             ensure!(
-                *index == fresh_index && *victims == fresh_index.victims(&f.hops),
+                *index == Shape::new(&self.forest, f),
                 "the kept query index differs from one built from a fresh contraction"
             );
         }
         Ok(())
     }
+}
+
+/// Reads every death record once, in order, so that the caller's next
+/// reads, which resolve from them, find them in cache. A structural
+/// recompute reads the old round state all over the trace, and a query
+/// batch reads the shape index, the hop lists and the labels; after
+/// either, reads ran slower without this pass. Measured on `dtc-e2e`
+/// (median `read_p50_ns` of alternating pairs with and without the pass,
+/// 2-vCPU host): after a structural recompute, `mixed-random`'s settled
+/// reads ran 1.6x slower without it (ten pairs); after a query batch,
+/// `query-random`'s reads took 28.3 ns without it and 8.4 ns with it
+/// (five pairs at 20 s). The pass costs about 0.1 ms per 100k nodes: the
+/// same `query-random` runs read 6.7 M `ops_per_s` without it, 4.7 M with.
+fn warm<A: Algebra>(death: &[Death<A>]) {
+    let finished = death.iter().filter(|d| matches!(d, Death::Root(_)));
+    std::hint::black_box(finished.count());
 }

@@ -86,8 +86,7 @@ pub(crate) enum Death<A: Algebra> {
 
 /// The algebra-independent part of a [`Trace`]: the loaded forest's child
 /// lists and the contraction's shortcut structure, indexed by raw node id.
-/// It holds no values or functions, so the query engine can share it
-/// across threads whatever the algebra.
+/// It holds no values or functions, so label propagation never changes it.
 #[derive(Clone, Default)]
 pub(crate) struct Links {
     /// Child lists of the loaded forest, each in id order — the order that
@@ -111,6 +110,18 @@ pub(crate) struct Links {
     /// following `O(rounds)` shortcut pointers; this is what the batch
     /// query engine traverses and change propagation refolds.
     pub hops: Csr,
+}
+
+impl Links {
+    /// The component root of `x`. Death parents are ancestors that die
+    /// strictly later, and only a root finishes, so climbing them reaches
+    /// it in `O(rounds)` steps however deep `x` sits.
+    pub fn root(&self, mut x: u32) -> u32 {
+        while self.up[x as usize] != NONE {
+            x = self.up[x as usize];
+        }
+        x
+    }
 }
 
 /// The record of one contraction run: per-node death records and the

@@ -17,16 +17,18 @@
 //!   other node's state back from the trace. Every edit and read has one
 //!   form, which returns a `Result` instead of panicking;
 //! * a **batch query** engine: a [`QueryBatch`] of mixed subtree / path /
-//!   LCA / component queries resolves over the contraction DAG — an
-//!   `O(n)` shape index per trace shape, per-batch prefix folds over the
-//!   hop lists, then `O(log² n)` per query along the trace's shortcut
+//!   LCA / component queries resolves over the contraction DAG — values
+//!   and roots from the death records as reads resolve them, an `O(n)`
+//!   shape index per trace shape, per-batch prefix folds over the hop
+//!   lists, then `O(log² n)` per query along the trace's shortcut
 //!   pointers — instead of one tree walk per query (see the [`query`]
 //!   module docs for the construction).
 //!
 //! A run records its trace once, and both [`Contraction`] and
 //! [`DynForest`] own one of the same type: death records, edge functions
 //! and sibling slots, plus the algebra-independent links (child lists,
-//! death rounds, death parents and hop lists) that the query engine reads.
+//! death rounds, death parents and hop lists). The query engine reads the
+//! links and the death records.
 //!
 //! Value semantics are pluggable through the [`Algebra`] trait; shipped
 //! instances double as correctness oracles against
@@ -43,9 +45,8 @@
 //! [`SubtreeSum`], [`ExprEval`] and [`MinMax`] are also [`PathAlgebra`]s,
 //! so they answer path-aggregate queries.
 //!
-//! Per-round planning and batch query resolution are parallelized with
-//! scoped threads behind the `parallel` feature (dependency-free; see
-//! `par.rs`).
+//! Per-round planning is parallelized with scoped threads behind the
+//! `parallel` feature (dependency-free; see `par.rs`).
 //!
 //! Everything the engine does is observable through the [`obs`] module: a
 //! profiled run or forest reports phase spans

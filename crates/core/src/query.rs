@@ -18,11 +18,15 @@
 //! shortcut hops plus an `O(log n)`-deep descent through nested victim
 //! lists. Everything a query needs is a walk of that structure:
 //!
-//! * **component root / value** — read from the shape index (below),
-//!   `O(1)` per query;
+//! * **subtree / component value, component root** — resolved from the
+//!   death records as [`DynForest`](crate::DynForest)'s reads resolve them:
+//!   the root ends the death-parent chain, and a compressed node applies
+//!   its recorded function to the value of the child that outlived it;
+//!   `O(rounds)` per query;
 //! * **LCA(u, v)** — climb `u`'s shortcut chain to the first hop whose top
 //!   is an ancestor of `v` (constant-time ancestor tests via Euler
-//!   intervals from the shape index), then descend: binary-search each
+//!   intervals from the shape index; a climb off `u`'s root means the two
+//!   are not connected), then descend: binary-search each
 //!   victim list for the lowest ancestor of `v` and recurse into the gap
 //!   just below it — the first node of `u`'s ancestor path that is also
 //!   an ancestor of `v` *is* the LCA;
@@ -33,22 +37,17 @@
 //!   descent. Requires a [`PathAlgebra`].
 //!
 //! The context splits by what invalidates it. The **shape index** — Euler
-//! intervals, component roots, and the nodes with a non-empty hop list in
-//! ascending death round — depends only on the forest's shape and the
-//! trace's rounds and hop lists, which label propagation never changes; it
-//! costs one `O(n)` pass over the child lists the trace already holds. The
-//! **hop prefixes** depend on labels and cost `O(hosts + victims)` per
-//! batch. Both [`Contraction::query_batch`] and
+//! intervals, and the nodes with a non-empty hop list in ascending death
+//! round — depends only on the forest's shape and the trace's rounds and
+//! hop lists, which label propagation never changes; it costs one `O(n)`
+//! pass over the child lists the trace already holds. The **hop prefixes**
+//! depend on labels and cost `O(hosts + victims)` per batch. Both
+//! [`Contraction::query_batch`] and
 //! [`DynForest::query_batch`](crate::DynForest::query_batch) read the
-//! algebra-independent links of the trace they own;
-//! `Contraction::query_batch` builds a shape index per call, while
-//! `DynForest::query_batch` keeps one per trace shape, so a batch after
-//! label-only edits pays one backsolve for the values, the prefixes, and
-//! `O(log² n)` per query.
-//! Queries are dispatched in ascending death round of their anchor node
-//! (queries touching the same region of the DAG run together), and the
-//! dispatch loop fans out over scoped threads behind the `parallel`
-//! feature.
+//! trace they own; `Contraction::query_batch` builds a shape index per
+//! call, while `DynForest::query_batch` keeps one per trace shape, so a
+//! batch after label-only edits pays the prefixes and `O(log² n)` per
+//! query. Queries are answered in query order on the calling thread.
 //!
 //! The API is uniformly non-panicking: per-query failures (unknown node
 //! ids) come back as per-query `Err`s, cross-component path/LCA queries
@@ -72,8 +71,9 @@
 use crate::algebra::{Algebra, PathAlgebra};
 use crate::arena::{Csr, Forest, NONE};
 use crate::contract::Contraction;
-use crate::engine::Links;
-use crate::{par, NodeId};
+use crate::engine::{Links, Trace};
+use crate::propagate::resolve_val;
+use crate::NodeId;
 use std::fmt;
 
 /// One query against a contracted forest.
@@ -92,19 +92,6 @@ pub enum Query {
     ComponentRoot(NodeId),
     /// Aggregate of the node's whole component → [`Answer::Value`].
     ComponentValue(NodeId),
-}
-
-impl Query {
-    /// The node whose death round orders this query during dispatch.
-    fn anchor(&self) -> NodeId {
-        match *self {
-            Query::Subtree(v)
-            | Query::Path(v, _)
-            | Query::Lca(v, _)
-            | Query::ComponentRoot(v)
-            | Query::ComponentValue(v) => v,
-        }
-    }
 }
 
 /// A batch of mixed queries, resolved together by
@@ -268,8 +255,7 @@ pub type QueryOutcome<A> =
     Result<Answer<<A as Algebra>::Val, <A as PathAlgebra>::PathVal>, QueryError>;
 
 /// The label-independent half of the query context: what the resolver
-/// (and a dynamic forest's backsolve) needs of the forest's and the
-/// trace's *shape*. Label propagation never
+/// needs of the forest's and the trace's *shape*. Label propagation never
 /// changes death rounds, death parents or hop lists, so a shape index stays
 /// valid until a structural batch rewrites them.
 #[derive(Clone, PartialEq)]
@@ -280,8 +266,6 @@ pub(crate) struct Shape {
     /// The last preorder index in the node's subtree: `u`'s subtree is
     /// exactly the nodes `v` with `tin[u] <= tin[v] <= tout[u]`.
     tout: Vec<u32>,
-    /// Component root of every node.
-    root: Vec<u32>,
     /// The nodes with a non-empty hop list, in ascending death round. A
     /// victim dies strictly before its host, so in this order every
     /// victim's own hop list comes before its host's.
@@ -295,14 +279,12 @@ impl Shape {
         let children = &links.children;
         let mut tin = vec![0u32; n];
         let mut tout = vec![0u32; n];
-        let mut root = vec![0u32; n];
         let mut clock = 0u32;
         let mut stack: Vec<(u32, u32)> = Vec::new();
         for r in forest.roots() {
             let rr = r.raw();
             tin[rr as usize] = clock;
             clock += 1;
-            root[rr as usize] = rr;
             stack.push((rr, children.range(rr).0 as u32));
             while let Some((u, ci)) = stack.last_mut() {
                 let u = *u;
@@ -311,7 +293,6 @@ impl Shape {
                     *ci += 1;
                     tin[k as usize] = clock;
                     clock += 1;
-                    root[k as usize] = rr;
                     stack.push((k, children.range(k).0 as u32));
                 } else {
                     tout[u as usize] = clock - 1;
@@ -334,17 +315,8 @@ impl Shape {
         Shape {
             tin,
             tout,
-            root,
             hosts: by_round.items,
         }
-    }
-
-    /// Every victim of the indexed `hops`, hosts in descending death round:
-    /// a backsolve order ([`Trace::backsolve`](crate::engine::Trace::backsolve)),
-    /// since each victim's record names its host, which dies later.
-    pub fn victims(&self, hops: &Csr) -> Vec<u32> {
-        let hosts = self.hosts.iter().rev();
-        hosts.flat_map(|&x| hops.of(x).iter().copied()).collect()
     }
 
     /// `true` iff `a` is an ancestor of `b` (or equal).
@@ -416,13 +388,12 @@ pub(crate) fn hop_prefixes<A: PathAlgebra>(
     pref
 }
 
-/// One batch's view of a trace: its links and shape index, the subtree
-/// values, and the hop prefixes of the current labels.
+/// One batch's view of a trace: the trace, its shape index and the hop
+/// prefixes of the current labels.
 struct Resolver<'a, A: PathAlgebra> {
     forest: &'a Forest<A::Label>,
-    links: &'a Links,
+    trace: &'a Trace<A>,
     shape: &'a Shape,
-    values: &'a [A::Val],
     hop_pref: Vec<A::PathVal>,
     alg: &'a A,
 }
@@ -435,12 +406,10 @@ impl<A: PathAlgebra> Resolver<'_, A> {
     /// first ancestor — but the true LCA may sit *inside* the recursive
     /// gap just below it, so descend into the preceding victim's own list
     /// and repeat. Each descent moves to a strictly earlier death round,
-    /// bounding the depth by the round count.
+    /// bounding the depth by the round count. `None` when the climb passes
+    /// `u`'s root, which is an ancestor of every node of its component.
     fn lca(&self, u: u32, v: u32) -> Option<u32> {
-        let (shape, links) = (self.shape, self.links);
-        if shape.root[u as usize] != shape.root[v as usize] {
-            return None;
-        }
+        let (shape, links) = (self.shape, &self.trace.links);
         if shape.is_anc(u, v) {
             return Some(u);
         }
@@ -450,7 +419,9 @@ impl<A: PathAlgebra> Resolver<'_, A> {
         let mut x = u;
         let mut fallback = loop {
             let nxt = links.up[x as usize];
-            debug_assert!(nxt != NONE, "climb passed the component root");
+            if nxt == NONE {
+                return None;
+            }
             if shape.is_anc(nxt, v) {
                 break nxt;
             }
@@ -484,7 +455,8 @@ impl<A: PathAlgebra> Resolver<'_, A> {
         if u == w {
             return None;
         }
-        let (alg, shape, links, pref) = (self.alg, self.shape, self.links, &self.hop_pref);
+        let (alg, shape, pref) = (self.alg, self.shape, &self.hop_pref);
+        let links = &self.trace.links;
         let label = |x: u32| alg.path_of(self.forest.label(NodeId(x)));
         let mut x = u;
         let mut acc = label(u);
@@ -546,13 +518,12 @@ impl<A: PathAlgebra> Resolver<'_, A> {
                 Err(QueryError::UnknownNode { node: v, nodes: n })
             }
         };
-        let root = |v: u32| self.shape.root[v as usize];
+        let (alg, trace) = (self.alg, self.trace);
+        let value = |v: u32| Answer::Value(resolve_val(alg, &trace.death, v));
         match *q {
-            Query::Subtree(v) => Ok(Answer::Value(self.values[check(v)? as usize].clone())),
-            Query::ComponentRoot(v) => Ok(Answer::Node(NodeId(root(check(v)?)))),
-            Query::ComponentValue(v) => {
-                Ok(Answer::Value(self.values[root(check(v)?) as usize].clone()))
-            }
+            Query::Subtree(v) => Ok(value(check(v)?)),
+            Query::ComponentRoot(v) => Ok(Answer::Node(NodeId(trace.links.root(check(v)?)))),
+            Query::ComponentValue(v) => Ok(value(trace.links.root(check(v)?))),
             Query::Lca(u, v) => Ok(match self.lca(check(u)?, check(v)?) {
                 Some(w) => Answer::Node(NodeId(w)),
                 None => Answer::NotConnected,
@@ -562,7 +533,6 @@ impl<A: PathAlgebra> Resolver<'_, A> {
                 let Some(w) = self.lca(u, v) else {
                     return Ok(Answer::NotConnected);
                 };
-                let alg = self.alg;
                 let mut agg = alg.path_of(self.forest.label(NodeId(w)));
                 if let Some(s) = self.seg_to_excl(u, w) {
                     agg = alg.path_concat(&agg, &s);
@@ -576,60 +546,25 @@ impl<A: PathAlgebra> Resolver<'_, A> {
     }
 }
 
-/// Resolves `batch` against one trace: `links` and `shape` describe its
-/// structure, `hop_pref` are its [`hop_prefixes`] and `values` its
-/// backsolved subtree values. Answers every query in `O(log² n)`.
-///
-/// Queries are dispatched in ascending death round of their anchor node, so
-/// queries entering the trace at the same rounds run adjacently; with the
-/// `parallel` feature the dispatch loop fans out over scoped threads.
-pub(crate) fn resolve<A>(
+/// Resolves `batch` against `trace`: `shape` is its shape index and
+/// `hop_pref` its [`hop_prefixes`]. Answers the queries in query order,
+/// each in `O(log² n)`.
+pub(crate) fn resolve<A: PathAlgebra>(
     forest: &Forest<A::Label>,
-    links: &Links,
+    trace: &Trace<A>,
     shape: &Shape,
     hop_pref: Vec<A::PathVal>,
-    values: &[A::Val],
     alg: &A,
     batch: &QueryBatch,
-) -> Vec<QueryOutcome<A>>
-where
-    A: PathAlgebra + Sync,
-    A::Label: Sync,
-    A::Val: Send + Sync,
-    A::PathVal: Send + Sync,
-{
+) -> Vec<QueryOutcome<A>> {
     let resolver = Resolver {
         forest,
-        links,
+        trace,
         shape,
-        values,
         hop_pref,
         alg,
     };
-    let n = forest.len();
-    let queries = batch.queries();
-    let mut slots: Vec<(u32, Option<QueryOutcome<A>>)> =
-        (0..queries.len() as u32).map(|i| (i, None)).collect();
-    slots.sort_by_key(|&(i, _)| {
-        let a = queries[i as usize].anchor();
-        if a.index() < n {
-            links.round[a.index()]
-        } else {
-            u32::MAX
-        }
-    });
-    par::for_each_indexed(&mut slots, |_, (qi, slot)| {
-        *slot = Some(resolver.one(&queries[*qi as usize]));
-    });
-
-    let mut out: Vec<Option<QueryOutcome<A>>> = (0..queries.len()).map(|_| None).collect();
-    for (qi, slot) in slots {
-        out[qi as usize] = slot;
-    }
-    out.into_iter()
-        // lint:allow(panic): the fan-out fills every slot exactly once
-        .map(|o| o.expect("every query resolved"))
-        .collect()
+    batch.queries().iter().map(|q| resolver.one(q)).collect()
 }
 
 impl<A: Algebra> Contraction<A> {
@@ -646,12 +581,7 @@ impl<A: Algebra> Contraction<A> {
     /// answer [`Answer::NotConnected`]. Nothing panics.
     ///
     /// Each call indexes the trace's shape in `O(n)` and then answers
-    /// every query in `O(log² n)`. Queries are dispatched in ascending
-    /// death round of their anchor node, so queries touching the same
-    /// region of the trace resolve together; with the `parallel` feature
-    /// the dispatch loop fans out over scoped threads in query chunks
-    /// (hence the `Send + Sync` bounds, which every shipped algebra
-    /// satisfies).
+    /// every query in `O(log² n)`, in query order on the calling thread.
     pub fn query_batch(
         &self,
         forest: &Forest<A::Label>,
@@ -659,10 +589,7 @@ impl<A: Algebra> Contraction<A> {
         batch: &QueryBatch,
     ) -> Result<Vec<QueryOutcome<A>>, QueryError>
     where
-        A: PathAlgebra + Sync,
-        A::Label: Sync,
-        A::Val: Send + Sync,
-        A::PathVal: Send + Sync,
+        A: PathAlgebra,
     {
         let n = self.values().len();
         if forest.len() != n {
@@ -674,14 +601,6 @@ impl<A: Algebra> Contraction<A> {
         let links = &self.trace.links;
         let shape = Shape::new(forest, links);
         let hop_pref = hop_prefixes(forest, links, &shape, alg);
-        Ok(resolve(
-            forest,
-            links,
-            &shape,
-            hop_pref,
-            self.values(),
-            alg,
-            batch,
-        ))
+        Ok(resolve(forest, &self.trace, &shape, hop_pref, alg, batch))
     }
 }

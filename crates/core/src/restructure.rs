@@ -681,12 +681,10 @@ impl Restructure {
                 top = v;
             }
             let slot = links.children.of(p).binary_search(&top);
-            if check::ENABLED {
-                invariant!(
-                    slot.is_ok(),
-                    "the chain top n{top} of n{x} is no child of n{p}"
-                );
-            }
+            invariant!(
+                slot.is_ok(),
+                "the chain top n{top} of n{x} is no child of n{p}"
+            );
             let slot = slot.unwrap_or(0) as u32;
             if std::mem::replace(&mut sib[y as usize], slot) != slot {
                 parents.push(p);

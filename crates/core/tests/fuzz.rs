@@ -29,8 +29,10 @@ use dtc_core::{
     Answer, DynForest, EditError, ExprEval, ExprLabel, ExprOp, Forest, MinMax, NodeId, OrderedRake,
     PathAlgebra, Propagate, Query, QueryBatch, QueryError, SeqHash, SubtreeSum,
 };
+use std::cell::Cell;
 use std::fmt::Debug;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::Once;
 
 /// One step of a script; nodes are forest indices.
 #[derive(Clone, Debug)]
@@ -119,10 +121,9 @@ fn path_queries<A>(
     oracle: Option<&[A::Val]>,
 ) -> Result<(), String>
 where
-    A: PathAlgebra + Propagate + Sync,
-    A::Label: Sync,
-    A::Val: Send + Sync + PartialEq + Debug,
-    A::PathVal: Send + Sync + PartialEq + Debug,
+    A: PathAlgebra + Propagate,
+    A::Val: PartialEq + Debug,
+    A::PathVal: PartialEq + Debug,
 {
     let Some(oracle) = oracle else {
         let pending = d.pending();
@@ -638,6 +639,28 @@ where
     }
 }
 
+thread_local! {
+    /// `true` while this thread shrinks a failing script, whose replays
+    /// panic by design.
+    static SHRINKING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Installs, once per process, a panic hook that stays quiet on a thread
+/// that is shrinking and hands every other panic to the default hook. The
+/// hook is process-wide and the fuzz tests run on parallel threads, so a
+/// hook swapped per test would swallow another test's failure report.
+fn quiet_while_shrinking() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let default = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if !SHRINKING.with(Cell::get) {
+                default(info);
+            }
+        }));
+    });
+}
+
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
@@ -653,6 +676,7 @@ where
     A::Val: PartialEq + Debug,
     A::Part: PartialEq,
 {
+    quiet_while_shrinking();
     let scripts = env_u64("DTC_FUZZ_SCRIPTS", 40);
     let base = env_u64("DTC_FUZZ_SEED", 0x5EED_F022) ^ salt;
     for k in 0..scripts {
@@ -662,10 +686,9 @@ where
         let (shape, forest) = A::forest(rng.below(7), n, seed);
         let script = generate::<A>(&forest, 4 + rng.below(8) as usize, seed);
         if let Err(first) = run_caught(&alg, &forest, &script, seed) {
-            let hook = panic::take_hook();
-            panic::set_hook(Box::new(|_| {}));
+            SHRINKING.with(|s| s.set(true));
             let minimal = shrink(&alg, &forest, script, seed);
-            panic::set_hook(hook);
+            SHRINKING.with(|s| s.set(false));
             let last = run_caught(&alg, &forest, &minimal, seed)
                 .err()
                 .unwrap_or_default();

@@ -18,10 +18,9 @@ fn xorshift(s: &mut u64) -> u64 {
 /// against the naive oracles.
 fn check_queries<A>(name: &str, f: &Forest<A::Label>, alg: &A, nq: usize, seed: u64)
 where
-    A: PathAlgebra + Sync,
-    A::Label: Sync,
-    A::Val: Send + Sync + PartialEq + std::fmt::Debug,
-    A::PathVal: Send + Sync + PartialEq + std::fmt::Debug,
+    A: PathAlgebra,
+    A::Val: PartialEq + std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
 {
     let c = f.contraction().seed(seed).run(alg);
     let oracle = f.sequential_fold(alg);
@@ -387,9 +386,9 @@ fn rejected_edit_batches_leave_no_marks() {
 /// cuts and links, which changes the shape.
 fn interleave_and_check<A>(name: &str, forest: Forest<i64>, alg: A)
 where
-    A: Propagate<Label = i64> + PathAlgebra + Sync,
-    A::Val: Send + Sync + std::fmt::Debug,
-    A::PathVal: Send + Sync + PartialEq + std::fmt::Debug,
+    A: Propagate<Label = i64> + PathAlgebra,
+    A::Val: std::fmt::Debug,
+    A::PathVal: PartialEq + std::fmt::Debug,
 {
     let mut d = DynForest::new(forest, alg.clone());
     let mut rng = 0xFEED_u64;
