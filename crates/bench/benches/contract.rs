@@ -6,8 +6,9 @@
 //! `binary` (balanced), `broom` (deep handle into a high-degree head).
 //! Each shape is exercised by a full contraction, a 1k batch of cuts, a 1k
 //! batch of weight updates (driven by change propagation — its records
-//! carry `replayed_slots`/`reused_slots`), and a 1k-query batch three ways:
-//! static, dynamic, and as individual walks. A churn bench interleaves
+//! carry `replayed_slots`/`reused_slots`), and a 1k-query batch four ways:
+//! static, dynamic after a label batch, dynamic after a structural batch,
+//! and as individual walks. A churn bench interleaves
 //! structural and label edits to price the structure phase, which
 //! re-contracts only what each batch disturbs. The batch records run
 //! `SubtreeSum`, whose propagation patches flat child aggregates; the
@@ -113,17 +114,17 @@ fn main() {
         }
     }
 
-    // Batch query engine vs 1k individual naive lookups per shape. The
-    // static batch pays one O(n) shape index over the trace and then
-    // O(log² n) per query; the naive baseline pays an O(depth) parent walk
-    // per query. Deep shapes (path, caterpillar) are where batching wins by
-    // orders of magnitude; shallow shapes show the flat cost of the index.
-    // `dyn_query_1k` prices the same batch on a `DynForest` that keeps its
-    // index across label batches: the hop prefixes and one pass over the
-    // death records per batch, with values resolved per query from the
-    // trace. All sides run the same 1k-query mix (250 each of subtree /
-    // path / lca / component-value) and are checked against each other
-    // once outside the measured region.
+    // Batch query engine vs 1k individual naive lookups per shape. A batch
+    // walks the trace's death-parent chains and nested hop lists, O(rounds)
+    // per query plus the hop prefixes its path folds reach, with no index
+    // over the forest; the naive baseline pays an O(depth) parent walk per
+    // query. Deep shapes (path, caterpillar) are where batching wins by
+    // orders of magnitude. `dyn_query_1k` prices the same batch on a
+    // `DynForest` after a label batch, and `dyn_query_1k_after_cut` after a
+    // structural batch; a `DynForest` batch also ends with one pass over the
+    // death records. All sides run the same 1k-query mix (250 each of
+    // subtree / path / lca / component-value) and are checked against each
+    // other once outside the measured region.
     for (shape, make) in shapes() {
         let f = make();
         let contraction = f.contraction().seed(0x5EED).run(&SubtreeSum);
@@ -168,8 +169,7 @@ fn main() {
                 "dynamic and static batches must agree on {shape}"
             );
             // Each iteration first lands a 16-update label batch, outside
-            // the timed region: the index stays, the values and the hop
-            // prefixes change.
+            // the timed region: the values and the hop prefixes change.
             let relabel: Vec<NodeId> = f.node_ids().step_by(f.len() / 16).take(16).collect();
             let d = RefCell::new(d);
             let mut bump = 0i64;
@@ -183,6 +183,37 @@ fn main() {
                     d.recompute();
                 },
                 |()| d.borrow().query_batch(&batch).unwrap().len(),
+            );
+            h.attach(&name, "queries", Json::num(batch.len() as u32));
+        }
+        let name = format!("dyn_query_1k_after_cut/{shape}");
+        if h.selected(&name) {
+            // Each iteration first lands a structural batch outside the
+            // timed region, as `dtc-e2e`'s mixed workloads do before their
+            // query steps: 64 nodes cut and linked back to their old
+            // parents, then a recompute.
+            let moved: Vec<(NodeId, NodeId)> = f
+                .node_ids()
+                .filter_map(|v| Some((v, f.parent(v)?)))
+                .step_by(f.len() / 64)
+                .take(64)
+                .collect();
+            let cuts: Vec<NodeId> = moved.iter().map(|&(v, _)| v).collect();
+            let d = RefCell::new(DynForest::new(f.clone(), SubtreeSum));
+            h.bench(
+                &name,
+                || {
+                    let mut d = d.borrow_mut();
+                    d.try_batch_cut(&cuts).unwrap();
+                    d.try_batch_link(&moved).unwrap();
+                    d.recompute();
+                },
+                |()| d.borrow().query_batch(&batch).unwrap().len(),
+            );
+            assert_eq!(
+                d.borrow().query_batch(&batch),
+                contraction.query_batch(&f, &SubtreeSum, &batch),
+                "batches after a structural batch must agree on {shape}"
             );
             h.attach(&name, "queries", Json::num(batch.len() as u32));
         }

@@ -77,7 +77,8 @@ impl<A: Algebra> Contraction<A> {
     ///   list (a node is spliced out from above at most one surviving
     ///   child), every victim in the hop list of `x` is a proper original
     ///   ancestor of `x` strictly below `up[x]`, non-root, and listed in
-    ///   ascending death round, each dying before `x` itself.
+    ///   ascending death round, each dying before `x` itself and recorded
+    ///   as compressed onto `x`; every compressed node is some host's victim.
     ///
     /// Returns a descriptive [`InvariantError`](crate::check::InvariantError)
     /// for the first violation. `O(n + hops)` plus one Euler tour of the
@@ -88,9 +89,9 @@ impl<A: Algebra> Contraction<A> {
         use crate::check::{ensure, Euler};
         let n = forest.len();
         let links = &self.trace.links;
-        let (round, up) = (&links.round, &links.up);
+        let (round, up, death) = (&links.round, &links.up, &self.trace.death);
         ensure!(
-            self.vals.len() == n && round.len() == n && up.len() == n,
+            self.vals.len() == n && death.len() == n && round.len() == n && up.len() == n,
             "trace arrays are not sized to the forest ({n} nodes)"
         );
         for (name, lists) in [("child", &links.children), ("hop", &links.hops)] {
@@ -166,6 +167,10 @@ impl<A: Algebra> Contraction<A> {
                 );
                 hosted[victim as usize] = true;
                 ensure!(
+                    matches!(death[victim as usize], Death::Compressed { child, .. } if child == x as u32),
+                    "hop victim n{victim} of n{x} is not recorded as compressed onto n{x}"
+                );
+                ensure!(
                     forest.parent_raw(victim) != NONE,
                     "original root n{victim} was recorded as compressed"
                 );
@@ -189,6 +194,12 @@ impl<A: Algebra> Contraction<A> {
                 );
                 prev_round = vr;
             }
+        }
+        for (v, d) in death.iter().enumerate() {
+            ensure!(
+                !matches!(d, Death::Compressed { .. }) || hosted[v],
+                "compressed node n{v} is in no hop list"
+            );
         }
         Ok(())
     }

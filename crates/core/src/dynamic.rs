@@ -36,10 +36,10 @@
 //! values rather than references and why *any* pending edit makes every
 //! read stale until [`DynForest::recompute`] runs. Batch queries
 //! ([`DynForest::query_batch`]) resolve values and roots as reads do, and
-//! ancestors and paths through a shape index (Euler intervals, hop hosts)
-//! that is built on the first query after a structural batch and kept
-//! across label-only batches; each query batch then costs
-//! `O(hosts + victims)` hop prefixes and `O(log² n)` per query.
+//! LCAs and paths from the endpoints' death-parent chains and the hop
+//! lists between them. They keep no index, so a query batch costs
+//! `O(rounds)` per query plus the hop prefixes its path folds reach,
+//! whether the last batch was structural or label-only.
 //!
 //! Each operation has one public form, and none panics on a bad input:
 //! edits return `Result<(), EditError>` and leave no trace of a rejected
@@ -50,11 +50,10 @@ use crate::arena::{Csr, Forest, NONE};
 use crate::engine::{Death, Recorded, Scratch, Trace};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile, Sink};
 use crate::propagate::{resolve_val, Replay};
-use crate::query::{self, QueryBatch, QueryError, QueryOutcome, Shape};
+use crate::query::{self, QueryBatch, QueryError, QueryOutcome};
 use crate::restructure::Restructure;
 use crate::NodeId;
 use std::fmt;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Why a batch edit was rejected by [`DynForest::try_batch_cut`],
@@ -208,7 +207,7 @@ pub struct DynForest<A: Propagate> {
     moved: Vec<u32>,
     /// The maintained trace: after every recompute, the one a fresh
     /// contraction of the current forest records under `seed`.
-    trace: Trace<A>,
+    pub(crate) trace: Trace<A>,
     /// The raked children of every node, sorted by death round
     /// ([`Trace::raked_lists`]), which the structure phase's oracle reads.
     /// Built by the first structural batch: a forest that is never cut or
@@ -223,9 +222,6 @@ pub struct DynForest<A: Propagate> {
     /// forest, so a cloned forest is immediately ready to recompute
     /// (benchmarks rely on this).
     replay: Replay<A>,
-    /// The query shape index of the maintained trace: built by the first
-    /// [`DynForest::query_batch`] after a structural batch, which drops it.
-    shape: OnceLock<Shape>,
     /// Coin seed of every contraction this forest runs, fixed for its life.
     seed: u64,
     /// Telemetry collector; `Some` once profiling is enabled. Boxed so the
@@ -265,7 +261,6 @@ impl<A: Propagate> DynForest<A> {
             raked: None,
             restructure: Restructure::default(),
             replay: Replay::new(),
-            shape: OnceLock::new(),
             seed,
             profile: None,
         };
@@ -584,7 +579,6 @@ impl<A: Propagate> DynForest<A> {
             raked,
             restructure,
             replay,
-            shape,
             seed,
             profile,
             ..
@@ -594,7 +588,6 @@ impl<A: Propagate> DynForest<A> {
         let mut structure = EngineCounters::default();
         if !moved.is_empty() {
             let start = profiled.then(Instant::now);
-            shape.take();
             moved.sort_unstable();
             moved.dedup();
             let raked = raked.get_or_insert_with(|| trace.raked_lists());
@@ -646,12 +639,10 @@ impl<A: Propagate> DynForest<A> {
     /// [`DynForest::recompute`] first.
     ///
     /// Answers come from the maintained trace, which every recompute
-    /// leaves equal to a fresh contraction of the current forest. The first
-    /// batch after a structural recompute builds the trace's shape index
-    /// in `O(n)`; label-only recomputes keep it. Every batch then pays
-    /// `O(hosts + victims)` for the hop prefixes of the current labels and
-    /// `O(log² n)` per query, in query order on the calling thread (see
-    /// [`Contraction::query_batch`](crate::Contraction::query_batch)).
+    /// leaves equal to a fresh contraction of the current forest, at the
+    /// cost [`Contraction::query_batch`](crate::Contraction::query_batch)
+    /// pays whether the last recompute was structural or label-only; then
+    /// one pass over the death records warms them for the caller's reads.
     pub fn query_batch(&self, batch: &QueryBatch) -> Result<Vec<QueryOutcome<A>>, QueryError>
     where
         A: PathAlgebra,
@@ -661,11 +652,8 @@ impl<A: Propagate> DynForest<A> {
                 pending: self.dirty_list.len(),
             });
         }
-        let (forest, trace, alg) = (&self.forest, &self.trace, &self.alg);
-        let shape = self.shape.get_or_init(|| Shape::new(forest, &trace.links));
-        let hop_pref = query::hop_prefixes(forest, &trace.links, shape, alg);
-        let answers = query::resolve(forest, trace, shape, hop_pref, alg, batch);
-        warm(&trace.death);
+        let answers = query::resolve(&self.forest, &self.trace, &self.alg, batch);
+        warm(&self.trace.death);
         Ok(answers)
     }
 
@@ -723,12 +711,13 @@ impl<A: Propagate> DynForest<A> {
     /// seed. The fresh one must first pass
     /// [`Contraction::validate`](crate::Contraction::validate); then the
     /// two traces are compared node by node — child lists, death rounds,
-    /// death parents, hop lists, slot kinds, the sibling slot of every raked
-    /// node, raked-child lists, child aggregates (part for part against
-    /// replay caches built from the fresh trace) and backsolved values —
-    /// and the first node that differs is named. When a query batch has
-    /// built the shape index, also compares it with one built from the
-    /// fresh trace. Requires a clean forest (no pending edits).
+    /// death parents, hop lists, slot kinds, the child a compressed node
+    /// was spliced onto, the sibling slot of every raked node, raked-child
+    /// lists, child aggregates (part for part against replay caches built
+    /// from the fresh trace) and backsolved values — and the first node
+    /// that differs is named. Query batches keep nothing between calls,
+    /// so there is no query state to compare. Requires a clean forest (no
+    /// pending edits).
     /// `O(n log n)` w.h.p.
     #[cfg(feature = "check")]
     pub fn validate_trace(&self) -> Result<(), crate::check::InvariantError>
@@ -763,6 +752,10 @@ impl<A: Propagate> DynForest<A> {
             Death::Compressed { .. } => "compressed",
             Death::Root(_) => "root",
         };
+        let host = |d: &Death<A>| match d {
+            Death::Compressed { child, .. } => *child,
+            _ => NONE,
+        };
         let fresh_vals = fresh_run.values();
         let kept_vals: Vec<A::Val> = (0..n as u32)
             .map(|v| resolve_val(&self.alg, &kept.death, v))
@@ -779,6 +772,7 @@ impl<A: Propagate> DynForest<A> {
                 ("death parent", k.up[vi] != f.up[vi]),
                 ("hop list", k.hops.of(v) != f.hops.of(v)),
                 ("slot kind", kind(&kept.death[vi]) != kind(&fresh.death[vi])),
+                ("host", host(&kept.death[vi]) != host(&fresh.death[vi])),
                 ("slot", raked && kept.sib[vi] != fresh.sib[vi]),
                 (
                     "raked-child list",
@@ -800,12 +794,6 @@ impl<A: Propagate> DynForest<A> {
                 )));
             }
         }
-        if let Some(index) = self.shape.get() {
-            ensure!(
-                *index == Shape::new(&self.forest, f),
-                "the kept query index differs from one built from a fresh contraction"
-            );
-        }
         Ok(())
     }
 }
@@ -813,14 +801,10 @@ impl<A: Propagate> DynForest<A> {
 /// Reads every death record once, in order, so that the caller's next
 /// reads, which resolve from them, find them in cache. A structural
 /// recompute reads the old round state all over the trace, and a query
-/// batch reads the shape index, the hop lists and the labels; after
-/// either, reads ran slower without this pass. Measured on `dtc-e2e`
-/// (median `read_p50_ns` of alternating pairs with and without the pass,
-/// 2-vCPU host): after a structural recompute, `mixed-random`'s settled
-/// reads ran 1.6x slower without it (ten pairs); after a query batch,
-/// `query-random`'s reads took 28.3 ns without it and 8.4 ns with it
-/// (five pairs at 20 s). The pass costs about 0.1 ms per 100k nodes: the
-/// same `query-random` runs read 6.7 M `ops_per_s` without it, 4.7 M with.
+/// batch reads death-parent chains, hop lists and labels; after either,
+/// reads ran slower without this pass (on `dtc-e2e`, 1.6x after a
+/// structural recompute, 3.6x after a query batch), which costs about
+/// 0.1 ms per 100k nodes; ARCHITECTURE.md has the ablations.
 fn warm<A: Algebra>(death: &[Death<A>]) {
     let finished = death.iter().filter(|d| matches!(d, Death::Root(_)));
     std::hint::black_box(finished.count());

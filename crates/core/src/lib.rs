@@ -18,10 +18,10 @@
 //!   form, which returns a `Result` instead of panicking;
 //! * a **batch query** engine: a [`QueryBatch`] of mixed subtree / path /
 //!   LCA / component queries resolves over the contraction DAG — values
-//!   and roots from the death records as reads resolve them, an `O(n)`
-//!   shape index per trace shape, per-batch prefix folds over the hop
-//!   lists, then `O(log² n)` per query along the trace's shortcut
-//!   pointers — instead of one tree walk per query (see the [`query`]
+//!   and roots from the death records as reads resolve them, LCAs and
+//!   paths from the endpoints' death-parent chains and the hop lists
+//!   between them — in `O(rounds)` per query plus the prefix folds its
+//!   paths reach, instead of one tree walk per query (see the [`query`]
 //!   module docs for the construction).
 //!
 //! A run records its trace once, and both [`Contraction`] and

@@ -2,8 +2,8 @@
 //!
 //! A [`QueryBatch`] resolves thousands of heterogeneous queries — subtree
 //! aggregates, path aggregates, LCAs, component roots/values — against one
-//! [`Contraction`] in a **single pass** over the contraction DAG, instead
-//! of walking the tree once per query.
+//! recorded trace by short walks of the contraction DAG, `O(rounds)` per
+//! query, instead of walking the tree once per query.
 //!
 //! The enabling observation: the engine records, for every node, its
 //! *working parent at death* in the trace's links. Those pointers form a
@@ -23,31 +23,29 @@
 //!   the root ends the death-parent chain, and a compressed node applies
 //!   its recorded function to the value of the child that outlived it;
 //!   `O(rounds)` per query;
-//! * **LCA(u, v)** — climb `u`'s shortcut chain to the first hop whose top
-//!   is an ancestor of `v` (constant-time ancestor tests via Euler
-//!   intervals from the shape index; a climb off `u`'s root means the two
-//!   are not connected), then descend: binary-search each
-//!   victim list for the lowest ancestor of `v` and recurse into the gap
-//!   just below it — the first node of `u`'s ancestor path that is also
-//!   an ancestor of `v` *is* the LCA;
-//! * **path aggregate** — fold labels along both climbs to the LCA. Each
-//!   batch first folds every victim's *closed weight* (its label joined
-//!   with its entire recursive gap) into per-hop prefixes, so a full hop
-//!   contributes in `O(1)` and the final partial hop in an `O(log²)`
-//!   descent. Requires a [`PathAlgebra`].
+//! * **LCA(u, v)** — climb both death-parent chains to their first common
+//!   node `z`; `xu` and `xv` are the chain nodes just below it. The LCA
+//!   lies on one of the two chains: it is `z`, the lowest node of `u`'s
+//!   chain inside the gap of `xv`, or the lowest node of `v`'s chain
+//!   inside the gap of `xu`, and only the gap of the one of `xu`, `xv`
+//!   that dies later can hold it. A descent through that gap's nested
+//!   victim lists finds it by matching each list's top victims against
+//!   the other chain, so no ancestor test is needed. Chains that end at
+//!   different roots mean the two are not connected. `O(rounds)`;
+//! * **path aggregate** — fold labels along both chains to the LCA: full
+//!   hops up a chain that holds it; on the other side, full hops up to
+//!   its top node, then the LCA's host chain walked back down that node's
+//!   gap, one victim list per step. A full hop costs `O(1)` through the
+//!   *hop prefixes*, folds of each list's victims' closed weights (a
+//!   victim's label joined with its entire recursive gap). Each batch
+//!   fills them on demand, only for the lists its folds reach, each
+//!   victim's own list first. Requires a [`PathAlgebra`].
 //!
-//! The context splits by what invalidates it. The **shape index** — Euler
-//! intervals, and the nodes with a non-empty hop list in ascending death
-//! round — depends only on the forest's shape and the trace's rounds and
-//! hop lists, which label propagation never changes; it costs one `O(n)`
-//! pass over the child lists the trace already holds. The **hop prefixes**
-//! depend on labels and cost `O(hosts + victims)` per batch. Both
-//! [`Contraction::query_batch`] and
+//! Nothing outlives a batch: [`Contraction::query_batch`] and
 //! [`DynForest::query_batch`](crate::DynForest::query_batch) read the
-//! trace they own; `Contraction::query_batch` builds a shape index per
-//! call, while `DynForest::query_batch` keeps one per trace shape, so a
-//! batch after label-only edits pays the prefixes and `O(log² n)` per
-//! query. Queries are answered in query order on the calling thread.
+//! trace they own, and a batch costs `O(rounds)` per query plus the hop
+//! prefixes its path folds reach, whether or not the last batch was
+//! structural. Queries are answered in query order on the calling thread.
 //!
 //! The API is uniformly non-panicking: per-query failures (unknown node
 //! ids) come back as per-query `Err`s, cross-component path/LCA queries
@@ -69,11 +67,12 @@
 //! ```
 
 use crate::algebra::{Algebra, PathAlgebra};
-use crate::arena::{Csr, Forest, NONE};
+use crate::arena::{Forest, NONE};
 use crate::contract::Contraction;
-use crate::engine::{Links, Trace};
+use crate::engine::Trace;
 use crate::propagate::resolve_val;
 use crate::NodeId;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// One query against a contracted forest.
@@ -254,262 +253,212 @@ impl std::error::Error for QueryError {}
 pub type QueryOutcome<A> =
     Result<Answer<<A as Algebra>::Val, <A as PathAlgebra>::PathVal>, QueryError>;
 
-/// The label-independent half of the query context: what the resolver
-/// needs of the forest's and the trace's *shape*. Label propagation never
-/// changes death rounds, death parents or hop lists, so a shape index stays
-/// valid until a structural batch rewrites them.
-#[derive(Clone, PartialEq)]
-pub(crate) struct Shape {
-    /// Preorder index (ancestor tests in O(1)). One tick per node, so the
-    /// clock stays below the node count and cannot wrap.
-    tin: Vec<u32>,
-    /// The last preorder index in the node's subtree: `u`'s subtree is
-    /// exactly the nodes `v` with `tin[u] <= tin[v] <= tout[u]`.
-    tout: Vec<u32>,
-    /// The nodes with a non-empty hop list, in ascending death round. A
-    /// victim dies strictly before its host, so in this order every
-    /// victim's own hop list comes before its host's.
-    hosts: Vec<u32>,
-}
-
-impl Shape {
-    /// Indexes `forest` and the links of its trace. `O(n)`.
-    pub fn new<L>(forest: &Forest<L>, links: &Links) -> Shape {
-        let n = forest.len();
-        let children = &links.children;
-        let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut clock = 0u32;
-        let mut stack: Vec<(u32, u32)> = Vec::new();
-        for r in forest.roots() {
-            let rr = r.raw();
-            tin[rr as usize] = clock;
-            clock += 1;
-            stack.push((rr, children.range(rr).0 as u32));
-            while let Some((u, ci)) = stack.last_mut() {
-                let u = *u;
-                if (*ci as usize) < children.range(u).1 {
-                    let k = children.items[*ci as usize];
-                    *ci += 1;
-                    tin[k as usize] = clock;
-                    clock += 1;
-                    stack.push((k, children.range(k).0 as u32));
-                } else {
-                    tout[u as usize] = clock - 1;
-                    stack.pop();
-                }
-            }
-        }
-        if crate::check::ENABLED {
-            check_euler(forest, &tin, &tout);
-        }
-
-        // Rounds are few, so a counting sort orders the hosts.
-        let (hops, death_round) = (&links.hops, &links.round);
-        let hosts = || (0..n as u32).filter(|&x| !hops.of(x).is_empty());
-        let rounds = hosts().map(|x| death_round[x as usize]).max().unwrap_or(0);
-        let mut by_round = Csr::default();
-        by_round.regroup(rounds as usize + 1, || {
-            hosts().map(|x| (death_round[x as usize], x))
-        });
-        Shape {
-            tin,
-            tout,
-            hosts: by_round.items,
-        }
-    }
-
-    /// `true` iff `a` is an ancestor of `b` (or equal).
-    #[inline]
-    fn is_anc(&self, a: u32, b: u32) -> bool {
-        self.tin[a as usize] <= self.tin[b as usize]
-            && self.tout[b as usize] <= self.tout[a as usize]
-    }
-}
-
-/// Euler-interval nesting sweep (`check` feature): every closed interval
-/// `[tin, tout]` is non-empty and every non-root's interval lies inside its
-/// parent's, starting strictly after it — the property the batch engine's
-/// `O(1)` ancestor tests and victim-list binary searches rest on. `O(n)`
-/// per shape index.
-#[cfg(feature = "check")]
-fn check_euler<L>(forest: &Forest<L>, tin: &[u32], tout: &[u32]) {
-    use crate::check::invariant;
-    for v in 0..forest.len() as u32 {
-        let vi = v as usize;
-        invariant!(
-            tin[vi] <= tout[vi],
-            "Euler interval of n{v} is empty or inverted"
-        );
-        let p = forest.parent_raw(v);
-        if p != NONE {
-            let pi = p as usize;
-            invariant!(
-                tin[pi] < tin[vi] && tout[vi] <= tout[pi],
-                "Euler interval of n{v} is not nested inside its parent n{p}"
-            );
-        }
-    }
-}
-
-#[cfg(not(feature = "check"))]
-#[inline(always)]
-fn check_euler<L>(_forest: &Forest<L>, _tin: &[u32], _tout: &[u32]) {}
-
-/// Prefix folds of victim *closed weights* within each hop list, aligned
-/// with `hops.items`. A victim's closed weight is its label joined with its
-/// gap — the ancestors strictly between it and the next hop up, which are
-/// exactly the nodes its own hop list covers, recursively — so it is the
-/// victim's label joined with the last prefix of its own hop list. A victim
-/// dies before its host, so walking the hosts in ascending death round
-/// finds that prefix already final. `O(hosts + victims)`.
-pub(crate) fn hop_prefixes<A: PathAlgebra>(
-    forest: &Forest<A::Label>,
-    links: &Links,
-    shape: &Shape,
-    alg: &A,
-) -> Vec<A::PathVal> {
-    let (hops, hosts) = (&links.hops, &shape.hosts);
-    let mut pref = vec![alg.path_empty(); hops.items.len()];
-    for &x in hosts {
-        let (lo, hi) = hops.range(x);
-        let mut acc = alg.path_empty();
-        for i in lo..hi {
-            let y = hops.items[i];
-            let mut closed = alg.path_of(forest.label(NodeId(y)));
-            let (ylo, yhi) = hops.range(y);
-            if ylo < yhi {
-                closed = alg.path_concat(&closed, &pref[yhi - 1]);
-            }
-            acc = alg.path_concat(&acc, &closed);
-            pref[i] = acc.clone();
-        }
-    }
-    pref
-}
-
-/// One batch's view of a trace: the trace, its shape index and the hop
-/// prefixes of the current labels.
+/// One batch's view of a trace: the trace, the chains of the pair being
+/// answered, and the hop prefixes the batch's path folds have reached.
 struct Resolver<'a, A: PathAlgebra> {
     forest: &'a Forest<A::Label>,
     trace: &'a Trace<A>,
-    shape: &'a Shape,
-    hop_pref: Vec<A::PathVal>,
     alg: &'a A,
+    /// The death-parent chains of the pair's endpoints, each from the
+    /// endpoint up to just below the chains' first common node `z`.
+    chains: [Vec<u32>; 2],
+    /// Left by [`Resolver::lca`] when the LCA lies below `z`: the chain
+    /// that holds it and its index there, and the hop items of its host
+    /// chain, from a victim of the other chain's top node down to the LCA.
+    meet: Option<(usize, usize)>,
+    steps: Vec<usize>,
+    /// Prefix folds of victim *closed weights*, aligned with the hop items.
+    /// A victim's closed weight is its label joined with its gap — the
+    /// nodes strictly between it and the next hop up, which its own list
+    /// covers, recursively — so with the last prefix of its own list. A
+    /// list's prefixes hold once `filled` is set at its first item.
+    pref: Vec<A::PathVal>,
+    filled: Vec<bool>,
+    /// `(lo, hi, next item)` of the lists a fill interrupted to fill a
+    /// victim's own list first: nesting is bounded only by the round count.
+    stack: Vec<(usize, usize, usize)>,
 }
 
-impl<A: PathAlgebra> Resolver<'_, A> {
-    /// Lowest common ancestor via the shortcut chain: climb from `u` until
-    /// the hop's top is an ancestor of `v`; the LCA then lies in that
-    /// hop's gap (or is the hop top itself). Within a victim list, "is an
-    /// ancestor of `v`" is monotone bottom-to-top, so binary-search the
-    /// first ancestor — but the true LCA may sit *inside* the recursive
-    /// gap just below it, so descend into the preceding victim's own list
-    /// and repeat. Each descent moves to a strictly earlier death round,
-    /// bounding the depth by the round count. `None` when the climb passes
-    /// `u`'s root, which is an ancestor of every node of its component.
-    fn lca(&self, u: u32, v: u32) -> Option<u32> {
-        let (shape, links) = (self.shape, &self.trace.links);
-        if shape.is_anc(u, v) {
-            return Some(u);
-        }
-        if shape.is_anc(v, u) {
-            return Some(v);
-        }
-        let mut x = u;
-        let mut fallback = loop {
-            let nxt = links.up[x as usize];
-            if nxt == NONE {
-                return None;
-            }
-            if shape.is_anc(nxt, v) {
-                break nxt;
-            }
-            x = nxt;
-        };
-        // The LCA is the lowest ancestor of `v` in gap(x) ∪ {fallback}.
-        loop {
-            let seg = links.hops.of(x);
-            let idx = seg.partition_point(|&vt| !shape.is_anc(vt, v));
-            if idx == 0 {
-                // Nothing lies strictly between a node and its first victim
-                // (resp. its shortcut parent, when the list is empty).
-                return Some(if seg.is_empty() { fallback } else { seg[0] });
-            }
-            if idx < seg.len() {
-                fallback = seg[idx];
-            }
-            x = seg[idx - 1];
+impl<'a, A: PathAlgebra> Resolver<'a, A> {
+    fn new(forest: &'a Forest<A::Label>, trace: &'a Trace<A>, alg: &'a A) -> Self {
+        Resolver {
+            forest,
+            trace,
+            alg,
+            chains: Default::default(),
+            meet: None,
+            steps: Vec::new(),
+            pref: Vec::new(),
+            filled: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
-    /// Fold of the labels on `[u, w)` — `u` inclusive, the ancestor `w`
-    /// exclusive — along the shortcut chain; `None` when `u == w`. Full
-    /// hops cost `O(1)` via the closed-weight prefixes; once `w` falls
-    /// within a hop's gap, descend through the nested victim lists. All
-    /// chain nodes are ancestors of `u` and hence pairwise comparable, so
-    /// "strictly below `w`" is just an Euler `tin` comparison, monotone
-    /// along each victim list (which ascends the tree, i.e. has decreasing
-    /// `tin`).
-    fn seg_to_excl(&self, u: u32, w: u32) -> Option<A::PathVal> {
-        if u == w {
-            return None;
-        }
-        let (alg, shape, pref) = (self.alg, self.shape, &self.hop_pref);
+    fn label(&self, x: u32) -> A::PathVal {
+        self.alg.path_of(self.forest.label(NodeId(x)))
+    }
+
+    /// Lowest common ancestor of `u` and `v`, `None` when they lie in
+    /// different components; `O(rounds)`. See the module docs for why.
+    fn lca(&mut self, u: u32, v: u32) -> Option<u32> {
         let links = &self.trace.links;
-        let label = |x: u32| alg.path_of(self.forest.label(NodeId(x)));
-        let mut x = u;
-        let mut acc = label(u);
-        // Climb full hops while `w` is above the hop top.
-        loop {
-            let nxt = links.up[x as usize];
-            debug_assert!(nxt != NONE, "segment climb passed the component root");
-            let (lo, hi) = links.hops.range(x);
-            if nxt == w {
-                // The whole gap lies strictly below `w`.
-                if hi > lo {
-                    acc = alg.path_concat(&acc, &pref[hi - 1]);
-                }
-                return Some(acc);
+        let [cu, cv] = &mut self.chains;
+        for (chain, mut x) in [(&mut *cu, u), (&mut *cv, v)] {
+            chain.clear();
+            chain.push(x);
+            while links.up[x as usize] != NONE {
+                x = links.up[x as usize];
+                chain.push(x);
             }
-            if shape.is_anc(nxt, w) {
-                // `w` sits strictly inside gap(x): stop climbing and descend.
+        }
+        // Past their first common node the chains coincide up to the root.
+        let mut z = None;
+        while cu.last().is_some() && cu.last() == cv.last() {
+            z = cu.pop();
+            cv.pop();
+        }
+        let z = z?;
+        self.meet = None;
+        let (Some(&xu), Some(&xv)) = (cu.last(), cv.last()) else {
+            // One endpoint lies on the other's chain.
+            return Some(z);
+        };
+        let round = &links.round;
+        let (side, top) = match round[xu as usize].cmp(&round[xv as usize]) {
+            Ordering::Less => (0, xv),
+            Ordering::Greater => (1, xu),
+            Ordering::Equal => return Some(z),
+        };
+        // Each list's top victim sits just below the node that bounds its
+        // gap from above, so it is on `chain` iff it is the chain node
+        // expected next. No node the descent enters is an ancestor of the
+        // other endpoint, so the victims on `chain` are the top of each
+        // list, and a lower chain node can lie only in the gap of the
+        // highest victim off it.
+        let (hops, chain) = (&links.hops, &self.chains[side]);
+        self.steps.clear();
+        let (mut x, mut next, mut found) = (top, chain.len() - 1, None);
+        'descent: loop {
+            let (lo, mut i) = hops.range(x);
+            while i > lo && hops.items[i - 1] == chain[next] {
+                i -= 1;
+                found = Some((next, self.steps.len(), i));
+                if next == 0 {
+                    break 'descent;
+                }
+                next -= 1;
+            }
+            if i == lo {
+                // Nothing lies strictly between `x` and its first victim.
                 break;
             }
-            if hi > lo {
-                acc = alg.path_concat(&acc, &pref[hi - 1]);
-            }
-            acc = alg.path_concat(&acc, &label(nxt));
-            x = nxt;
+            self.steps.push(i - 1);
+            x = hops.items[i - 1];
         }
-        // `w` is strictly between `x` and `up[x]`; fold the part of the gap
-        // below `w`, descending into nested victim lists as needed.
-        loop {
-            let (lo, _) = links.hops.range(x);
-            let seg = links.hops.of(x);
-            // Victims strictly below `w` (deeper ⇒ larger tin on a chain).
-            let idx = seg.partition_point(|&vt| shape.tin[vt as usize] > shape.tin[w as usize]);
-            if idx < seg.len() && seg[idx] == w {
-                // Everything below `w` in this gap: the closed prefix.
-                if idx > 0 {
-                    acc = alg.path_concat(&acc, &pref[lo + idx - 1]);
+        let Some((at, depth, item)) = found else {
+            return Some(z);
+        };
+        self.steps.truncate(depth);
+        self.steps.push(item);
+        self.meet = Some((side, at));
+        Some(chain[at])
+    }
+
+    /// Fold of the labels on the tree path between `u` and `v`: the LCA,
+    /// then `u`'s side bottom-up, then `v`'s; `None` when they lie in
+    /// different components. A side climbs full hops — a chain node and
+    /// its whole gap — to the LCA when its chain holds it, and otherwise to
+    /// its top chain node, then walks the LCA's host chain down that node's
+    /// gap: at each step the node's label, then its victims below the step.
+    fn path(&mut self, u: u32, v: u32) -> Option<A::PathVal> {
+        let w = self.lca(u, v)?;
+        let (alg, hops) = (self.alg, &self.trace.links.hops);
+        let mut agg = self.label(w);
+        for side in 0..2 {
+            let len = self.chains[side].len();
+            let (full, descend) = match self.meet {
+                Some((s, at)) if s == side => (at, false),
+                Some(_) => (len - 1, true),
+                None => (len, false),
+            };
+            for j in 0..full {
+                let c = self.chains[side][j];
+                agg = alg.path_concat(&agg, &self.label(c));
+                let list = hops.range(c);
+                if let Some(gap) = self.prefix(list, list.1) {
+                    agg = alg.path_concat(&agg, gap);
                 }
-                return Some(acc);
             }
-            // `w` nests inside the gap of the victim just below it. `idx ≥ 1`:
-            // nothing lies strictly between `x` and its first victim, so `w`
-            // below `seg[0]` is impossible here.
-            debug_assert!(idx >= 1, "exclusive bound escaped the gap");
-            if idx >= 2 {
-                acc = alg.path_concat(&acc, &pref[lo + idx - 2]);
+            if !descend {
+                continue;
             }
-            acc = alg.path_concat(&acc, &label(seg[idx - 1]));
-            x = seg[idx - 1];
+            let mut host = self.chains[side][full];
+            for k in 0..self.steps.len() {
+                agg = alg.path_concat(&agg, &self.label(host));
+                let item = self.steps[k];
+                if let Some(below) = self.prefix(hops.range(host), item) {
+                    agg = alg.path_concat(&agg, below);
+                }
+                host = hops.items[item];
+            }
+        }
+        Some(agg)
+    }
+
+    /// Fold of the closed weights of the victims at hop items `lo..end` of
+    /// the list `[lo, hi)`; `None` when there are none.
+    fn prefix(&mut self, (lo, hi): (usize, usize), end: usize) -> Option<&A::PathVal> {
+        if end == lo {
+            return None;
+        }
+        self.fill(lo, hi);
+        Some(&self.pref[end - 1])
+    }
+
+    /// Fills the prefixes of the non-empty hop list `[lo, hi)` unless it is
+    /// filled, each victim's own list first.
+    fn fill(&mut self, mut lo: usize, mut hi: usize) {
+        let (forest, alg, hops) = (self.forest, self.alg, &self.trace.links.hops);
+        if self.filled.is_empty() {
+            self.filled = vec![false; hops.items.len()];
+            self.pref = vec![alg.path_empty(); hops.items.len()];
+        }
+        if self.filled[lo] {
+            return;
+        }
+        self.filled[lo] = true;
+        // `[lo, hi)` is the list being filled and `i` its next item.
+        let mut i = lo;
+        loop {
+            if i == hi {
+                let Some(outer) = self.stack.pop() else {
+                    return;
+                };
+                (lo, hi, i) = outer;
+                continue;
+            }
+            let y = hops.items[i];
+            let (ylo, yhi) = hops.range(y);
+            if ylo < yhi && !self.filled[ylo] {
+                self.filled[ylo] = true;
+                self.stack.push((lo, hi, i));
+                (lo, hi, i) = (ylo, yhi, ylo);
+                continue;
+            }
+            let mut closed = alg.path_of(forest.label(NodeId(y)));
+            if ylo < yhi {
+                closed = alg.path_concat(&closed, &self.pref[yhi - 1]);
+            }
+            if i > lo {
+                closed = alg.path_concat(&self.pref[i - 1], &closed);
+            }
+            self.pref[i] = closed;
+            i += 1;
         }
     }
 
     /// Answers one query; an unknown id is a per-query `Err`.
-    fn one(&self, q: &Query) -> QueryOutcome<A> {
+    fn one(&mut self, q: &Query) -> QueryOutcome<A> {
         let n = self.forest.len();
         let check = |v: NodeId| -> Result<u32, QueryError> {
             if v.index() < n {
@@ -520,50 +469,28 @@ impl<A: PathAlgebra> Resolver<'_, A> {
         };
         let (alg, trace) = (self.alg, self.trace);
         let value = |v: u32| Answer::Value(resolve_val(alg, &trace.death, v));
+        let (apart, node) = (Answer::NotConnected, |w| Answer::Node(NodeId(w)));
         match *q {
             Query::Subtree(v) => Ok(value(check(v)?)),
-            Query::ComponentRoot(v) => Ok(Answer::Node(NodeId(trace.links.root(check(v)?)))),
+            Query::ComponentRoot(v) => Ok(node(trace.links.root(check(v)?))),
             Query::ComponentValue(v) => Ok(value(trace.links.root(check(v)?))),
-            Query::Lca(u, v) => Ok(match self.lca(check(u)?, check(v)?) {
-                Some(w) => Answer::Node(NodeId(w)),
-                None => Answer::NotConnected,
-            }),
-            Query::Path(u, v) => {
-                let (u, v) = (check(u)?, check(v)?);
-                let Some(w) = self.lca(u, v) else {
-                    return Ok(Answer::NotConnected);
-                };
-                let mut agg = alg.path_of(self.forest.label(NodeId(w)));
-                if let Some(s) = self.seg_to_excl(u, w) {
-                    agg = alg.path_concat(&agg, &s);
-                }
-                if let Some(s) = self.seg_to_excl(v, w) {
-                    agg = alg.path_concat(&agg, &s);
-                }
-                Ok(Answer::PathValue(agg))
-            }
+            Query::Lca(u, v) => Ok(self.lca(check(u)?, check(v)?).map_or(apart, node)),
+            Query::Path(u, v) => Ok(self
+                .path(check(u)?, check(v)?)
+                .map_or(apart, Answer::PathValue)),
         }
     }
 }
 
-/// Resolves `batch` against `trace`: `shape` is its shape index and
-/// `hop_pref` its [`hop_prefixes`]. Answers the queries in query order,
-/// each in `O(log² n)`.
+/// Resolves `batch` against `trace`, in query order: `O(rounds)` per query
+/// plus the hop prefixes its path folds reach.
 pub(crate) fn resolve<A: PathAlgebra>(
     forest: &Forest<A::Label>,
     trace: &Trace<A>,
-    shape: &Shape,
-    hop_pref: Vec<A::PathVal>,
     alg: &A,
     batch: &QueryBatch,
 ) -> Vec<QueryOutcome<A>> {
-    let resolver = Resolver {
-        forest,
-        trace,
-        shape,
-        hop_pref,
-        alg,
-    };
+    let mut resolver = Resolver::new(forest, trace, alg);
     batch.queries().iter().map(|q| resolver.one(q)).collect()
 }
 
@@ -580,8 +507,8 @@ impl<A: Algebra> Contraction<A> {
     /// surface as per-query `Err`s; path/LCA queries across components
     /// answer [`Answer::NotConnected`]. Nothing panics.
     ///
-    /// Each call indexes the trace's shape in `O(n)` and then answers
-    /// every query in `O(log² n)`, in query order on the calling thread.
+    /// Each query costs `O(rounds)` plus the hop prefixes its path fold
+    /// reaches, in query order on the calling thread.
     pub fn query_batch(
         &self,
         forest: &Forest<A::Label>,
@@ -598,9 +525,84 @@ impl<A: Algebra> Contraction<A> {
                 contraction_nodes: n,
             });
         }
-        let links = &self.trace.links;
-        let shape = Shape::new(forest, links);
-        let hop_pref = hop_prefixes(forest, links, &shape, alg);
-        Ok(resolve(forest, &self.trace, &shape, hop_pref, alg, batch))
+        Ok(resolve(forest, &self.trace, alg, batch))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Resolver;
+    use crate::arena::{Forest, NONE};
+    use crate::engine::Trace;
+    use crate::gen::{self, XorShift64};
+    use crate::{DynForest, NodeId, SubtreeSum};
+
+    /// Checks that the resolver's LCA is `naive_lca`'s and where it lies:
+    /// 0 at the chains' first common node, 1 on `u`'s chain, 2 on `v`'s.
+    fn outcome(f: &Forest<i64>, trace: &Trace<SubtreeSum>, u: u32, v: u32) -> Option<usize> {
+        let mut r = Resolver::new(f, trace, &SubtreeSum);
+        let w = r.lca(u, v);
+        assert_eq!(
+            w.map(NodeId),
+            f.naive_lca(NodeId(u), NodeId(v)),
+            "n{u}, n{v}"
+        );
+        let (w, [cu, cv]) = (w?, &r.chains);
+        let z = cu.last().map_or(u, |&x| trace.links.up[x as usize]);
+        let at = [w == z, cu.contains(&w), cv.contains(&w)]
+            .iter()
+            .position(|&b| b);
+        assert!(
+            at.is_some(),
+            "LCA n{w} of n{u} and n{v} lies on neither chain"
+        );
+        at
+    }
+
+    #[test]
+    fn the_lca_lies_on_one_of_the_two_death_parent_chains() {
+        let seed = 7;
+        let zoo = [
+            gen::random_tree(1_500, seed),
+            gen::path(600, seed),
+            gen::star(800, seed),
+            gen::caterpillar(400, 2, seed),
+            gen::binary_tree(1_000, seed),
+            gen::broom(500, 500, seed),
+            gen::random_forest(1_500, 200, seed),
+        ];
+        let mut owners: Vec<(Forest<i64>, Trace<SubtreeSum>)> = zoo
+            .into_iter()
+            .map(|f| (f.clone(), f.contraction().seed(seed).run(&SubtreeSum).trace))
+            .collect();
+        // A maintained trace after one batch that moves 32 subtrees under
+        // the root.
+        let mut d = DynForest::with_seed(gen::random_tree(1_500, seed), SubtreeSum, seed);
+        let moved: Vec<NodeId> = (1..1_500).step_by(47).map(NodeId::from_index).collect();
+        let under_root: Vec<_> = moved.iter().map(|&v| (v, NodeId(0))).collect();
+        d.try_batch_cut(&moved).unwrap();
+        d.try_batch_link(&under_root).unwrap();
+        d.recompute();
+        owners.push((d.forest().clone(), d.trace.clone()));
+
+        let (mut seen, mut rng) = ([0; 3], XorShift64::new(seed));
+        for (f, trace) in &owners {
+            for _ in 0..500 {
+                let [u, v] = [0; 2].map(|_| (rng.next_u64() % f.len() as u64) as u32);
+                // `u` against one of its ancestors, too.
+                let mut a = u;
+                for _ in 0..rng.next_u64() % 8 {
+                    if f.parent_raw(a) != NONE {
+                        a = f.parent_raw(a);
+                    }
+                }
+                for (x, y) in [(u, v), (u, a), (a, u)] {
+                    if let Some(at) = outcome(f, trace, x, y) {
+                        seen[at] += 1;
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&k| k > 0), "outcomes {seen:?}");
     }
 }

@@ -11,7 +11,7 @@
 
 use dtc_core::check::{self, Cell, PlanLog, WriteLog, WriteMode};
 use dtc_core::gen::{self, XorShift64};
-use dtc_core::{DynForest, Forest, NodeId, QueryBatch, SubtreeSum};
+use dtc_core::{Answer, DynForest, Forest, NodeId, QueryBatch, SubtreeSum};
 
 /// The shape zoo shared by the property tests.
 fn shapes(n: usize, seed: u64) -> Vec<(&'static str, Forest<i64>)> {
@@ -51,10 +51,10 @@ fn validators_accept_shapes_up_to_1e5() {
 }
 
 /// Random edit/recompute churn on a dynamic forest, validating the full
-/// dynamic layer (edit-mark coherence, the maintained trace against a
-/// fresh same-seed contraction, and the kept query index against a fresh
-/// one) after **every** `recompute()`, plus the marks once mid-batch while
-/// dirty.
+/// dynamic layer (edit-mark coherence and the maintained trace against a
+/// fresh same-seed contraction) after **every** `recompute()`, with a query
+/// batch over the maintained trace first, plus the marks once mid-batch
+/// while dirty.
 fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
     let f = gen::random_tree(n, seed);
     let mut d = DynForest::with_seed(f, SubtreeSum, seed);
@@ -66,8 +66,8 @@ fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
         .lca(ids[2], ids[3])
         .component_root(ids[0]);
     let validate = |d: &DynForest<SubtreeSum>, when: &str| {
-        // The query batch builds the query index if the last recompute
-        // dropped it, so `validate_trace` always has one to check.
+        // The batch walks the death-parent chains and hop lists that
+        // `validate_trace` then compares with a fresh contraction's.
         d.query_batch(&batch)
             .unwrap_or_else(|e| panic!("{when}: query batch refused: {e}"));
         d.validate()
@@ -134,10 +134,9 @@ fn dynamic_validates_under_heavy_churn() {
 
 #[test]
 #[cfg_attr(miri, ignore = "large shapes; the smoke_ tests cover miri")]
-fn query_batch_exercises_euler_nesting_sweep() {
-    // `Contraction::query_batch` indexes the shape per batch and, under
-    // `check`, sweeps the Euler intervals' nesting; a mixed batch over a
-    // non-trivial forest drives that path end to end.
+fn query_batch_on_a_validated_trace_matches_the_oracles() {
+    // A mixed batch over a trace that passed `validate`, checked against
+    // the naive walks and `sequential_fold`.
     let f = gen::random_forest(20_000, 16, 99);
     let c = f.contraction().run(&SubtreeSum);
     c.validate(&f).expect("trace validates");
@@ -150,6 +149,19 @@ fn query_batch_exercises_euler_nesting_sweep() {
         .component_root(ids[19_999]);
     let answers = c.query_batch(&f, &SubtreeSum, &batch).expect("batch runs");
     assert_eq!(answers.len(), 4);
+    let oracle = f.sequential_fold(&SubtreeSum);
+    assert_eq!(answers[0], Ok(Answer::Value(oracle[17])));
+    let path = f.naive_path_fold(&SubtreeSum, ids[12_345], ids[1]);
+    assert_eq!(
+        answers[1],
+        Ok(path.map_or(Answer::NotConnected, Answer::PathValue))
+    );
+    let lca = f.naive_lca(ids[4_242], ids[17_000]);
+    assert_eq!(
+        answers[2],
+        Ok(lca.map_or(Answer::NotConnected, Answer::Node))
+    );
+    assert_eq!(answers[3], Ok(Answer::Node(f.root_of(ids[19_999]))));
 }
 
 #[test]
