@@ -261,8 +261,8 @@ impl<L> Forest<L> {
 }
 
 /// Items grouped by node: group `k` is `items[lo..hi]` for its span
-/// `[lo, hi)`. A trace holds two: the loaded forest's child lists, built
-/// once per load by [`Scratch::load`](crate::engine::Scratch::load) in id
+/// `[lo, hi)`. A trace holds two: the contracted forest's child lists, built
+/// once per run by [`engine::record`](crate::engine::record) in id
 /// order (the order the contraction engine numbers sibling slots in), and
 /// its hop lists, built once per run. A dynamic forest also keeps each
 /// node's raked children and, under a non-invertible algebra, its sibling

@@ -14,33 +14,35 @@
 //!   methods of [`Forest`](crate::Forest),
 //!   [`Contraction`](crate::Contraction) and
 //!   [`DynForest`](crate::DynForest) verify the full invariant set of their
-//!   layer (plus `DynForest::validate_trace()` for the maintained trace and
-//!   its query index) and return a descriptive [`InvariantError`] on the
-//!   first violation. The methods exist only in that build, so these docs
-//!   name them without linking. (The arena is append-only —
-//!   there is no free list — so its checks are parent-range, parallel-array
-//!   length, and acyclicity.)
+//!   layer (plus `DynForest::validate_trace()` for the maintained trace)
+//!   and return a descriptive [`InvariantError`] on the first violation.
+//!   The methods exist only in that build, so these docs name them without
+//!   linking. (The arena is append-only — there is no free list — so its
+//!   checks are parent-range, parallel-array length, and acyclicity.)
 //! * **Per-round engine hooks** — the engine calls a round validator after
 //!   every apply phase and asserts no node dies twice. Both are guarded by
-//!   [`ENABLED`], the same const-gating idiom as the telemetry sinks'
-//!   `S::ENABLED` (see [`obs`](crate::obs)): with the feature off the hooks are empty `#[inline]` functions behind a constant-false
-//!   branch, and the optimizer deletes them.
-//! * **Conflict detector** — [`WriteLog`] is a shadow last-writer map
-//!   `cell → (round, owner, mode)` fed by every scratch-state mutation the
-//!   apply phase performs, and [`PlanLog`] its concurrent sibling for the
+//!   the crate-private constant `ENABLED` ([`enabled`] reports it), the
+//!   same const-gating idiom as the telemetry sinks' `S::ENABLED` (see
+//!   [`obs`](crate::obs)): with the feature off the hooks are empty
+//!   `#[inline]` functions behind a constant-false branch, and the
+//!   optimizer deletes them.
+//! * **Conflict detector** — the crate-private `WriteLog` is a shadow
+//!   last-writer map `cell → (round, owner, mode)` fed by every
+//!   working-state mutation the apply phase performs, and `PlanLog` its
+//!   concurrent sibling for the
 //!   (possibly multi-threaded) plan phase. Two owners touching the same
 //!   cell in the same round fail fast — a hand-rolled dynamic race
 //!   detector for the "planned actions are disjoint" claim, usable where
 //!   `loom`-style model checkers are unavailable. Writes that the
 //!   [`Algebra`](crate::Algebra) laws make order-free (sibling rakes
 //!   absorbing into one parent accumulator, child-count decrements) are
-//!   recorded with a commutative [`WriteMode`] and only conflict with
+//!   recorded with a commutative write mode and only conflict with
 //!   writes of a *different* mode. Reads are not tracked: the plan phase
 //!   reads only the immutable pre-round snapshot, so write/write conflicts
 //!   are the whole hazard surface.
 //!
-//! Everything here compiles to nothing without the feature: [`WriteLog`]
-//! and [`PlanLog`] become field-less structs with empty inlined methods,
+//! Everything here compiles to nothing without the feature: `WriteLog`
+//! and `PlanLog` become field-less structs with empty inlined methods,
 //! and the validators simply do not exist. Benchmarks assert the feature is
 //! off (see `dtc-bench`) so recorded numbers stay comparable.
 
@@ -51,7 +53,7 @@ use std::fmt;
 /// Engine hooks are guarded as `if check::ENABLED { … }` so that, exactly
 /// like the telemetry sinks' `S::ENABLED`, the unchecked build pays
 /// nothing.
-pub const ENABLED: bool = cfg!(feature = "check");
+pub(crate) const ENABLED: bool = cfg!(feature = "check");
 
 /// `true` when this build of `dtc-core` has the `check` feature enabled.
 ///
@@ -124,7 +126,7 @@ impl std::error::Error for InvariantError {}
 /// One mutable cell of the engine's per-node scratch state, the unit of
 /// conflict detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Cell {
+pub(crate) enum Cell {
     /// Working parent pointer `par[v]`.
     Par(u32),
     /// Live child count `count[v]`.
@@ -138,7 +140,9 @@ pub enum Cell {
     /// Life state of `v`: the alive flag plus the death record, round
     /// stamp and trace entry written by a kill.
     Life(u32),
-    /// Plan-phase action slot of live node `v`.
+    /// Plan-phase action slot of live node `v` (recorded only under
+    /// `check`).
+    #[cfg_attr(not(feature = "check"), allow(dead_code))]
     Action(u32),
 }
 
@@ -158,7 +162,7 @@ impl fmt::Display for Cell {
 
 /// How a cell was written, deciding which same-round overlaps are races.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteMode {
+pub(crate) enum WriteMode {
     /// Plain write; any other owner touching the cell this round is a
     /// conflict.
     Exclusive,
@@ -185,7 +189,7 @@ impl WriteMode {
 /// Two owners touched the same cell in the same round, reported by
 /// [`WriteLog::record`] / [`PlanLog::finish`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConflictError {
+pub(crate) struct ConflictError {
     cell: Cell,
     round: u32,
     first_owner: u64,
@@ -232,23 +236,8 @@ struct Written {
 ///
 /// Without the `check` feature this is a field-less struct whose methods
 /// are empty `#[inline]` bodies.
-///
-/// ```
-/// use dtc_core::check::{Cell, WriteLog, WriteMode};
-/// let mut log = WriteLog::new();
-/// log.begin_round(1);
-/// // Two siblings absorbing into one parent accumulator commute: fine.
-/// assert!(log.record(Cell::Acc(7), WriteMode::Absorb, 1).is_ok());
-/// assert!(log.record(Cell::Acc(7), WriteMode::Absorb, 2).is_ok());
-/// # #[cfg(feature = "check")]
-/// // An exclusive write to the same cell in the same round is a race.
-/// assert!(log.record(Cell::Acc(7), WriteMode::Exclusive, 3).is_err());
-/// log.begin_round(2);
-/// // New round: the cell may be written again.
-/// assert!(log.record(Cell::Acc(7), WriteMode::Exclusive, 3).is_ok());
-/// ```
 #[derive(Debug, Default)]
-pub struct WriteLog {
+pub(crate) struct WriteLog {
     #[cfg(feature = "check")]
     entries: std::collections::HashMap<Cell, Written>,
     #[cfg(feature = "check")]
@@ -331,7 +320,7 @@ impl WriteLog {
 /// Without the `check` feature this is a field-less struct whose methods
 /// are empty `#[inline]` bodies.
 #[derive(Debug, Default)]
-pub struct PlanLog {
+pub(crate) struct PlanLog {
     #[cfg(feature = "check")]
     state: std::sync::Mutex<PlanState>,
 }
@@ -496,9 +485,29 @@ mod tests {
 
     #[cfg(feature = "check")]
     #[test]
-    fn write_log_reports_overlapping_exclusive_writes() {
+    fn smoke_write_log_reports_overlapping_writes() {
+        // Two owners, same cell, same round: the seeded overlap every
+        // parallel bug eventually reduces to. Commutative absorbs may share
+        // a cell; anything else must be reported.
         let mut log = WriteLog::new();
+        log.begin_round(3);
+        assert!(log.record(Cell::Acc(7), WriteMode::Absorb, 1).is_ok());
+        assert!(log.record(Cell::Acc(7), WriteMode::Absorb, 2).is_ok());
+        let err = log
+            .record(Cell::Par(7), WriteMode::Exclusive, 1)
+            .and(log.record(Cell::Par(7), WriteMode::Exclusive, 2))
+            .expect_err("overlapping exclusive writes must be detected");
+        let msg = err.to_string();
+        assert!(msg.contains("par[n7]"), "names the cell: {msg}");
+        assert!(msg.contains("round 3"), "names the round: {msg}");
+        assert!(msg.contains("owner 1") && msg.contains("owner 2"), "{msg}");
+        // Mixing a commutative mode with an exclusive write also races.
+        assert!(log.record(Cell::Count(9), WriteMode::Decrement, 1).is_ok());
+        assert!(log.record(Cell::Count(9), WriteMode::Exclusive, 2).is_err());
+
+        // A new round clears the slate.
         log.begin_round(4);
+        assert!(log.record(Cell::Par(7), WriteMode::Exclusive, 2).is_ok());
         assert!(log.record(Cell::Par(8), WriteMode::Exclusive, 1).is_ok());
         let err = log
             .record(Cell::Par(8), WriteMode::Exclusive, 2)
@@ -506,17 +515,26 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("par[n8]"), "message names the cell: {msg}");
         assert!(msg.contains("round 4"), "message names the round: {msg}");
-        // Mixing a commutative absorb with an exclusive write also races.
         assert!(log.record(Cell::Acc(9), WriteMode::Absorb, 1).is_ok());
         assert!(log.record(Cell::Acc(9), WriteMode::Exclusive, 2).is_err());
-        // A later round clears the slate.
         log.begin_round(5);
         assert!(log.record(Cell::Par(8), WriteMode::Exclusive, 2).is_ok());
     }
 
     #[cfg(feature = "check")]
     #[test]
-    fn plan_log_reports_two_workers_on_one_slot() {
+    fn smoke_plan_log_reports_two_workers_on_one_slot() {
+        let log = PlanLog::new();
+        for slot in 0..16 {
+            log.record_as(slot, 0xA);
+        }
+        assert!(log.finish().is_ok(), "disjoint slots are fine");
+        log.record_as(5, 0xB);
+        let err = log
+            .finish()
+            .expect_err("slot 5 written by two workers must be detected");
+        assert!(err.to_string().contains("action[n5]"), "{err}");
+
         let log = PlanLog::new();
         log.record_as(41, 0xAA);
         log.record_as(42, 0xAA);

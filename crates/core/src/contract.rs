@@ -7,7 +7,7 @@
 
 use crate::algebra::{Algebra, PathAlgebra};
 use crate::arena::Forest;
-use crate::engine::{Death, Scratch, Trace};
+use crate::engine::{self, Death, Trace};
 use crate::obs::{NoopSink, Phase, Profile, Sink};
 use crate::NodeId;
 use std::time::Instant;
@@ -285,10 +285,7 @@ where
     A: Algebra<Label = L>,
     S: Sink,
 {
-    let mut scratch: Scratch<A> = Scratch::default();
-    scratch.load(alg, forest);
-    let rounds = scratch.contract_with(alg, seed, sink);
-    let Scratch { order, trace, .. } = scratch;
+    let (trace, order, rounds) = engine::record(alg, forest, seed, sink);
     let backsolve_start = if S::ENABLED {
         Some(Instant::now())
     } else {

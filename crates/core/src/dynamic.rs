@@ -16,10 +16,11 @@
 //!   child count) the moves disturbed, reading every other node's state
 //!   from the trace itself, rewrites the records of the nodes whose death
 //!   changed, and patches the child, hop and raked-child lists and the
-//!   raked nodes' sibling slots that depend on them (`restructure.rs`). No
-//!   node outside that set is visited and no contraction runs. Children are
-//!   always numbered in id order, the order [`Forest::sequential_fold`]
-//!   folds them in, so ordered algebras stay exact across cuts and links.
+//!   sibling slots in raked nodes' records that depend on them
+//!   (`restructure.rs`). No node outside that set is visited and no
+//!   contraction runs. Children are always numbered in id order, the order
+//!   [`Forest::sequential_fold`] folds them in, so ordered algebras stay
+//!   exact across cuts and links.
 //!   A label-only batch is the case where this phase has nothing to do;
 //! * **values** — change propagation *replays* just the trace slots whose
 //!   inputs changed: the relabelled nodes ([`DynForest::batch_update_weights`]
@@ -47,7 +48,7 @@
 
 use crate::algebra::{Algebra, PathAlgebra, Propagate};
 use crate::arena::{Csr, Forest, NONE};
-use crate::engine::{Death, Recorded, Scratch, Trace};
+use crate::engine::{self, Death, Recorded, Trace};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile, Sink};
 use crate::propagate::{resolve_val, Replay};
 use crate::query::{self, QueryBatch, QueryError, QueryOutcome};
@@ -251,21 +252,23 @@ impl<A: Propagate> DynForest<A> {
     /// hold up to `1.5n` ids).
     pub fn with_seed(forest: Forest<A::Label>, alg: A, seed: u64) -> Self {
         let n = forest.len();
-        let mut d = DynForest {
+        // The engine's working buffers and death order are dropped before
+        // the replay caches are built.
+        let (trace, ..) = engine::record(&alg, &forest, seed, &mut NoopSink);
+        let replay = Replay::new(&alg, &trace);
+        DynForest {
             alg,
             forest,
             dirty: vec![false; n],
             dirty_list: Vec::new(),
             moved: Vec::new(),
-            trace: Trace::default(),
+            trace,
             raked: None,
             restructure: Restructure::default(),
-            replay: Replay::new(),
+            replay,
             seed,
             profile: None,
-        };
-        d.rebuild();
-        d
+        }
     }
 
     /// Turns on telemetry collection: every subsequent batch edit reports a
@@ -503,26 +506,6 @@ impl<A: Propagate> DynForest<A> {
         }
     }
 
-    /// Contracts the current forest with the forest's fixed seed, exactly as
-    /// a fresh `forest.contraction().seed(seed)` run records it, and builds
-    /// the replay caches from that trace. Only [`DynForest::with_seed`]
-    /// calls it; the engine's working buffers are dropped afterwards.
-    fn rebuild(&mut self) {
-        let DynForest {
-            alg,
-            forest,
-            trace,
-            replay,
-            seed,
-            ..
-        } = self;
-        let mut scratch = Scratch::default();
-        scratch.load(alg, forest);
-        scratch.contract_with(alg, *seed, &mut NoopSink);
-        *trace = scratch.trace;
-        replay.rebuild(alg, trace);
-    }
-
     /// Clears all pending edit marks.
     fn clear_dirty(&mut self) {
         let DynForest {
@@ -712,7 +695,7 @@ impl<A: Propagate> DynForest<A> {
     /// [`Contraction::validate`](crate::Contraction::validate); then the
     /// two traces are compared node by node — child lists, death rounds,
     /// death parents, hop lists, slot kinds, the child a compressed node
-    /// was spliced onto, the sibling slot of every raked node, raked-child
+    /// was spliced onto, the slot a raked node's record names, raked-child
     /// lists, child aggregates (part for part against replay caches built
     /// from the fresh trace) and backsolved values — and the first node
     /// that differs is named. Query batches keep nothing between calls,
@@ -738,7 +721,6 @@ impl<A: Propagate> DynForest<A> {
         let (k, f) = (&kept.links, &fresh.links);
         ensure!(
             kept.death.len() == n
-                && kept.sib.len() == n
                 && k.round.len() == n
                 && k.up.len() == n
                 && k.children.groups() == n
@@ -748,7 +730,7 @@ impl<A: Propagate> DynForest<A> {
         );
         let kind = |d: &Death<A>| match d {
             Death::None => "alive",
-            Death::Raked(_) => "raked",
+            Death::Raked { .. } => "raked",
             Death::Compressed { .. } => "compressed",
             Death::Root(_) => "root",
         };
@@ -756,16 +738,18 @@ impl<A: Propagate> DynForest<A> {
             Death::Compressed { child, .. } => *child,
             _ => NONE,
         };
+        let slot = |d: &Death<A>| match d {
+            Death::Raked { slot, .. } => *slot,
+            _ => NONE,
+        };
         let fresh_vals = fresh_run.values();
         let kept_vals: Vec<A::Val> = (0..n as u32)
             .map(|v| resolve_val(&self.alg, &kept.death, v))
             .collect();
         let fresh_raked = fresh.raked_lists();
-        let mut fresh_replay = Replay::new();
-        fresh_replay.rebuild(&self.alg, fresh);
+        let fresh_replay = Replay::new(&self.alg, fresh);
         for v in 0..n as u32 {
             let vi = v as usize;
-            let raked = matches!(fresh.death[vi], Death::Raked(_));
             let differs = [
                 ("child list", k.children.of(v) != f.children.of(v)),
                 ("death round", k.round[vi] != f.round[vi]),
@@ -773,7 +757,7 @@ impl<A: Propagate> DynForest<A> {
                 ("hop list", k.hops.of(v) != f.hops.of(v)),
                 ("slot kind", kind(&kept.death[vi]) != kind(&fresh.death[vi])),
                 ("host", host(&kept.death[vi]) != host(&fresh.death[vi])),
-                ("slot", raked && kept.sib[vi] != fresh.sib[vi]),
+                ("slot", slot(&kept.death[vi]) != slot(&fresh.death[vi])),
                 (
                     "raked-child list",
                     self.raked

@@ -1,12 +1,13 @@
 //! The rake/compress contraction engine.
 //!
 //! The engine runs classic Miller–Reif tree contraction over every node of
-//! a forest loaded into a [`Scratch`]. Static contraction and the dynamic
-//! layer's initial build run the same code on the same input, so under one
-//! coin seed both record the same [`Trace`]. After a cut or link the dynamic
-//! layer re-runs [`decide`] only on the nodes the edits disturbed, reading
-//! every other node's round state back from the trace through
-//! [`Recorded`], so it too keeps the trace a fresh run records.
+//! a forest: [`record`] contracts it and returns the [`Trace`] the run
+//! recorded. Static contraction and the dynamic layer's initial build run
+//! the same code on the same input, so under one coin seed both record the
+//! same trace. After a cut or link the dynamic layer re-runs [`decide`]
+//! only on the nodes the edits disturbed, reading every other node's round
+//! state back from the trace through [`Recorded`], so it too keeps the
+//! trace a fresh run records.
 //!
 //! Each round proceeds in two phases:
 //!
@@ -25,18 +26,21 @@
 //!    child to its grandparent.
 //!
 //! A run records into one [`Trace`], the only record of a contraction the
-//! crate keeps: [`Scratch::load`] builds the loaded forest's child lists,
-//! every death is stamped with its round (`Death`), forming the
-//! round-stamped contraction DAG, and the run ends by grouping the
-//! compressed nodes into hop lists. The trace's algebra-independent part,
-//! [`Links`], is what the query engine reads. A replay of the trace in
+//! crate keeps: the run builds the forest's child lists first, every death
+//! is stamped with its round (`Death`), forming the round-stamped
+//! contraction DAG, every rake records the sibling slot its contribution
+//! landed at, and the run ends by grouping the compressed nodes into hop
+//! lists. The trace's algebra-independent part, [`Links`], is what the
+//! query engine reads with the death records. A replay of the trace in
 //! descending death round ([`Trace::backsolve`]) recovers the final subtree
-//! value of *every* node, not just the roots — the values the query engine
-//! starts from. The dynamic layer's replay caches need no backsolve: every
-//! rake recorded its value, edge function and slot, which is all its
-//! contribution needs. [`Contraction`](crate::Contraction) and
-//! [`DynForest`](crate::DynForest) both own a `Trace`; the rest of
-//! [`Scratch`], the death order included, is per-run working state.
+//! value of *every* node, not just the roots; only
+//! [`Contraction::values`](crate::Contraction::values) needs it, since
+//! reads and queries resolve values from the death records. The dynamic
+//! layer's replay caches need no backsolve either: every rake recorded its
+//! value, edge function and slot, which is all its contribution needs.
+//! [`Contraction`](crate::Contraction) and [`DynForest`](crate::DynForest)
+//! both own a `Trace`; the rest of the run's state, the death order
+//! included, is working state that [`record`] drops or hands back.
 //!
 //! The run loop reports into a statically-dispatched [`Sink`]: per-round
 //! `plan`/`apply` spans and a [`RoundCounters`] record (frontier size,
@@ -69,14 +73,20 @@ pub(crate) enum Action {
 }
 
 /// How a node left the contraction, with everything needed to backsolve its
-/// final subtree value.
-#[derive(Debug, Clone, Default)]
+/// final subtree value and to replay its contribution.
+#[derive(Debug, Clone)]
 pub(crate) enum Death<A: Algebra> {
     /// Not yet contracted.
-    #[default]
     None,
-    /// Raked: the node's final value was already known at death.
-    Raked(A::Val),
+    /// Raked: the node's final value `val` was already known at death, and
+    /// its contribution landed at child slot `slot` of its death parent.
+    /// The slot is passed to [`Algebra::absorb_at`], so ordered
+    /// (non-commutative) algebras reassemble children in child-list order
+    /// although rakes retire siblings in any round order. It is the
+    /// position, in the death parent's id-ordered child list, of the
+    /// chain's top: a spliced-out node bequeaths its slot to its surviving
+    /// child.
+    Raked { val: A::Val, slot: u32 },
     /// Compressed: `val(self) = fun(val(child))`, where `child` strictly
     /// outlives this node.
     Compressed { child: u32, fun: A::Fun },
@@ -84,12 +94,12 @@ pub(crate) enum Death<A: Algebra> {
     Root(A::Val),
 }
 
-/// The algebra-independent part of a [`Trace`]: the loaded forest's child
+/// The algebra-independent part of a [`Trace`]: the contracted forest's child
 /// lists and the contraction's shortcut structure, indexed by raw node id.
 /// It holds no values or functions, so label propagation never changes it.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub(crate) struct Links {
-    /// Child lists of the loaded forest, each in id order — the order that
+    /// Child lists of the contracted forest, each in id order — the order that
     /// numbers the sibling slots.
     pub children: Csr,
     /// Round stamp per death (1-based; 0 = untouched).
@@ -135,27 +145,6 @@ pub(crate) struct Trace<A: Algebra> {
     /// Edge function towards the node's working parent, as it stood when
     /// the node died.
     pub fun: Vec<A::Fun>,
-    /// Sibling index of each node in its (original) parent's child list.
-    /// Passed to [`Algebra::absorb_at`] so ordered (non-commutative)
-    /// algebras can reassemble children in child-list order even though
-    /// rake retires siblings in arbitrary round order. A spliced-out
-    /// node bequeaths its slot to its surviving child, so a raked node's
-    /// slot is where its contribution landed in its death parent. Only
-    /// raked nodes' slots are read after a run, so after a structural
-    /// batch a dynamic forest keeps only those: any other node's slot may
-    /// be stale.
-    pub sib: Vec<u32>,
-}
-
-impl<A: Algebra> Default for Trace<A> {
-    fn default() -> Self {
-        Trace {
-            links: Links::default(),
-            death: Vec::new(),
-            fun: Vec::new(),
-            sib: Vec::new(),
-        }
-    }
 }
 
 impl<A: Algebra> Trace<A> {
@@ -171,7 +160,7 @@ impl<A: Algebra> Trace<A> {
     /// always already solved.
     pub fn backsolve(&self, alg: &A, compressed: impl Iterator<Item = u32>) -> Vec<A::Val> {
         let known = |d: &Death<A>| match d {
-            Death::Raked(v) | Death::Root(v) => Some(v.clone()),
+            Death::Raked { val, .. } | Death::Root(val) => Some(val.clone()),
             _ => None,
         };
         // Every component finishes a root, so a non-empty trace has a known
@@ -328,105 +317,104 @@ impl<'a, A: Algebra> Recorded<'a, A> {
     }
 }
 
-/// Reusable per-run working state, indexed by raw node id, and the
-/// [`Trace`] the run records into.
+/// Contracts every node of `forest` under coin seed `seed`, reporting phase
+/// spans and per-round counters into `sink`, and returns the trace the run
+/// recorded, the nodes in death order (reversed, a valid backsolve order)
+/// and the number of rounds. The run's other working buffers are dropped
+/// before it returns.
 ///
-/// [`Scratch::load`] sizes every vector to a forest and seeds it; after a
-/// run `trace` is the completed trace, which stays readable until the next
-/// load.
-#[derive(Clone)]
-pub(crate) struct Scratch<A: Algebra> {
+/// Telemetry is statically dispatched: every instrumentation site is
+/// guarded by `S::ENABLED`, so with [`crate::obs::NoopSink`] this compiles
+/// to exactly the uninstrumented loop.
+pub(crate) fn record<A: Algebra, S: Sink>(
+    alg: &A,
+    forest: &Forest<A::Label>,
+    seed: u64,
+    sink: &mut S,
+) -> (Trace<A>, Vec<u32>, u32) {
+    let mut scratch = Scratch::new(alg, forest);
+    let rounds = scratch.run(alg, seed, sink);
+    (scratch.trace, scratch.order, rounds)
+}
+
+/// One run's working state, indexed by raw node id, and the [`Trace`] the
+/// run records into.
+struct Scratch<A: Algebra> {
     /// Working copy of parent pointers (mutated by splices).
     par: Vec<u32>,
     /// Live child count.
     count: Vec<u32>,
+    /// Working sibling slot: the node's position in its parent's id-ordered
+    /// child list, inherited by a splice's survivor from its victim. A rake
+    /// records it in its death record.
+    sib: Vec<u32>,
     /// Partial accumulator.
     acc: Vec<A::Acc>,
     /// Liveness flag.
     alive: Vec<bool>,
     /// Nodes in death order; reversing it yields a valid backsolve order.
-    pub order: Vec<u32>,
+    order: Vec<u32>,
     /// What the run records.
-    pub trace: Trace<A>,
-}
-
-impl<A: Algebra> Default for Scratch<A> {
-    fn default() -> Self {
-        Scratch {
-            par: Vec::new(),
-            count: Vec::new(),
-            acc: Vec::new(),
-            alive: Vec::new(),
-            order: Vec::new(),
-            trace: Trace::default(),
-        }
-    }
+    trace: Trace<A>,
 }
 
 impl<A: Algebra> Scratch<A> {
-    /// Sizes every table to `forest` and seeds its pre-contraction state:
-    /// each node's parent, live child count and sibling slot, the child
-    /// lists (children numbered in id order), a fresh accumulator and an
-    /// identity edge function. Reuses the buffers of the previous load.
-    pub fn load(&mut self, alg: &A, forest: &Forest<A::Label>) {
+    /// Seeds the pre-contraction state of `forest`: each node's parent,
+    /// live child count and sibling slot, the child lists (children
+    /// numbered in id order), a fresh accumulator and an identity edge
+    /// function.
+    fn new(alg: &A, forest: &Forest<A::Label>) -> Self {
         let n = forest.len();
-        let Trace {
-            links,
-            death,
-            fun,
-            sib,
-            ..
-        } = &mut self.trace;
-        self.par.clear();
-        self.count.clear();
-        self.count.resize(n, 0);
-        sib.clear();
-        sib.resize(n, 0);
-        for v in 0..n as u32 {
-            let p = forest.parent_raw(v);
-            self.par.push(p);
+        let par: Vec<u32> = (0..n as u32).map(|v| forest.parent_raw(v)).collect();
+        let mut count = vec![0u32; n];
+        let mut sib = vec![0u32; n];
+        for (v, &p) in par.iter().enumerate() {
             if p != NONE {
                 // Children appear in id order, so the running count is
                 // exactly the node's position among its parent's children.
-                sib[v as usize] = self.count[p as usize];
-                self.count[p as usize] += 1;
+                sib[v] = count[p as usize];
+                count[p as usize] += 1;
             }
         }
         // The child lists follow from the same pass: the counts give the
         // group lengths, and each node's slot is its place in its parent's
         // list.
-        let children = &mut links.children;
-        children.lay_out(self.count.iter().map(|&c| c as usize), 0);
-        for (v, &p) in self.par.iter().enumerate() {
+        let mut children = Csr::default();
+        children.lay_out(count.iter().map(|&c| c as usize), 0);
+        for (v, &p) in par.iter().enumerate() {
             if p != NONE {
                 let at = children.range(p).0 + sib[v] as usize;
                 children.items[at] = v as u32;
             }
         }
-        self.acc.clear();
-        self.acc
-            .extend(forest.node_ids().map(|v| alg.init_acc(forest.label(v))));
-        fun.clear();
-        fun.resize(n, alg.identity());
-        self.alive.clear();
-        self.alive.resize(n, true);
         // A run kills every node, overwriting its death record, round stamp
-        // and death parent, and regroups the hop lists, so these only need
-        // the right length.
-        death.resize_with(n, Death::default);
-        links.round.resize(n, 0);
-        links.up.resize(n, NONE);
+        // and death parent, and groups the hop lists.
+        let links = Links {
+            children,
+            round: vec![0; n],
+            up: vec![NONE; n],
+            hops: Csr::default(),
+        };
+        let acc = forest.node_ids().map(|v| alg.init_acc(forest.label(v)));
+        Scratch {
+            par,
+            count,
+            sib,
+            acc: acc.collect(),
+            alive: vec![true; n],
+            order: Vec::with_capacity(n),
+            trace: Trace {
+                links,
+                death: (0..n).map(|_| Death::None).collect(),
+                fun: vec![alg.identity(); n],
+            },
+        }
     }
 
-    /// Runs rake/compress rounds until every loaded node has died,
-    /// reporting phase spans and per-round counters into `sink`, then
-    /// builds the trace's hop lists. Returns the number of rounds.
-    ///
-    /// Telemetry is statically dispatched: every instrumentation site is
-    /// guarded by `S::ENABLED`, so with [`crate::obs::NoopSink`] this
-    /// compiles to exactly the uninstrumented loop.
-    pub fn contract_with<S: Sink>(&mut self, alg: &A, seed: u64, sink: &mut S) -> u32 {
-        self.order.clear();
+    /// Runs rake/compress rounds until every node has died, reporting
+    /// into `sink` as [`record`] describes, then builds the trace's hop
+    /// lists. Returns the number of rounds.
+    fn run<S: Sink>(&mut self, alg: &A, seed: u64, sink: &mut S) -> u32 {
         let mut live: Vec<u32> = (0..self.par.len() as u32).collect();
         let mut actions: Vec<Action> = Vec::new();
         let mut round: u32 = 0;
@@ -511,7 +499,7 @@ impl<A: Algebra> Scratch<A> {
                         let p = self.par[ui] as usize;
                         let val = alg.finish(&self.acc[ui]);
                         let contrib = alg.apply(&self.trace.fun[ui], val.clone());
-                        let slot = self.trace.sib[ui];
+                        let slot = self.sib[ui];
                         // Sibling rakes hit the same parent cells, but
                         // absorb/decrement commute — recorded as such.
                         check::must(wlog.record(Cell::Acc(p as u32), WriteMode::Absorb, u as u64));
@@ -523,7 +511,7 @@ impl<A: Algebra> Scratch<A> {
                         check::must(wlog.record(Cell::Life(u), WriteMode::Exclusive, u as u64));
                         alg.absorb_at(&mut self.acc[p], slot, contrib);
                         self.count[p] -= 1;
-                        self.kill(u, round, Death::Raked(val));
+                        self.kill(u, round, Death::Raked { val, slot });
                     }
                     Action::Splice => {
                         // `u` splices out its unary parent `v`, reattaching
@@ -535,7 +523,7 @@ impl<A: Algebra> Scratch<A> {
                         }
                         let v = self.par[ui];
                         let vi = v as usize;
-                        let Trace { fun, sib, .. } = &mut self.trace;
+                        let fun = &mut self.trace.fun;
                         let g = alg.compose(&alg.to_fun(&self.acc[vi]), &fun[ui]);
                         check::must(wlog.record(Cell::Fun(u), WriteMode::Exclusive, u as u64));
                         check::must(wlog.record(Cell::Par(u), WriteMode::Exclusive, u as u64));
@@ -545,7 +533,7 @@ impl<A: Algebra> Scratch<A> {
                         self.par[ui] = self.par[vi];
                         // `u` inherits the victim's slot in the grandparent's
                         // child order, keeping ordered rakes well-indexed.
-                        sib[ui] = sib[vi];
+                        self.sib[ui] = self.sib[vi];
                         self.kill(v, round, Death::Compressed { child: u, fun: g });
                     }
                 }
@@ -599,7 +587,7 @@ impl<A: Algebra> Scratch<A> {
     }
 
     /// Post-round invariant sweep (`check` feature): the round retired at
-    /// least one node (the argument in `contract_with` that bounds the
+    /// least one node (the argument in `run` that bounds the
     /// round count), every node killed this round carries a coherent,
     /// round-stamped death record whose recorded parent survived the
     /// round, and every survivor has a live working parent and a `count`
@@ -726,13 +714,11 @@ mod tests {
     /// trace, and checks every [`Recorded`] accessor against the real state
     /// at every round. Returns the node-rounds checked.
     fn check_oracle(f: &Forest<i64>, seed: u64) -> usize {
-        let mut s: Scratch<SubtreeSum> = Scratch::default();
-        s.load(&SubtreeSum, f);
-        s.contract_with(&SubtreeSum, seed, &mut NoopSink);
-        let raked = s.trace.raked_lists();
+        let (trace, ..) = record(&SubtreeSum, f, seed, &mut NoopSink);
+        let raked = trace.raked_lists();
         let old = Recorded {
-            links: &s.trace.links,
-            death: &s.trace.death,
+            links: &trace.links,
+            death: &trace.death,
             raked: &raked,
         };
         let n = f.len();
@@ -830,10 +816,8 @@ mod tests {
     #[test]
     fn raked_lists_follow_the_run() {
         let f = gen::random_forest(2_000, 30, 3);
-        let mut s: Scratch<SubtreeSum> = Scratch::default();
-        s.load(&SubtreeSum, &f);
-        s.contract_with(&SubtreeSum, 3, &mut NoopSink);
-        let (trace, raked) = (&s.trace, s.trace.raked_lists());
+        let (trace, order, _) = record(&SubtreeSum, &f, 3, &mut NoopSink);
+        let raked = trace.raked_lists();
         let mut listed = 0;
         for p in 0..f.len() as u32 {
             let keys: Vec<(u32, u32)> = raked
@@ -843,7 +827,7 @@ mod tests {
                 .collect();
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "n{p} not sorted");
             for &x in raked.of(p) {
-                assert!(matches!(trace.death[x as usize], Death::Raked(_)));
+                assert!(matches!(trace.death[x as usize], Death::Raked { .. }));
                 assert_eq!(trace.links.up[x as usize], p);
             }
             listed += keys.len();
@@ -851,10 +835,25 @@ mod tests {
         let rakes = trace
             .death
             .iter()
-            .filter(|d| matches!(d, Death::Raked(_)))
+            .filter(|d| matches!(d, Death::Raked { .. }))
             .count();
         assert_eq!(listed, rakes);
-        let order = s.order.iter().rev().copied();
+        let order = order.iter().rev().copied();
         assert!(trace.backsolve(&SubtreeSum, order) == f.sequential_fold(&SubtreeSum));
+    }
+
+    /// Every trace holds one record per node, and a field that grows every
+    /// record grows every trace and every read. These are the sizes on
+    /// 64-bit targets; a raked node's slot fills the padding beside its
+    /// value.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn death_records_stay_small() {
+        use crate::{ExprEval, MinMax, OrderedRake, SeqHash};
+        use std::mem::size_of;
+        assert!(size_of::<Death<SubtreeSum>>() <= 16);
+        assert!(size_of::<Death<MinMax>>() <= 24);
+        assert!(size_of::<Death<ExprEval>>() <= 24);
+        assert!(size_of::<Death<OrderedRake<SeqHash>>>() <= 40);
     }
 }

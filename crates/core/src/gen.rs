@@ -114,8 +114,8 @@ pub enum ChurnOp {
 /// A random tree of `n` nodes plus a deterministic storm of `ops`
 /// interleaved cut / link / weight operations, each valid at the moment
 /// it applies (cuts only hit non-roots, links only re-attach cut-off
-/// roots and never create cycles). Exercises the structural-edit fallback
-/// path against alternating shape and label churn.
+/// roots and never create cycles). Exercises the structure phase of a
+/// recompute against alternating shape and label churn.
 pub fn churn(n: usize, ops: usize, seed: u64) -> (Forest<i64>, Vec<ChurnOp>) {
     let f = random_tree(n, seed);
     let mut rng = XorShift64::new(seed ^ 0xC0FFEE);

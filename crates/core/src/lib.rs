@@ -25,9 +25,10 @@
 //!   module docs for the construction).
 //!
 //! A run records its trace once, and both [`Contraction`] and
-//! [`DynForest`] own one of the same type: death records, edge functions
-//! and sibling slots, plus the algebra-independent links (child lists,
-//! death rounds, death parents and hop lists). The query engine reads the
+//! [`DynForest`] own one of the same type: death records (a rake's names
+//! the sibling slot it landed at) and edge functions, plus the
+//! algebra-independent links (child lists, death rounds, death parents and
+//! hop lists). The query engine reads the
 //! links and the death records.
 //!
 //! Value semantics are pluggable through the [`Algebra`] trait; shipped

@@ -69,7 +69,7 @@ pub(crate) fn resolve_val<A: Algebra>(alg: &A, death: &[Death<A>], v: u32) -> A:
     let mut u = v as usize;
     loop {
         match &death[u] {
-            Death::Raked(val) | Death::Root(val) => return alg.apply(&f, val.clone()),
+            Death::Raked { val, .. } | Death::Root(val) => return alg.apply(&f, val.clone()),
             Death::Compressed { child, fun } => {
                 f = alg.compose(&f, fun);
                 u = *child as usize;
@@ -176,7 +176,7 @@ pub(crate) struct PropagateOutcome {
 /// The caches that make replaying a slot of a [`Trace`] `O(1)`–
 /// `O(log degree)` instead of `O(degree)`.
 ///
-/// Built from one full contraction's trace by [`Replay::rebuild`], then kept
+/// Built from one full contraction's trace by [`Replay::new`], then kept
 /// valid by [`Replay::propagate`], and across a structure phase by
 /// [`Replay::relay`] and the propagation after it.
 #[derive(Clone)]
@@ -190,38 +190,25 @@ pub(crate) struct Replay<A: Propagate> {
 }
 
 impl<A: Propagate> Replay<A> {
-    pub fn new() -> Self {
-        Replay {
-            kids: Kids::Flat(Vec::new()),
-            affected: Vec::new(),
-            refold: Vec::new(),
-        }
-    }
-
-    /// Rebuilds every cache from `trace`, which must be the completed trace
+    /// Builds every cache from `trace`, which must be the completed trace
     /// of a full contraction, in one pass over its raked nodes.
     ///
     /// Every child slot of a node is absorbed by exactly one rake into it,
     /// except the slot of the chain that spliced a compressed node out (that
     /// chain contributes at the grandparent instead, so its slot stays
-    /// empty). The rake of `u` delivered `apply(fun[u], val)` at slot
-    /// `sib[u]` of `up[u]`: the final value of the original child at that
-    /// slot, since `fun[u]` composes the spliced chain above `u`. So the
-    /// rakes alone fill every aggregate; the child lists give only the
-    /// sibling-tree sizes. `O(n + trace)`.
-    pub fn rebuild(&mut self, alg: &A, trace: &Trace<A>) {
+    /// empty). The rake of `u` delivered `apply(fun[u], val)` at the slot
+    /// its record names in `up[u]`: the final value of the original child
+    /// at that slot, since `fun[u]` composes the spliced chain above `u`.
+    /// So the rakes alone fill every aggregate; the child lists give only
+    /// the sibling-tree sizes. `O(n + trace)`.
+    pub fn new(alg: &A, trace: &Trace<A>) -> Self {
         let n = trace.death.len();
-        self.affected.clear();
-        self.affected.resize(n, false);
-        self.refold.clear();
-        self.refold.resize(n, false);
-
-        let (up, sib) = (&trace.links.up, &trace.sib);
+        let up = &trace.links.up;
         let rakes = (0..n as u32).filter_map(|u| {
-            let c = Self::contribution(alg, trace, u)?;
-            Some((up[u as usize], sib[u as usize], c))
+            let (slot, c) = Self::contribution(alg, trace, u)?;
+            Some((up[u as usize], slot, c))
         });
-        self.kids = if A::INVERTIBLE {
+        let kids = if A::INVERTIBLE {
             let mut parts = vec![alg.part_empty(); n];
             for (p, slot, c) in rakes {
                 let p = p as usize;
@@ -244,6 +231,11 @@ impl<A: Propagate> Replay<A> {
             }
             Kids::Trees(trees)
         };
+        Replay {
+            kids,
+            affected: vec![false; n],
+            refold: vec![false; n],
+        }
     }
 
     /// Whether the child aggregate of `u` equals `other`'s part for part:
@@ -261,11 +253,13 @@ impl<A: Propagate> Replay<A> {
         }
     }
 
-    /// The contribution the trace records for the raked node `x`: its value
-    /// through its edge function.
-    fn contribution(alg: &A, trace: &Trace<A>, x: u32) -> Option<A::Val> {
+    /// The contribution the trace records for the raked node `x`, with the
+    /// slot it landed at: its value through its edge function.
+    fn contribution(alg: &A, trace: &Trace<A>, x: u32) -> Option<(u32, A::Val)> {
         match &trace.death[x as usize] {
-            Death::Raked(val) => Some(alg.apply(&trace.fun[x as usize], val.clone())),
+            Death::Raked { val, slot } => {
+                Some((*slot, alg.apply(&trace.fun[x as usize], val.clone())))
+            }
             _ => None,
         }
     }
@@ -290,7 +284,7 @@ impl<A: Propagate> Replay<A> {
             let contributions = raked
                 .of(p)
                 .iter()
-                .filter_map(|&x| Some((trace.sib[x as usize], Self::contribution(alg, trace, x)?)));
+                .filter_map(|&x| Self::contribution(alg, trace, x));
             self.kids.relay(alg, p as usize, degree, contributions);
         }
         seeds.extend_from_slice(parents);
@@ -323,13 +317,7 @@ impl<A: Propagate> Replay<A> {
             affected,
             refold,
         } = self;
-        let Trace {
-            links,
-            death,
-            fun,
-            sib,
-            ..
-        } = trace;
+        let Trace { links, death, fun } = trace;
 
         // Min-heap on (death round, node): dependencies always point to a
         // strictly later round, so one ascending drain visits each
@@ -352,14 +340,14 @@ impl<A: Propagate> Replay<A> {
                 last = stamp;
             }
             enum Slot<V> {
-                Raked(V),
+                Raked(u32, V),
                 Compressed(u32),
                 Root,
             }
             let slot = match &death[ui] {
                 // The contribution the trace records, taken before a refold
                 // rewrites the slot's edge function.
-                Death::Raked(val) => Slot::Raked(alg.apply(&fun[ui], val.clone())),
+                Death::Raked { val, slot } => Slot::Raked(*slot, alg.apply(&fun[ui], val.clone())),
                 Death::Compressed { child, .. } => Slot::Compressed(*child),
                 Death::Root(_) => Slot::Root,
                 // lint:allow(panic): the replay was built from a completed trace
@@ -369,15 +357,15 @@ impl<A: Propagate> Replay<A> {
                 refold_chain(alg, forest, links.hops.of(u), kids, death, fun, u);
             }
             match slot {
-                Slot::Raked(old) => {
+                Slot::Raked(slot, old) => {
                     let mut acc = alg.init_acc(forest.label(NodeId(u)));
                     alg.absorb_part(&mut acc, kids.root(ui));
                     let val = alg.finish(&acc);
                     let new = alg.apply(&fun[ui], val.clone());
-                    death[ui] = Death::Raked(val);
+                    death[ui] = Death::Raked { val, slot };
                     if new != old {
                         let p = links.up[ui];
-                        kids.patch(alg, p as usize, sib[ui], old, new);
+                        kids.patch(alg, p as usize, slot, old, new);
                         schedule(affected, &mut heap, links.round[p as usize], p);
                     }
                     // else: the recorded result still holds — the wave cuts

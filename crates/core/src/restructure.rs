@@ -33,9 +33,9 @@
 //! records and parent pointers (child lists, hop lists and raked-child
 //! lists) by one rule: each touched group loses the nodes that left it and
 //! gains those that joined it, in its own order. It then re-derives the
-//! sibling slots of raked nodes, the only slots read after a run, and lists
-//! every parent whose raked children, their slots or its degree changed:
-//! the parents whose child aggregates propagation lays out afresh from the
+//! sibling slots that raked nodes' death records name, and lists every
+//! parent whose raked children, their slots or its degree changed: the
+//! parents whose child aggregates propagation lays out afresh from the
 //! committed lists.
 
 use crate::algebra::Algebra;
@@ -99,7 +99,7 @@ impl Born {
     /// The death the trace records for `x`, if it has one.
     fn recorded<A: Algebra>(links: &Links, death: &[Death<A>], x: u32) -> Option<Born> {
         let kind = match death[x as usize] {
-            Death::Raked(_) => Kind::Raked,
+            Death::Raked { .. } => Kind::Raked,
             Death::Root(_) => Kind::Root,
             Death::Compressed { child, .. } => Kind::Compressed(child),
             Death::None => return None,
@@ -268,18 +268,26 @@ fn patch(
     }
 }
 
-/// The raked end of the chain that `x`, dead under `p`, starts: step to the
-/// child that spliced a node out while that child also died under `p`.
-/// `None` when `x` did not die under `p` or the chain spliced `p` out too.
-fn raked_end<A: Algebra>(links: &Links, death: &[Death<A>], mut x: u32, p: u32) -> Option<u32> {
+/// The slot in the death record of the raked end of the chain that `x`,
+/// dead under `p`, starts: step to the child that spliced a node out while
+/// that child also died under `p`. `None` when `x` did not die under `p` or
+/// the chain spliced `p` out too.
+fn raked_end<'a, A: Algebra>(
+    links: &Links,
+    death: &'a mut [Death<A>],
+    mut x: u32,
+    p: u32,
+) -> Option<&'a mut u32> {
     while links.up[x as usize] == p {
         match death[x as usize] {
-            Death::Raked(_) => return Some(x),
             Death::Compressed { child, .. } => x = child,
-            _ => return None,
+            _ => break,
         }
     }
-    None
+    match &mut death[x as usize] {
+        Death::Raked { slot, .. } if links.up[x as usize] == p => Some(slot),
+        _ => None,
+    }
 }
 
 /// The recorded state of `x` before round `r`.
@@ -304,7 +312,7 @@ fn recorded_move<A: Algebra>(old: &Recorded<A>, x: u32, r: u32) -> Move {
     }
     if old.round(x) == r {
         return match old.death[x as usize] {
-            Death::Raked(_) => Move::Rake(old.links.up[x as usize]),
+            Death::Raked { .. } => Move::Rake(old.links.up[x as usize]),
             Death::Root(_) => Move::Finish,
             _ => Move::Stay,
         };
@@ -572,7 +580,8 @@ impl Restructure {
 
     /// Writes the staged deaths that differ from the recorded ones into
     /// `trace` (values are placeholders until propagation: a raked node or
-    /// root holds its own label's value, a compressed node the identity) and
+    /// root holds its own label's value, a compressed node the identity;
+    /// a rake's slot is set below) and
     /// patches what depends on them, given the nodes the batch `moved`.
     ///
     /// The three lists are patched by one rule ([`patch`]). A moved node
@@ -585,14 +594,14 @@ impl Restructure {
     /// children, their slots or its degree changed, for propagation to lay
     /// out afresh.
     ///
-    /// Only raked nodes' slots are kept, since no other is read after a run.
-    /// A raked node's slot is the position of its chain's top (the original
-    /// child of its death parent on its path) in that parent's id-ordered
-    /// child list, and the nodes of the chain that died under the parent
-    /// share the top. So a parent that gained or lost a child walks its
-    /// children down to their raked ends, and each changed node's raked end
-    /// takes the position of the top found by stepping to the last victim
-    /// until the hop list is empty. That can move a slot while the parent's
+    /// A rake's death record names its slot: the position of its chain's
+    /// top (the original child of its death parent on its path) in that
+    /// parent's id-ordered child list, and the nodes of the chain that died
+    /// under the parent share the top. So a parent that gained or lost a
+    /// child walks its children down to their raked ends, and each changed
+    /// node's raked end takes the position of the top found by stepping to
+    /// the last victim until the hop list is empty; both write the slot
+    /// into the raked end's record. That can move a slot while the parent's
     /// child list and raked children stay the same, so such a parent is
     /// listed too.
     pub fn commit<A: Algebra>(
@@ -611,9 +620,7 @@ impl Restructure {
             parents,
             ..
         } = self;
-        let Trace {
-            links, death, sib, ..
-        } = trace;
+        let Trace { links, death, .. } = trace;
         let mut edits: [Vec<Edit>; 3] = Default::default();
         for &m in moved {
             // The recorded parent is the working parent at round 1.
@@ -644,7 +651,10 @@ impl Restructure {
             }
             let leaf = || alg.finish(&alg.init_acc(forest.label(NodeId(x))));
             death[x as usize] = match b.kind {
-                Kind::Raked => Death::Raked(leaf()),
+                Kind::Raked => Death::Raked {
+                    val: leaf(),
+                    slot: 0,
+                },
                 Kind::Root => Death::Root(leaf()),
                 Kind::Compressed(child) => Death::Compressed {
                     child,
@@ -665,28 +675,28 @@ impl Restructure {
         changed.dedup();
 
         for &p in renumbered.iter() {
-            for (slot, &c) in links.children.of(p).iter().enumerate() {
-                if let Some(y) = raked_end(links, death, c, p) {
-                    sib[y as usize] = slot as u32;
+            for (at, &c) in links.children.of(p).iter().enumerate() {
+                if let Some(slot) = raked_end(links, death, c, p) {
+                    *slot = at as u32;
                 }
             }
         }
         for &x in changed.iter() {
             let p = links.up[x as usize];
-            let Some(y) = raked_end(links, death, x, p) else {
+            let Some(slot) = raked_end(links, death, x, p) else {
                 continue;
             };
             let mut top = x;
             while let Some(&v) = links.hops.of(top).last() {
                 top = v;
             }
-            let slot = links.children.of(p).binary_search(&top);
+            let at = links.children.of(p).binary_search(&top);
             invariant!(
-                slot.is_ok(),
+                at.is_ok(),
                 "the chain top n{top} of n{x} is no child of n{p}"
             );
-            let slot = slot.unwrap_or(0) as u32;
-            if std::mem::replace(&mut sib[y as usize], slot) != slot {
+            let at = at.unwrap_or(0) as u32;
+            if std::mem::replace(slot, at) != at {
                 parents.push(p);
             }
         }

@@ -9,9 +9,11 @@
 //! interpreter/instrumentation runtimes bounded.
 #![cfg(feature = "check")]
 
-use dtc_core::check::{self, Cell, PlanLog, WriteLog, WriteMode};
+use dtc_core::check;
 use dtc_core::gen::{self, XorShift64};
-use dtc_core::{Answer, DynForest, Forest, NodeId, QueryBatch, SubtreeSum};
+use dtc_core::{
+    Answer, DynForest, Forest, MinMax, NodeId, PathAlgebra, Propagate, QueryBatch, SubtreeSum,
+};
 
 /// The shape zoo shared by the property tests.
 fn shapes(n: usize, seed: u64) -> Vec<(&'static str, Forest<i64>)> {
@@ -50,14 +52,21 @@ fn validators_accept_shapes_up_to_1e5() {
     }
 }
 
-/// Random edit/recompute churn on a dynamic forest, validating the full
-/// dynamic layer (edit-mark coherence and the maintained trace against a
-/// fresh same-seed contraction) after **every** `recompute()`, with a query
-/// batch over the maintained trace first, plus the marks once mid-batch
-/// while dirty.
-fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
+/// Random edit/recompute churn on a dynamic forest under `alg`, validating
+/// the full dynamic layer (edit-mark coherence and the maintained trace
+/// against a fresh same-seed contraction) after **every** `recompute()`,
+/// with a query batch over the maintained trace first, plus the marks once
+/// mid-batch while dirty. Under a non-invertible algebra such as
+/// [`MinMax`], each raked node's recorded slot picks its leaf in the
+/// parent's sibling tree, and `validate_trace` compares the trees part for
+/// part.
+fn churn_and_validate<A>(alg: A, n: usize, rounds: usize, seed: u64)
+where
+    A: Propagate<Label = i64> + PathAlgebra,
+    A::Part: PartialEq,
+{
     let f = gen::random_tree(n, seed);
-    let mut d = DynForest::with_seed(f, SubtreeSum, seed);
+    let mut d = DynForest::with_seed(f, alg, seed);
     let ids = [0, n / 3, n / 2, n - 1].map(NodeId::from_index);
     let mut batch = QueryBatch::new();
     batch
@@ -65,7 +74,7 @@ fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
         .path(ids[3], ids[1])
         .lca(ids[2], ids[3])
         .component_root(ids[0]);
-    let validate = |d: &DynForest<SubtreeSum>, when: &str| {
+    let validate = |d: &DynForest<A>, when: &str| {
         // The batch walks the death-parent chains and hop lists that
         // `validate_trace` then compares with a fresh contraction's.
         d.query_batch(&batch)
@@ -123,13 +132,15 @@ fn churn_and_validate(n: usize, rounds: usize, seed: u64) {
 
 #[test]
 fn smoke_dynamic_validates_after_every_recompute() {
-    churn_and_validate(120, 6, 0xD1CE);
+    churn_and_validate(SubtreeSum, 120, 6, 0xD1CE);
+    churn_and_validate(MinMax, 120, 6, 0xD1CE);
 }
 
 #[test]
 #[cfg_attr(miri, ignore = "large shapes; the smoke_ tests cover miri")]
 fn dynamic_validates_under_heavy_churn() {
-    churn_and_validate(5_000, 30, 0xBEEF);
+    churn_and_validate(SubtreeSum, 5_000, 30, 0xBEEF);
+    churn_and_validate(MinMax, 5_000, 30, 0xBEEF);
 }
 
 #[test]
@@ -162,45 +173,4 @@ fn query_batch_on_a_validated_trace_matches_the_oracles() {
         Ok(lca.map_or(Answer::NotConnected, Answer::Node))
     );
     assert_eq!(answers[3], Ok(Answer::Node(f.root_of(ids[19_999]))));
-}
-
-#[test]
-fn smoke_conflict_detector_fires_on_overlapping_writes() {
-    // Two owners, same cell, same round: the seeded overlap every parallel
-    // bug eventually reduces to. Commutative absorbs may share a cell;
-    // anything else must be reported.
-    let mut log = WriteLog::new();
-    log.begin_round(3);
-    assert!(log.record(Cell::Acc(7), WriteMode::Absorb, 1).is_ok());
-    assert!(log.record(Cell::Acc(7), WriteMode::Absorb, 2).is_ok());
-    let err = log
-        .record(Cell::Par(7), WriteMode::Exclusive, 1)
-        .and(log.record(Cell::Par(7), WriteMode::Exclusive, 2))
-        .expect_err("overlapping exclusive writes must be detected");
-    let msg = err.to_string();
-    assert!(msg.contains("par[n7]"), "names the cell: {msg}");
-    assert!(msg.contains("round 3"), "names the round: {msg}");
-    assert!(msg.contains("owner 1") && msg.contains("owner 2"), "{msg}");
-
-    // Mixing a commutative mode with an exclusive write is also a race.
-    assert!(log.record(Cell::Count(9), WriteMode::Decrement, 1).is_ok());
-    assert!(log.record(Cell::Count(9), WriteMode::Exclusive, 2).is_err());
-
-    // A new round clears the slate.
-    log.begin_round(4);
-    assert!(log.record(Cell::Par(7), WriteMode::Exclusive, 2).is_ok());
-}
-
-#[test]
-fn smoke_plan_log_fires_on_two_workers_sharing_a_slot() {
-    let log = PlanLog::new();
-    for slot in 0..16 {
-        log.record_as(slot, 0xA);
-    }
-    assert!(log.finish().is_ok(), "disjoint slots are fine");
-    log.record_as(5, 0xB);
-    let err = log
-        .finish()
-        .expect_err("slot 5 written by two workers must be detected");
-    assert!(err.to_string().contains("action[n5]"), "{err}");
 }
