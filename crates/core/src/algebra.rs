@@ -97,7 +97,10 @@ pub trait Algebra: Clone {
 /// merging the parts of slots `0..k` **in ascending slot order** then
 /// absorbing via [`Propagate::absorb_part`] must equal absorbing each
 /// child with [`Algebra::absorb_at`] directly. (Ascending order is what
-/// lets ordered algebras participate.)
+/// lets ordered algebras participate.) A flat part is never merged in slot
+/// order: the caches merge rakes in node-id order and propagation patches
+/// in drain order, so an invertible algebra's parts must form an abelian
+/// group under `part_merge` and `part_remove`.
 pub trait Propagate: Algebra {
     /// Aggregate of the contributions of a contiguous range of child
     /// slots.
@@ -105,7 +108,8 @@ pub trait Propagate: Algebra {
 
     /// `true` when [`Propagate::part_remove`] is implemented and `O(1)`;
     /// the propagator then keeps a single flat `Part` per node instead of
-    /// a sibling tree.
+    /// a sibling tree, merged and patched in any slot order: the parts must
+    /// form an abelian group (see the laws above).
     const INVERTIBLE: bool = false;
 
     /// The aggregate of zero children (unit of [`Propagate::part_merge`]).

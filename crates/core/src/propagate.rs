@@ -9,9 +9,9 @@
 //! re-executes **only the slots whose inputs changed** when a batch of label
 //! edits lands, rewriting the trace in place:
 //!
-//! 1. every edited node is seeded into a priority queue keyed by its death
-//!    round;
-//! 2. slots drain in ascending death round. A raked slot re-runs its fold;
+//! 1. every edited node is put in the bucket of its death round;
+//! 2. the buckets drain in ascending death round, each in the order its
+//!    slots were scheduled. A raked slot re-runs its fold;
 //!    if the recomputed contribution equals the one the trace records (its
 //!    edge function applied to its value) the wave *cuts off*, otherwise
 //!    the parent's child-aggregate is patched and the parent is
@@ -21,8 +21,10 @@
 //!
 //! Because rake victims die strictly before their targets and splice
 //! victims strictly before their survivors, every dependency points to a
-//! strictly later death round: the single ascending drain processes each
-//! slot at most once, and a wave dies out after `O(rounds)` hops — the
+//! strictly later death round: one ascending sweep over the buckets
+//! processes each slot at most once, in any order within a round (a slot
+//! reads only aggregates patched in earlier rounds and writes only into
+//! later ones), and a wave dies out after `O(rounds)` hops — the
 //! depth-independence the static round structure was recorded for.
 //!
 //! A cut or link changes the shape the trace describes. The dynamic
@@ -50,11 +52,10 @@
 
 use crate::algebra::{Algebra, Propagate};
 use crate::arena::{Csr, Forest};
+use crate::check::invariant;
 use crate::engine::{Death, Trace};
 use crate::obs::{Phase, Sink};
 use crate::NodeId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Resolves the final subtree value of `v` from the death trace alone.
@@ -184,9 +185,13 @@ pub(crate) struct Replay<A: Propagate> {
     /// Aggregated child contributions per node (minus the surviving
     /// chain's slot for compressed nodes).
     kids: Kids<A>,
-    /// Scheduling flags for the current pass; always reset before return.
+    /// Whether a slot is scheduled in the current pass, and whether its
+    /// splice chain is refolded first; each is cleared as its slot drains.
     affected: Vec<bool>,
     refold: Vec<bool>,
+    /// The current pass's scheduled slots, one bucket per death round.
+    /// Every bucket is empty between passes and keeps its capacity.
+    due: Vec<Vec<u32>>,
 }
 
 impl<A: Propagate> Replay<A> {
@@ -235,6 +240,7 @@ impl<A: Propagate> Replay<A> {
             kids,
             affected: vec![false; n],
             refold: vec![false; n],
+            due: Vec::new(),
         }
     }
 
@@ -316,29 +322,32 @@ impl<A: Propagate> Replay<A> {
             kids,
             affected,
             refold,
+            due,
         } = self;
         let Trace { links, death, fun } = trace;
 
-        // Min-heap on (death round, node): dependencies always point to a
-        // strictly later round, so one ascending drain visits each
-        // affected slot exactly once.
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
         for &u in refolds {
             refold[u as usize] = true;
         }
         for &u in dirty.iter().chain(refolds) {
-            schedule(affected, &mut heap, links.round[u as usize], u);
+            schedule(affected, due, links.round[u as usize], u);
         }
 
-        let mut processed: Vec<u32> = Vec::new();
-        let (mut rounds, mut last) = (0u32, 0u32);
-        while let Some(Reverse((stamp, u))) = heap.pop() {
+        // Dependencies always point to a strictly later death round, so one
+        // ascending sweep over the buckets, each drained in place, replays
+        // every affected slot exactly once.
+        let (mut replayed, mut rounds, mut r, mut i) = (0, 0, 0, 0);
+        while r < due.len() {
+            let Some(&u) = due[r].get(i) else {
+                rounds += u32::from(i > 0);
+                replayed += i;
+                due[r].clear();
+                (r, i) = (r + 1, 0);
+                continue;
+            };
+            i += 1;
             let ui = u as usize;
-            processed.push(u);
-            if rounds == 0 || stamp != last {
-                rounds += 1;
-                last = stamp;
-            }
+            affected[ui] = false;
             enum Slot<V> {
                 Raked(u32, V),
                 Compressed(u32),
@@ -353,44 +362,43 @@ impl<A: Propagate> Replay<A> {
                 // lint:allow(panic): the replay was built from a completed trace
                 Death::None => unreachable!("propagation reached a node without a death record"),
             };
-            if refold[ui] {
+            if std::mem::take(&mut refold[ui]) {
                 refold_chain(alg, forest, links.hops.of(u), kids, death, fun, u);
             }
-            match slot {
+            let next = match slot {
                 Slot::Raked(slot, old) => {
                     let mut acc = alg.init_acc(forest.label(NodeId(u)));
                     alg.absorb_part(&mut acc, kids.root(ui));
                     let val = alg.finish(&acc);
                     let new = alg.apply(&fun[ui], val.clone());
                     death[ui] = Death::Raked { val, slot };
-                    if new != old {
-                        let p = links.up[ui];
-                        kids.patch(alg, p as usize, slot, old, new);
-                        schedule(affected, &mut heap, links.round[p as usize], p);
-                    }
-                    // else: the recorded result still holds — the wave cuts
-                    // off and everything above is reused as-is.
+                    // Equal contributions cut the wave off: everything above
+                    // is reused as-is.
+                    (new != old).then(|| {
+                        kids.patch(alg, links.up[ui] as usize, slot, old, new);
+                        links.up[ui]
+                    })
                 }
+                // The victim's label or children feed the survivor's composed
+                // function; re-derive the whole chain when the survivor drains.
                 Slot::Compressed(child) => {
-                    // The victim's label or children feed the survivor's
-                    // composed function; re-derive the whole chain when the
-                    // survivor drains (it dies strictly later).
                     refold[child as usize] = true;
-                    schedule(affected, &mut heap, links.round[child as usize], child);
+                    Some(child)
                 }
                 Slot::Root => {
                     let mut acc = alg.init_acc(forest.label(NodeId(u)));
                     alg.absorb_part(&mut acc, kids.root(ui));
                     death[ui] = Death::Root(alg.finish(&acc));
+                    None
                 }
+            };
+            if let Some(v) = next {
+                let stamp = links.round[v as usize];
+                invariant!(stamp as usize > r, "n{v} does not die after n{u}");
+                schedule(affected, due, stamp, v);
             }
         }
 
-        let replayed = processed.len();
-        for u in processed {
-            affected[u as usize] = false;
-            refold[u as usize] = false;
-        }
         if let Some(t) = start {
             sink.phase(Phase::Propagate, t.elapsed().as_nanos() as u64);
         }
@@ -398,13 +406,18 @@ impl<A: Propagate> Replay<A> {
     }
 }
 
-/// Enqueues `u` at its death-round `stamp` unless already scheduled; the
-/// flag is never reset mid-pass, so each slot drains at most once.
+/// Puts `u` in the bucket of its death round `stamp` unless it is already
+/// scheduled. Its flag is cleared when it drains, and no slot of a swept
+/// round is scheduled again, so each slot drains at most once.
 #[inline]
-fn schedule(affected: &mut [bool], heap: &mut BinaryHeap<Reverse<(u32, u32)>>, stamp: u32, u: u32) {
+fn schedule(affected: &mut [bool], due: &mut Vec<Vec<u32>>, stamp: u32, u: u32) {
     if !affected[u as usize] {
         affected[u as usize] = true;
-        heap.push(Reverse((stamp, u)));
+        let r = stamp as usize;
+        if r >= due.len() {
+            due.resize_with(r + 1, Vec::new);
+        }
+        due[r].push(u);
     }
 }
 
@@ -433,4 +446,28 @@ fn refold_chain<A: Propagate>(
         death[vi] = Death::Compressed { child: x, fun: g };
     }
     fun[x as usize] = f;
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::Death;
+    use crate::{gen, DynForest, NodeId, SubtreeSum};
+
+    /// A dependent that dies no later than the slot scheduling it would be
+    /// dropped by the ascending sweep, whose bucket is already being
+    /// drained; the drain stops on it instead.
+    #[test]
+    #[should_panic(expected = "invariant violated")]
+    fn a_dependent_in_the_draining_round_is_refused() {
+        let mut d = DynForest::with_seed(gen::random_tree(64, 3), SubtreeSum, 7);
+        let u = (0..64)
+            .find(|&u| matches!(d.trace.death[u], Death::Raked { .. }))
+            .unwrap();
+        let links = &mut d.trace.links;
+        links.round[links.up[u] as usize] = links.round[u];
+        let v = NodeId::from_index(u);
+        let label = *d.forest().label(v);
+        d.batch_update_weights(&[(v, label + 1)]).unwrap();
+        d.recompute();
+    }
 }

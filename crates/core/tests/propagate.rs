@@ -123,6 +123,58 @@ fn propagation_matches_fresh_contraction_for_expressions() {
     }
 }
 
+/// One label batch of distinct nodes, applied as given to one clone and
+/// reversed to another, four times over: both must report the same stats
+/// and values. A round's slots drain in the order they were scheduled, so
+/// the input order reaches the drain, and no result may depend on it.
+#[test]
+fn label_batch_order_does_not_change_the_result() {
+    fn both_orders<A>(name: &str, forest: Forest<i64>, alg: A)
+    where
+        A: Propagate<Label = i64>,
+        A::Val: std::fmt::Debug,
+        A::Part: PartialEq,
+    {
+        let n = forest.len();
+        let mut a = DynForest::with_seed(forest, alg.clone(), 0x0DE5);
+        let mut b = a.clone();
+        let mut rng = XorShift64::new(0x0DE6);
+        for batch in 0..4 {
+            let (mut updates, mut seen) = (Vec::new(), vec![false; n]);
+            while updates.len() < n / 8 {
+                let v = rng.below(n as u64) as usize;
+                if !std::mem::replace(&mut seen[v], true) {
+                    updates.push((NodeId::from_index(v), rng.weight()));
+                }
+            }
+            a.batch_update_weights(&updates).unwrap();
+            updates.reverse();
+            b.batch_update_weights(&updates).unwrap();
+            assert_eq!(a.recompute(), b.recompute(), "{name}: batch {batch}");
+            for v in a.forest().node_ids() {
+                assert_eq!(
+                    a.try_subtree_value(v).unwrap(),
+                    b.try_subtree_value(v).unwrap(),
+                    "{name}: batch {batch}, {v}"
+                );
+            }
+            #[cfg(feature = "check")]
+            for d in [&a, &b] {
+                d.validate_trace().unwrap();
+            }
+        }
+        assert_matches_fresh(name, &a, &alg, 0x0DE5);
+    }
+    for (name, f) in [
+        ("random_tree(2000)", gen::random_tree(2_000, 0x0DE7)),
+        ("broom(1000,1000)", gen::broom(1_000, 1_000, 0x0DE7)),
+    ] {
+        both_orders(&format!("SubtreeSum, {name}"), f.clone(), SubtreeSum);
+        both_orders(&format!("MinMax, {name}"), f.clone(), MinMax);
+        both_orders(&format!("OrderedRake, {name}"), f, OrderedRake(SeqHash));
+    }
+}
+
 /// Churn scripts interleave structural edits (whose recompute re-decides
 /// the disturbed nodes and patches the trace) with label edits (which
 /// propagate over the patched trace); values must stay exact through every
