@@ -280,8 +280,9 @@ where
 }
 
 /// Cuts one node and links it back in one batch, leaving the shape as it
-/// was. A forest's first structural batch builds the per-node raked-child
-/// lists the structure phase reads, and keeps them; this pays that once.
+/// was. A forest's first structural batch builds the per-node child and
+/// raked-child lists the structure phase reads, and keeps them; this pays
+/// that once.
 fn settle_structure<A: Propagate>(d: &mut DynForest<A>) {
     let f = d.forest();
     let Some((v, p)) = f.node_ids().find_map(|v| Some((v, f.parent(v)?))) else {

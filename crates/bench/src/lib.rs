@@ -8,9 +8,10 @@
 //! * a `--test` smoke mode (`cargo bench -- --test`) that runs every bench
 //!   exactly once so benchmarks cannot bit-rot without failing CI;
 //! * a `--json <path>` mode that serializes every benchmark record
-//!   (min/p50/mean/p90/p99, iteration count, plus any attached engine
-//!   counters) with the hand-rolled [`json`] writer — this is what emits
-//!   the `BENCH_*.json` files recording the repo's perf trajectory.
+//!   (min/p50/mean/p90/p99, iteration count, minor page faults per timed
+//!   iteration on Linux, plus any attached engine counters) with the
+//!   hand-rolled [`json`] writer — this is what emits the `BENCH_*.json`
+//!   files recording the repo's perf trajectory.
 //!
 //! Unknown `--flags` are rejected with a clear error (exit code 2) rather
 //! than silently ignored; cargo's own `--bench` passthrough is tolerated.
@@ -67,6 +68,8 @@ struct Record {
     p90_ns: u64,
     p99_ns: u64,
     max_ns: u64,
+    /// Mean minor page faults per timed iteration; `None` off Linux.
+    minor_faults: Option<f64>,
     extra: Vec<(String, Json)>,
 }
 
@@ -171,34 +174,27 @@ impl Harness {
             return;
         }
         if self.test_mode {
-            let mut state = setup();
-            let start = Instant::now();
-            let out = routine(&mut state);
-            let elapsed = start.elapsed();
-            std::hint::black_box(&out);
-            self.push_record(name, &mut [elapsed]);
+            let (elapsed, faults) = time_once(&mut setup, &mut routine);
+            self.push_record(name, &mut [elapsed], faults);
             println!("test {name} ... ok");
             return;
         }
 
         // Warmup.
         for _ in 0..2 {
-            let mut state = setup();
-            std::hint::black_box(&routine(&mut state));
+            time_once(&mut setup, &mut routine);
         }
 
         let mut samples: Vec<Duration> = Vec::new();
         let mut total = Duration::ZERO;
+        let mut faults = Some(0);
         while samples.len() < MIN_ITERS || (total < TARGET_TIME && samples.len() < MAX_ITERS) {
-            let mut state = setup();
-            let start = Instant::now();
-            let out = routine(&mut state);
-            let elapsed = start.elapsed();
-            std::hint::black_box(&out);
+            let (elapsed, taken) = time_once(&mut setup, &mut routine);
             samples.push(elapsed);
             total += elapsed;
+            faults = faults.zip(taken).map(|(sum, f)| sum + f);
         }
-        let rec = self.push_record(name, &mut samples);
+        let rec = self.push_record(name, &mut samples, faults);
         println!(
             "{name:<32} min {:>12} | median {:>12} | mean {:>12} | p99 {:>12} | {} iters",
             fmt_duration(Duration::from_nanos(rec.0)),
@@ -209,9 +205,15 @@ impl Harness {
         );
     }
 
-    /// Sorts `samples`, records percentiles, and returns
-    /// `(min, p50, mean, p99)` in nanoseconds for display.
-    fn push_record(&self, name: &str, samples: &mut [Duration]) -> (u64, u64, u64, u64) {
+    /// Sorts `samples`, records percentiles and the mean of the `faults`
+    /// the samples took in total, and returns `(min, p50, mean, p99)` in
+    /// nanoseconds for display.
+    fn push_record(
+        &self,
+        name: &str,
+        samples: &mut [Duration],
+        faults: Option<u64>,
+    ) -> (u64, u64, u64, u64) {
         samples.sort_unstable();
         let ns = |d: Duration| d.as_nanos() as u64;
         let pct = |q: usize| ns(samples[(samples.len() - 1) * q / 100]);
@@ -226,6 +228,7 @@ impl Harness {
             p90_ns: pct(90),
             p99_ns: pct(99),
             max_ns: ns(samples[samples.len() - 1]),
+            minor_faults: faults.map(|f| f as f64 / samples.len() as f64),
             extra: Vec::new(),
         };
         let out = (rec.min_ns, rec.p50_ns, rec.mean_ns, rec.p99_ns);
@@ -274,6 +277,9 @@ impl Harness {
                     ("p99_ns".to_string(), Json::Num(r.p99_ns as f64)),
                     ("max_ns".to_string(), Json::Num(r.max_ns as f64)),
                 ];
+                if let Some(f) = r.minor_faults {
+                    members.push(("minor_faults".to_string(), Json::Num(f)));
+                }
                 members.extend(r.extra.iter().cloned());
                 Json::Obj(members)
             })
@@ -321,6 +327,52 @@ fn resolve_output_path(path: &std::path::Path) -> PathBuf {
         }
     }
     root.join(path)
+}
+
+/// Runs `routine` once on fresh state from `setup`, and returns its wall
+/// time and the minor page faults it took. The fault count is read on both
+/// sides of the timed region, outside it.
+fn time_once<S, T>(
+    setup: &mut impl FnMut() -> S,
+    routine: &mut impl FnMut(&mut S) -> T,
+) -> (Duration, Option<u64>) {
+    let mut state = setup();
+    let before = minor_faults();
+    let start = Instant::now();
+    let out = routine(&mut state);
+    let elapsed = start.elapsed();
+    let after = minor_faults();
+    std::hint::black_box(&out);
+    (elapsed, after.zip(before).map(|(a, b)| a - b))
+}
+
+/// The minor page faults this process has taken, from `/proc/self/stat`.
+/// The read fills a stack buffer and allocates nothing, so it takes no
+/// fault of its own on the heap. `None` when the file cannot be read.
+#[cfg(target_os = "linux")]
+fn minor_faults() -> Option<u64> {
+    use std::io::Read;
+    let mut file = std::fs::File::open("/proc/self/stat").ok()?;
+    let (mut buf, mut len) = ([0u8; 1024], 0);
+    // A read may stop short; a full buffer reads 0 and ends the loop.
+    loop {
+        match file.read(&mut buf[len..]).ok()? {
+            0 => break,
+            n => len += n,
+        }
+    }
+    let stat = std::str::from_utf8(&buf[..len]).ok()?;
+    // `minflt` is field 10; the command name, field 2, is parenthesised
+    // and may hold spaces, so count from the last `)`: the eighth field
+    // after it.
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_ascii_whitespace().nth(7)?.parse().ok()
+}
+
+/// Page faults are read from Linux's `/proc` only.
+#[cfg(not(target_os = "linux"))]
+fn minor_faults() -> Option<u64> {
+    None
 }
 
 impl Default for Harness {
@@ -421,6 +473,8 @@ mod tests {
         assert_eq!(rec.get("name").unwrap().as_str(), Some("smoke/a"));
         assert_eq!(rec.get("iters").unwrap().as_num(), Some(1.0));
         assert!(rec.get("p99_ns").unwrap().as_num().is_some());
+        let faults = rec.get("minor_faults").and_then(Json::as_num);
+        assert_eq!(faults.is_some(), cfg!(target_os = "linux"));
         let counters = rec.get("counters").unwrap();
         assert_eq!(counters.get("rounds").unwrap().as_num(), Some(3.0));
     }

@@ -57,8 +57,8 @@ impl std::fmt::Display for NodeId {
 
 /// A rooted forest over arena-allocated nodes with labels of type `L`.
 ///
-/// The forest only stores parent pointers; the contraction engine derives
-/// the child lists once per run, into the trace it records. Nodes are
+/// The forest only stores parent pointers; what needs child lists derives
+/// them (a dynamic forest's structure phase, from its trace). Nodes are
 /// append-only: build the shape with [`Forest::add_root`] and
 /// [`Forest::add_child`], then contract it or wrap it in a `DynForest` for
 /// batch-dynamic edits.
@@ -261,12 +261,11 @@ impl<L> Forest<L> {
 }
 
 /// Items grouped by node: group `k` is `items[lo..hi]` for its span
-/// `[lo, hi)`. A trace holds two: the contracted forest's child lists, built
-/// once per run by [`engine::record`](crate::engine::record) in id
-/// order (the order the contraction engine numbers sibling slots in), and
-/// its hop lists, built once per run. A dynamic forest also keeps each
-/// node's raked children and, under a non-invertible algebra, its sibling
-/// tree (`propagate.rs`). A run lays the groups out packed, in group order;
+/// `[lo, hi)`. A trace holds one, its hop lists, built once per run by
+/// [`engine::record`](crate::engine::record). A dynamic forest also keeps
+/// each node's children and raked children ([`Lists`](crate::engine::Lists))
+/// and, under a non-invertible algebra, its sibling tree (`propagate.rs`).
+/// A run lays the groups out packed, in group order;
 /// a structure phase resizes single groups ([`Csr::resize`]): a group that
 /// fits is rewritten in place, and a longer one moves to the end of
 /// `items`, into capacity reserved when the groups were laid out. So a

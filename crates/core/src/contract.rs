@@ -62,10 +62,8 @@ impl<A: Algebra> Contraction<A> {
     /// Verifies the structural invariants of the recorded trace's links
     /// against the forest it was built from (`check` feature):
     ///
-    /// * parallel arrays sized to the forest, and both list tables
-    ///   well-formed (one group per node, every span inside the items);
-    /// * the child lists list every non-root exactly once, under its
-    ///   parent, in id order;
+    /// * parallel arrays sized to the forest, and the hop lists well-formed
+    ///   (one group per node, every span inside the items);
     /// * **exactly one death per node** — every node carries a round stamp
     ///   ≥ 1 (the engine's kill hook rules out double deaths, and the hop
     ///   lists below rule out duplicate compress records);
@@ -94,32 +92,19 @@ impl<A: Algebra> Contraction<A> {
             self.vals.len() == n && death.len() == n && round.len() == n && up.len() == n,
             "trace arrays are not sized to the forest ({n} nodes)"
         );
-        for (name, lists) in [("child", &links.children), ("hop", &links.hops)] {
-            ensure!(
-                lists.groups() == n,
-                "{name} lists are not sized to the forest"
-            );
-            ensure!(
-                (0..n as u32).all(|k| {
-                    let (lo, hi) = lists.range(k);
-                    lo <= hi && hi <= lists.items.len()
-                }),
-                "{name} list spans leave their items"
-            );
-        }
+        let hops = &links.hops;
+        ensure!(hops.groups() == n, "hop lists are not sized to the forest");
+        ensure!(
+            (0..n as u32).all(|k| {
+                let (lo, hi) = hops.range(k);
+                lo <= hi && hi <= hops.items.len()
+            }),
+            "hop list spans leave their items"
+        );
         let euler = Euler::of(forest)?;
 
-        let mut non_roots = 0;
         for v in 0..n as u32 {
             let vi = v as usize;
-            let mut prev = None;
-            for &c in links.children.of(v) {
-                ensure!(
-                    (c as usize) < n && forest.parent_raw(c) == v && prev < Some(c),
-                    "child list of n{v} holds n{c} out of place"
-                );
-                prev = Some(c);
-            }
             ensure!(round[vi] >= 1, "node n{v} never died (death round 0)");
             let p = up[vi];
             if forest.parent_raw(v) == NONE {
@@ -129,7 +114,6 @@ impl<A: Algebra> Contraction<A> {
                 );
                 continue;
             }
-            non_roots += 1;
             ensure!(p != NONE, "non-root n{v} finished without a trace parent");
             ensure!(
                 (p as usize) < n,
@@ -146,17 +130,11 @@ impl<A: Algebra> Contraction<A> {
                 round[p as usize]
             );
         }
-        let listed: usize = (0..n as u32).map(|v| links.children.of(v).len()).sum();
-        ensure!(
-            listed == non_roots,
-            "child lists hold {listed} entries for {non_roots} non-roots"
-        );
-
         let mut hosted = vec![false; n];
         for x in 0..n {
             let top = up[x];
             let mut prev_round = 0u32;
-            for &victim in links.hops.of(x as u32) {
+            for &victim in hops.of(x as u32) {
                 ensure!(
                     (victim as usize) < n,
                     "hop victim n{victim} of n{x} is out of range"
@@ -258,10 +236,10 @@ impl<'f, L> ContractOptions<'f, L> {
     /// Runs the contraction under `alg`.
     ///
     /// # Panics
-    /// Panics if one of the trace's list tables outgrows its `u32` offsets.
-    /// A contraction's child and hop lists hold at most one id per node and
-    /// are laid out packed, so a forest within [`Forest::add_root`]'s
-    /// `u32` node capacity stays inside that limit.
+    /// Panics if the trace's hop lists outgrow their `u32` offsets. They
+    /// hold at most one id per node and are laid out packed, so a forest
+    /// within [`Forest::add_root`]'s `u32` node capacity stays inside that
+    /// limit.
     pub fn run<A>(self, alg: &A) -> Contraction<A>
     where
         A: Algebra<Label = L>,

@@ -15,12 +15,11 @@
 //!   round, just the nodes whose round state (alive, working parent, live
 //!   child count) the moves disturbed, reading every other node's state
 //!   from the trace itself, rewrites the records of the nodes whose death
-//!   changed, and patches the child, hop and raked-child lists and the
-//!   sibling slots in raked nodes' records that depend on them
-//!   (`restructure.rs`). No node outside that set is visited and no
-//!   contraction runs. Children are always numbered in id order, the order
-//!   [`Forest::sequential_fold`] folds them in, so ordered algebras stay
-//!   exact across cuts and links.
+//!   changed, and patches the hop lists and the child and raked-child lists
+//!   that depend on them (`restructure.rs`). No node outside that set is
+//!   visited and no contraction runs. Children are always numbered in id
+//!   order, the order [`Forest::sequential_fold`] folds them in, so ordered
+//!   algebras stay exact across cuts and links.
 //!   A label-only batch is the case where this phase has nothing to do;
 //! * **values** — change propagation *replays* just the trace slots whose
 //!   inputs changed: the relabelled nodes ([`DynForest::batch_update_weights`]
@@ -47,8 +46,8 @@
 //! batch, reads return `Result<_, QueryError>`.
 
 use crate::algebra::{Algebra, PathAlgebra, Propagate};
-use crate::arena::{Csr, Forest, NONE};
-use crate::engine::{self, Death, Recorded, Trace};
+use crate::arena::{Forest, NONE};
+use crate::engine::{self, Death, Lists, Recorded, Trace};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile, Sink};
 use crate::propagate::{resolve_val, Replay};
 use crate::query::{self, QueryBatch, QueryError, QueryOutcome};
@@ -209,14 +208,14 @@ pub struct DynForest<A: Propagate> {
     /// The maintained trace: after every recompute, the one a fresh
     /// contraction of the current forest records under `seed`.
     pub(crate) trace: Trace<A>,
-    /// The raked children of every node, sorted by death round
-    /// ([`Trace::raked_lists`]), which the structure phase's oracle reads.
-    /// Built by the first structural batch: a forest that is never cut or
-    /// linked neither builds nor holds them. Built by [`DynForest::new`]
-    /// instead, they cost ~3 ms and ~1.3 MB per 100k-node forest on a 2-vCPU
-    /// host, which put `dtc-e2e`'s `setup_s` past its bound on the
-    /// workloads without cuts or links.
-    raked: Option<Csr>,
+    /// The child and raked-child lists of the traced forest, which only
+    /// the structure phase reads and patches. Built by the first structural
+    /// batch: a forest that is never cut or linked neither builds nor holds
+    /// them. Built by [`DynForest::new`] instead, the raked-child lists
+    /// alone cost ~3 ms and ~1.3 MB per 100k-node forest on a 2-vCPU host,
+    /// which put `dtc-e2e`'s `setup_s` past its bound on the workloads
+    /// without cuts or links.
+    lists: Option<Lists>,
     /// The structure phase's working sets, kept so batches reuse them.
     restructure: Restructure,
     /// Replay caches over the maintained trace. Everything clones with the
@@ -263,7 +262,7 @@ impl<A: Propagate> DynForest<A> {
             dirty_list: Vec::new(),
             moved: Vec::new(),
             trace,
-            raked: None,
+            lists: None,
             restructure: Restructure::default(),
             replay,
             seed,
@@ -559,7 +558,7 @@ impl<A: Propagate> DynForest<A> {
             dirty_list,
             moved,
             trace,
-            raked,
+            lists,
             restructure,
             replay,
             seed,
@@ -573,18 +572,18 @@ impl<A: Propagate> DynForest<A> {
             let start = profiled.then(Instant::now);
             moved.sort_unstable();
             moved.dedup();
-            let raked = raked.get_or_insert_with(|| trace.raked_lists());
+            let lists = lists.get_or_insert_with(|| Lists::new(trace));
             let recorded = Recorded {
                 links: &trace.links,
                 death: &trace.death,
-                raked,
+                raked: &lists.raked,
             };
             structure = match profile {
                 Some(p) => restructure.run(&recorded, forest, moved, *seed, p.as_mut()),
                 None => restructure.run(&recorded, forest, moved, *seed, &mut NoopSink),
             };
-            restructure.commit(alg, forest, moved, trace, raked);
-            replay.relay(alg, trace, raked, &restructure.parents, &mut seeds);
+            restructure.commit(alg, forest, moved, trace, lists);
+            replay.relay(alg, trace, lists, &restructure.parents, &mut seeds);
             refolds = &restructure.changed;
             if let (Some(t), Some(p)) = (start, profile.as_mut()) {
                 p.phase(Phase::Restructure, t.elapsed().as_nanos() as u64);
@@ -692,15 +691,17 @@ impl<A: Propagate> DynForest<A> {
     /// Verifies (`check` feature) that the maintained trace *is* the trace
     /// a fresh contraction of the current forest records with the same
     /// seed. The fresh one must first pass
-    /// [`Contraction::validate`](crate::Contraction::validate); then the
-    /// two traces are compared node by node — child lists, death rounds,
-    /// death parents, hop lists, slot kinds, the child a compressed node
-    /// was spliced onto, the slot a raked node's record names, raked-child
-    /// lists, child aggregates (part for part against replay caches built
-    /// from the fresh trace) and backsolved values — and the first node
-    /// that differs is named. Query batches keep nothing between calls,
-    /// so there is no query state to compare. Requires a clean forest (no
-    /// pending edits).
+    /// [`Contraction::validate`](crate::Contraction::validate), and the
+    /// structure phase's child lists, once built, must list every non-root
+    /// exactly once, under its parent in the forest, in id order. Then the
+    /// two traces are compared node by node — death rounds, death parents,
+    /// hop lists, slot kinds, the child a compressed node was spliced onto,
+    /// the slot a raked node's record names, raked-child lists (against
+    /// lists built from the fresh trace), child aggregates (part for part
+    /// against replay caches built from the fresh trace) and backsolved
+    /// values — and the first node that differs is named. Query batches
+    /// keep nothing between calls, so there is no query state to compare.
+    /// Requires a clean forest (no pending edits).
     /// `O(n log n)` w.h.p.
     #[cfg(feature = "check")]
     pub fn validate_trace(&self) -> Result<(), crate::check::InvariantError>
@@ -719,15 +720,33 @@ impl<A: Propagate> DynForest<A> {
         let (kept, fresh) = (&self.trace, &fresh_run.trace);
         let n = self.forest.len();
         let (k, f) = (&kept.links, &fresh.links);
+        let lists = self.lists.as_ref();
         ensure!(
             kept.death.len() == n
                 && k.round.len() == n
                 && k.up.len() == n
-                && k.children.groups() == n
                 && k.hops.groups() == n
-                && self.raked.as_ref().map_or(true, |r| r.groups() == n),
+                && lists.map_or(true, |l| l.children.groups() == n && l.raked.groups() == n),
             "the maintained trace is not sized to the forest ({n} nodes)"
         );
+        if let Some(l) = lists {
+            let mut listed = 0;
+            for v in 0..n as u32 {
+                let mut prev = None;
+                for &c in l.children.of(v) {
+                    ensure!(
+                        (c as usize) < n && self.forest.parent_raw(c) == v && prev < Some(c),
+                        "child list of n{v} holds n{c} out of place"
+                    );
+                    (prev, listed) = (Some(c), listed + 1);
+                }
+            }
+            let non_roots = n - self.forest.roots().count();
+            ensure!(
+                listed == non_roots,
+                "child lists hold {listed} of {non_roots} non-roots"
+            );
+        }
         let kind = |d: &Death<A>| match d {
             Death::None => "alive",
             Death::Raked { .. } => "raked",
@@ -746,12 +765,11 @@ impl<A: Propagate> DynForest<A> {
         let kept_vals: Vec<A::Val> = (0..n as u32)
             .map(|v| resolve_val(&self.alg, &kept.death, v))
             .collect();
-        let fresh_raked = fresh.raked_lists();
+        let fresh_raked = Lists::new(fresh).raked;
         let fresh_replay = Replay::new(&self.alg, fresh);
         for v in 0..n as u32 {
             let vi = v as usize;
             let differs = [
-                ("child list", k.children.of(v) != f.children.of(v)),
                 ("death round", k.round[vi] != f.round[vi]),
                 ("death parent", k.up[vi] != f.up[vi]),
                 ("hop list", k.hops.of(v) != f.hops.of(v)),
@@ -760,9 +778,7 @@ impl<A: Propagate> DynForest<A> {
                 ("slot", slot(&kept.death[vi]) != slot(&fresh.death[vi])),
                 (
                     "raked-child list",
-                    self.raked
-                        .as_ref()
-                        .is_some_and(|r| r.of(v) != fresh_raked.of(v)),
+                    lists.is_some_and(|l| l.raked.of(v) != fresh_raked.of(v)),
                 ),
                 ("child aggregate", !self.replay.same_kids(&fresh_replay, v)),
                 ("value", kept_vals[vi] != fresh_vals[vi]),

@@ -26,12 +26,14 @@
 //!    child to its grandparent.
 //!
 //! A run records into one [`Trace`], the only record of a contraction the
-//! crate keeps: the run builds the forest's child lists first, every death
-//! is stamped with its round (`Death`), forming the round-stamped
-//! contraction DAG, every rake records the sibling slot its contribution
-//! landed at, and the run ends by grouping the compressed nodes into hop
-//! lists. The trace's algebra-independent part, [`Links`], is what the
-//! query engine reads with the death records. A replay of the trace in
+//! crate keeps: every death is stamped with its round (`Death`), forming
+//! the round-stamped contraction DAG, every rake records the sibling slot
+//! its contribution landed at, and the run ends by grouping the compressed
+//! nodes into hop lists. The trace's algebra-independent part, [`Links`],
+//! is what the query engine reads with the death records. The trace holds
+//! no child lists: only the dynamic layer's structure phase reads them, so
+//! a forest's first structural batch derives them from the trace, with the
+//! raked-child lists, as [`Lists`]. A replay of the trace in
 //! descending death round ([`Trace::backsolve`]) recovers the final subtree
 //! value of *every* node, not just the roots; only
 //! [`Contraction::values`](crate::Contraction::values) needs it, since
@@ -94,14 +96,11 @@ pub(crate) enum Death<A: Algebra> {
     Root(A::Val),
 }
 
-/// The algebra-independent part of a [`Trace`]: the contracted forest's child
-/// lists and the contraction's shortcut structure, indexed by raw node id.
-/// It holds no values or functions, so label propagation never changes it.
+/// The algebra-independent part of a [`Trace`]: the contraction's shortcut
+/// structure, indexed by raw node id. It holds no values or functions, so
+/// label propagation never changes it.
 #[derive(Clone)]
 pub(crate) struct Links {
-    /// Child lists of the contracted forest, each in id order — the order that
-    /// numbers the sibling slots.
-    pub children: Csr,
     /// Round stamp per death (1-based; 0 = untouched).
     pub round: Vec<u32>,
     /// Working parent at the moment of death (`NONE` for finished roots).
@@ -132,13 +131,34 @@ impl Links {
         }
         x
     }
+
+    /// The recorded parent of `x`, its working parent at round 1: the first
+    /// node it spliced out, if any, else its death parent.
+    pub fn parent(&self, x: u32) -> u32 {
+        *self.hops.of(x).first().unwrap_or(&self.up[x as usize])
+    }
+
+    /// The *raked end* of the chain that `x` starts under `p`: the node of
+    /// that chain that raked into `p`, found by stepping to the child that
+    /// spliced a node out while that child also died under `p`. `None` when
+    /// `x` did not die under `p` or the chain spliced `p` out too.
+    pub fn raked_end<A: Algebra>(&self, death: &[Death<A>], mut x: u32, p: u32) -> Option<u32> {
+        while self.up[x as usize] == p {
+            match death[x as usize] {
+                Death::Compressed { child, .. } => x = child,
+                Death::Raked { .. } => return Some(x),
+                _ => break,
+            }
+        }
+        None
+    }
 }
 
 /// The record of one contraction run: per-node death records and the
 /// state each node died with, plus its [`Links`]. Indexed by raw node id.
 #[derive(Clone)]
 pub(crate) struct Trace<A: Algebra> {
-    /// Child lists, death rounds, death parents and hop lists.
+    /// Death rounds, death parents and hop lists.
     pub links: Links,
     /// Death record per node.
     pub death: Vec<Death<A>>,
@@ -180,20 +200,36 @@ impl<A: Algebra> Trace<A> {
         }
         out
     }
+}
 
+/// The two lists the dynamic layer's structure phase reads and patches next
+/// to a [`Trace`], indexed by raw node id. Reads, queries and propagation
+/// need neither, so a forest builds them on its first structural batch.
+#[derive(Clone)]
+pub(crate) struct Lists {
+    /// Child lists of the traced forest, each in id order — the order that
+    /// numbers the sibling slots.
+    pub children: Csr,
     /// The raked children of every node: group `p` lists the nodes whose
     /// record is `Raked` with death parent `p`, in ascending `(death round,
-    /// id)`. A node with a death parent was raked unless a hop list names
-    /// it. Two counting sorts, `O(n + rounds)`.
-    pub fn raked_lists(&self) -> Csr {
-        let links = &self.links;
-        let n = links.round.len();
-        let mut victim = vec![false; n];
-        for x in 0..n as u32 {
-            for &v in links.hops.of(x) {
-                victim[v as usize] = true;
-            }
-        }
+    /// id)`.
+    pub raked: Csr,
+}
+
+impl Lists {
+    /// Builds both lists from `trace` alone. A node is listed under its
+    /// recorded parent ([`Links::parent`]), in id order, and is raked when
+    /// its record says so. Three counting sorts, `O(n + rounds)`.
+    pub fn new<A: Algebra>(trace: &Trace<A>) -> Lists {
+        let Trace { links, death, .. } = trace;
+        let n = death.len();
+        let mut children = Csr::default();
+        children.regroup(n, || {
+            (0..n as u32).filter_map(|u| {
+                let p = links.parent(u);
+                (p != NONE).then_some((p, u))
+            })
+        });
         let rounds = links.round.iter().copied().max().unwrap_or(0) as usize;
         let mut by_round = Csr::default();
         by_round.regroup(rounds + 1, || {
@@ -202,19 +238,19 @@ impl<A: Algebra> Trace<A> {
         let mut raked = Csr::default();
         raked.regroup(n, || {
             by_round.items.iter().filter_map(|&u| {
-                let up = links.up[u as usize];
-                (up != NONE && !victim[u as usize]).then_some((up, u))
+                let raked = matches!(death[u as usize], Death::Raked { .. });
+                raked.then_some((links.up[u as usize], u))
             })
         });
-        raked
+        Lists { children, raked }
     }
 }
 
 /// The round-by-round state of the run a [`Trace`] recorded, read back from
 /// the trace alone: no per-round snapshot is stored. Death rounds say who
-/// is alive, hop lists give the working parent, and the raked-children
-/// lists (sorted by death round, see [`Trace::raked_lists`]) count the live
-/// children by binary search. Every accessor asks about a node alive at
+/// is alive, hop lists give the working parent, and the raked-child lists
+/// (sorted by death round, see [`Lists`]) count the live children by binary
+/// search. Every accessor asks about a node alive at
 /// round `r`, the state *before* round `r`'s actions, as `decide` sees it.
 pub(crate) struct Recorded<'a, A: Algebra> {
     pub links: &'a Links,
@@ -360,9 +396,8 @@ struct Scratch<A: Algebra> {
 
 impl<A: Algebra> Scratch<A> {
     /// Seeds the pre-contraction state of `forest`: each node's parent,
-    /// live child count and sibling slot, the child lists (children
-    /// numbered in id order), a fresh accumulator and an identity edge
-    /// function.
+    /// live child count and sibling slot (children numbered in id order), a
+    /// fresh accumulator and an identity edge function.
     fn new(alg: &A, forest: &Forest<A::Label>) -> Self {
         let n = forest.len();
         let par: Vec<u32> = (0..n as u32).map(|v| forest.parent_raw(v)).collect();
@@ -376,21 +411,9 @@ impl<A: Algebra> Scratch<A> {
                 count[p as usize] += 1;
             }
         }
-        // The child lists follow from the same pass: the counts give the
-        // group lengths, and each node's slot is its place in its parent's
-        // list.
-        let mut children = Csr::default();
-        children.lay_out(count.iter().map(|&c| c as usize), 0);
-        for (v, &p) in par.iter().enumerate() {
-            if p != NONE {
-                let at = children.range(p).0 + sib[v] as usize;
-                children.items[at] = v as u32;
-            }
-        }
         // A run kills every node, overwriting its death record, round stamp
         // and death parent, and groups the hop lists.
         let links = Links {
-            children,
             round: vec![0; n],
             up: vec![NONE; n],
             hops: Csr::default(),
@@ -715,11 +738,11 @@ mod tests {
     /// at every round. Returns the node-rounds checked.
     fn check_oracle(f: &Forest<i64>, seed: u64) -> usize {
         let (trace, ..) = record(&SubtreeSum, f, seed, &mut NoopSink);
-        let raked = trace.raked_lists();
+        let lists = Lists::new(&trace);
         let old = Recorded {
             links: &trace.links,
             death: &trace.death,
-            raked: &raked,
+            raked: &lists.raked,
         };
         let n = f.len();
         let mut par: Vec<u32> = (0..n as u32).map(|v| f.parent_raw(v)).collect();
@@ -795,51 +818,62 @@ mod tests {
         checked
     }
 
+    /// Trees of every shape the generators make, under `seed`.
+    fn zoo(seed: u64) -> [Forest<i64>; 7] {
+        [
+            gen::random_tree(1_500, seed),
+            gen::path(600, seed),
+            gen::star(800, seed),
+            gen::caterpillar(400, 2, seed),
+            gen::binary_tree(1_000, seed),
+            gen::broom(500, 500, seed),
+            gen::random_forest(1_500, 200, seed),
+        ]
+    }
+
     #[test]
     fn recorded_state_matches_the_engine_on_the_shape_zoo() {
         for seed in [1u64, 7, 0x5EED] {
-            let zoo = [
-                gen::random_tree(1_500, seed),
-                gen::path(600, seed),
-                gen::star(800, seed),
-                gen::caterpillar(400, 2, seed),
-                gen::binary_tree(1_000, seed),
-                gen::broom(500, 500, seed),
-                gen::random_forest(1_500, 200, seed),
-            ];
-            for f in &zoo {
+            for f in &zoo(seed) {
                 assert!(check_oracle(f, seed) >= f.len());
             }
         }
     }
 
+    /// The lists built from a trace alone list every node under its parent
+    /// in the traced forest, not under its death parent, and every rake
+    /// under its death parent in death order.
     #[test]
     fn raked_lists_follow_the_run() {
-        let f = gen::random_forest(2_000, 30, 3);
-        let (trace, order, _) = record(&SubtreeSum, &f, 3, &mut NoopSink);
-        let raked = trace.raked_lists();
-        let mut listed = 0;
-        for p in 0..f.len() as u32 {
-            let keys: Vec<(u32, u32)> = raked
-                .of(p)
-                .iter()
-                .map(|&x| (trace.links.round[x as usize], x))
-                .collect();
-            assert!(keys.windows(2).all(|w| w[0] < w[1]), "n{p} not sorted");
-            for &x in raked.of(p) {
-                assert!(matches!(trace.death[x as usize], Death::Raked { .. }));
-                assert_eq!(trace.links.up[x as usize], p);
+        let [a, b, c, d, e, g, h] = zoo(3);
+        for f in [gen::random_forest(2_000, 30, 3), a, b, c, d, e, g, h] {
+            let (trace, order, _) = record(&SubtreeSum, &f, 3, &mut NoopSink);
+            let lists = Lists::new(&trace);
+            let kids = f.build_children();
+            let mut listed = 0;
+            for p in 0..f.len() as u32 {
+                assert_eq!(lists.children.of(p), kids[p as usize], "children of n{p}");
+                let raked = lists.raked.of(p);
+                let keys: Vec<(u32, u32)> = raked
+                    .iter()
+                    .map(|&x| (trace.links.round[x as usize], x))
+                    .collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "n{p} not sorted");
+                for &x in raked {
+                    assert!(matches!(trace.death[x as usize], Death::Raked { .. }));
+                    assert_eq!(trace.links.up[x as usize], p);
+                }
+                listed += keys.len();
             }
-            listed += keys.len();
+            let rakes = trace
+                .death
+                .iter()
+                .filter(|d| matches!(d, Death::Raked { .. }))
+                .count();
+            assert_eq!(listed, rakes);
+            let order = order.iter().rev().copied();
+            assert!(trace.backsolve(&SubtreeSum, order) == f.sequential_fold(&SubtreeSum));
         }
-        let rakes = trace
-            .death
-            .iter()
-            .filter(|d| matches!(d, Death::Raked { .. }))
-            .count();
-        assert_eq!(listed, rakes);
-        let order = order.iter().rev().copied();
-        assert!(trace.backsolve(&SubtreeSum, order) == f.sequential_fold(&SubtreeSum));
     }
 
     /// Every trace holds one record per node, and a field that grows every

@@ -27,9 +27,10 @@
 //! A run records its trace once, and both [`Contraction`] and
 //! [`DynForest`] own one of the same type: death records (a rake's names
 //! the sibling slot it landed at) and edge functions, plus the
-//! algebra-independent links (child lists, death rounds, death parents and
-//! hop lists). The query engine reads the
-//! links and the death records.
+//! algebra-independent links (death rounds, death parents and hop lists).
+//! The query engine reads the links and the death records. Only a dynamic
+//! forest's structure phase reads child lists, and it derives its own
+//! from the trace on the forest's first cut or link.
 //!
 //! Value semantics are pluggable through the [`Algebra`] trait; shipped
 //! instances double as correctness oracles against

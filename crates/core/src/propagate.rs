@@ -29,15 +29,15 @@
 //!
 //! A cut or link changes the shape the trace describes. The dynamic
 //! layer's structure phase (`restructure.rs`) rewrites the records of the
-//! nodes whose death changed and commits the new raked-child lists. Change
-//! propagation then re-runs what those edits touched from its current
-//! inputs instead of patching old results: [`Replay::relay`] lays out
-//! afresh, from its raked-child list, the aggregate of every parent whose
-//! raked children, their slots or its degree changed (a rewritten rake
-//! contributes its placeholder value), and propagation, seeded with those
-//! parents and the rewritten nodes (whose splice chains it refolds),
-//! replaces the placeholders by the real values. Afterwards the trace is
-//! exactly the one a fresh contraction with the forest's seed records.
+//! nodes whose death changed and commits the new child and raked-child
+//! lists. Change propagation then re-runs what those edits touched from its
+//! current inputs instead of patching old results: [`Replay::relay`] lays
+//! out afresh the aggregate of every parent the commit listed, numbering
+//! the slots of the rakes into it (a rewritten rake contributes its
+//! placeholder value), and propagation, seeded with those parents and the
+//! rewritten nodes (whose splice chains it refolds), replaces the
+//! placeholders by the real values. Afterwards the trace is exactly the one
+//! a fresh contraction with the forest's seed records.
 //!
 //! Child aggregates come in two flavours, chosen by
 //! [`Propagate::INVERTIBLE`]:
@@ -53,7 +53,7 @@
 use crate::algebra::{Algebra, Propagate};
 use crate::arena::{Csr, Forest};
 use crate::check::invariant;
-use crate::engine::{Death, Trace};
+use crate::engine::{Death, Lists, Trace};
 use crate::obs::{Phase, Sink};
 use crate::NodeId;
 use std::time::Instant;
@@ -204,14 +204,15 @@ impl<A: Propagate> Replay<A> {
     /// empty). The rake of `u` delivered `apply(fun[u], val)` at the slot
     /// its record names in `up[u]`: the final value of the original child
     /// at that slot, since `fun[u]` composes the spliced chain above `u`.
-    /// So the rakes alone fill every aggregate; the child lists give only
-    /// the sibling-tree sizes. `O(n + trace)`.
+    /// So the rakes alone fill every aggregate, and they size the sibling
+    /// trees too: a node's degree is the rakes into it, plus one if it was
+    /// compressed. `O(n + trace)`.
     pub fn new(alg: &A, trace: &Trace<A>) -> Self {
-        let n = trace.death.len();
-        let up = &trace.links.up;
-        let rakes = (0..n as u32).filter_map(|u| {
-            let (slot, c) = Self::contribution(alg, trace, u)?;
-            Some((up[u as usize], slot, c))
+        let Trace { links, death, fun } = trace;
+        let (n, up) = (death.len(), &links.up);
+        let rakes = (0..n).filter_map(|u| match &death[u] {
+            Death::Raked { val, slot } => Some((up[u], *slot, alg.apply(&fun[u], val.clone()))),
+            _ => None,
         });
         let kids = if A::INVERTIBLE {
             let mut parts = vec![alg.part_empty(); n];
@@ -221,12 +222,17 @@ impl<A: Propagate> Replay<A> {
             }
             Kids::Flat(parts)
         } else {
+            let mut degree = vec![0u32; n];
+            for (u, d) in death.iter().enumerate() {
+                match d {
+                    Death::Raked { .. } => degree[up[u] as usize] += 1,
+                    Death::Compressed { .. } => degree[u] += 1,
+                    _ => {}
+                }
+            }
             let mut trees = Csr::default();
-            let children = &trace.links.children;
-            trees.lay_out(
-                (0..n as u32).map(|p| tree_len(children.of(p).len())),
-                alg.part_empty(),
-            );
+            let lens = degree.into_iter().map(|d| tree_len(d as usize));
+            trees.lay_out(lens, alg.part_empty());
             for (p, slot, c) in rakes {
                 let tree = trees.of_mut(p);
                 tree[tree.len() / 2 + slot as usize] = alg.part_of(slot, c);
@@ -259,39 +265,43 @@ impl<A: Propagate> Replay<A> {
         }
     }
 
-    /// The contribution the trace records for the raked node `x`, with the
-    /// slot it landed at: its value through its edge function.
-    fn contribution(alg: &A, trace: &Trace<A>, x: u32) -> Option<(u32, A::Val)> {
-        match &trace.death[x as usize] {
-            Death::Raked { val, slot } => {
-                Some((*slot, alg.apply(&trace.fun[x as usize], val.clone())))
-            }
-            _ => None,
-        }
-    }
-
-    /// After a structure phase's commit: lays out afresh, from its raked
-    /// children at their current slots, the aggregate of every parent in
-    /// `parents` (those whose raked children, their slots or its degree
-    /// changed), and lists them in `seeds`. A rewritten rake contributes
-    /// its placeholder value; propagation, seeded with these parents and
-    /// the rewritten nodes, replaces it by the real one. `O(degree)` per
-    /// parent.
+    /// After a structure phase's commit: lays out afresh the aggregate of
+    /// every parent in `parents` (those whose children, raked children or
+    /// their slots may have changed), and lists them in `seeds`. It walks a
+    /// parent's child list in id order, steps each child down to its raked
+    /// end, writes the child's position into that rake's record as its
+    /// slot, and puts the rake's contribution at that slot. A rewritten
+    /// rake contributes its placeholder value; propagation, seeded with
+    /// these parents and the rewritten nodes, replaces it by the real one.
+    /// `O(degree)` per parent.
     pub fn relay(
         &mut self,
         alg: &A,
-        trace: &Trace<A>,
-        raked: &Csr,
+        trace: &mut Trace<A>,
+        lists: &Lists,
         parents: &[u32],
         seeds: &mut Vec<u32>,
     ) {
+        let Trace { links, death, fun } = trace;
         for &p in parents {
-            let degree = trace.links.children.of(p).len();
-            let contributions = raked
-                .of(p)
-                .iter()
-                .filter_map(|&x| Self::contribution(alg, trace, x));
-            self.kids.relay(alg, p as usize, degree, contributions);
+            let children = lists.children.of(p);
+            let mut ends = 0;
+            let contributions = (0u32..).zip(children).filter_map(|(at, &c)| {
+                let x = links.raked_end(death, c, p)? as usize;
+                let Death::Raked { val, slot } = &mut death[x] else {
+                    return None;
+                };
+                *slot = at;
+                ends += 1;
+                Some((at, alg.apply(&fun[x], val.clone())))
+            });
+            self.kids
+                .relay(alg, p as usize, children.len(), contributions);
+            let raked = lists.raked.of(p).len();
+            invariant!(
+                ends == raked,
+                "the child chains of n{p} end in {ends} rakes, but {raked} raked into it"
+            );
         }
         seeds.extend_from_slice(parents);
     }

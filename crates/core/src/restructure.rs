@@ -30,18 +30,18 @@
 //! The oracle reads the *recorded* trace throughout, so the new deaths are
 //! staged while the rounds run and written only by
 //! [`Restructure::commit`]. It patches the three lists derived from the
-//! records and parent pointers (child lists, hop lists and raked-child
-//! lists) by one rule: each touched group loses the nodes that left it and
-//! gains those that joined it, in its own order. It then re-derives the
-//! sibling slots that raked nodes' death records name, and lists every
-//! parent whose raked children, their slots or its degree changed: the
-//! parents whose child aggregates propagation lays out afresh from the
-//! committed lists.
+//! records and parent pointers (the trace's hop lists, and the child and
+//! raked-child lists of [`Lists`]) by one rule: each touched group loses
+//! the nodes that left it and gains those that joined it, in its own order.
+//! It then lists every parent whose children, raked children or their
+//! slots may have changed: the parents whose child aggregates, and the
+//! slots in their raked ends' records, propagation lays out afresh from
+//! the committed lists (`Replay::relay`).
 
 use crate::algebra::Algebra;
 use crate::arena::{Csr, Forest, NONE};
 use crate::check::{self, invariant};
-use crate::engine::{decide_by, Action, Death, Links, Recorded, Trace};
+use crate::engine::{decide_by, Action, Death, Links, Lists, Recorded, Trace};
 use crate::obs::{EngineCounters, RoundCounters, Sink};
 use crate::NodeId;
 
@@ -224,12 +224,11 @@ pub(crate) struct Restructure {
     /// Nodes whose death record changed, and every host whose hop list one
     /// of them left or joined, ascending: the splice chains to refold.
     pub changed: Vec<u32>,
-    /// Parents that gained or lost a child, ascending.
-    renumbered: Vec<u32>,
-    /// Parents whose raked children, their slots or their degree changed,
-    /// ascending: the renumbered parents, the old and new death parents of
-    /// every rewritten rake, and the parent of every raked node whose slot
-    /// moved. Their child aggregates are the ones to lay out afresh.
+    /// Parents whose children, raked children or their slots may have
+    /// changed, ascending: every parent that gained or lost a child, the
+    /// old and new death parents of every rewritten rake, and the death
+    /// parent of the raked end of every changed node. Their child
+    /// aggregates are the ones to lay out afresh.
     pub parents: Vec<u32>,
 }
 
@@ -265,28 +264,6 @@ fn patch(
         buf.extend(add.map(|e| e.2));
         lists.set(g, buf);
         touched.push(g);
-    }
-}
-
-/// The slot in the death record of the raked end of the chain that `x`,
-/// dead under `p`, starts: step to the child that spliced a node out while
-/// that child also died under `p`. `None` when `x` did not die under `p` or
-/// the chain spliced `p` out too.
-fn raked_end<'a, A: Algebra>(
-    links: &Links,
-    death: &'a mut [Death<A>],
-    mut x: u32,
-    p: u32,
-) -> Option<&'a mut u32> {
-    while links.up[x as usize] == p {
-        match death[x as usize] {
-            Death::Compressed { child, .. } => x = child,
-            _ => break,
-        }
-    }
-    match &mut death[x as usize] {
-        Death::Raked { slot, .. } if links.up[x as usize] == p => Some(slot),
-        _ => None,
     }
 }
 
@@ -580,52 +557,44 @@ impl Restructure {
 
     /// Writes the staged deaths that differ from the recorded ones into
     /// `trace` (values are placeholders until propagation: a raked node or
-    /// root holds its own label's value, a compressed node the identity;
-    /// a rake's slot is set below) and
-    /// patches what depends on them, given the nodes the batch `moved`.
+    /// root holds its own label's value and a rake slot 0, a compressed
+    /// node the identity) and patches what depends on them, given the nodes
+    /// the batch `moved`.
     ///
     /// The three lists are patched by one rule ([`patch`]). A moved node
-    /// leaves the child list of its recorded parent and joins its new
-    /// parent's, keyed by id. A changed record leaves the list it was in and
-    /// joins the one it is in now, keyed by death round: a rake the
-    /// raked-child list (in `raked`) of its death parent, a compressed node
-    /// the hop list of its host. `changed` lists the changed records and
-    /// every host one left or joined; `parents` every parent whose raked
-    /// children, their slots or its degree changed, for propagation to lay
+    /// leaves the child list (in `lists`) of its recorded parent and joins
+    /// its new parent's, keyed by id. A changed record leaves the list it
+    /// was in and joins the one it is in now, keyed by death round: a rake
+    /// the raked-child list of its death parent, a compressed node the hop
+    /// list of its host. `changed` lists the changed records and every host
+    /// one left or joined; `parents` every parent whose children, raked
+    /// children or their slots may have changed, for propagation to lay
     /// out afresh.
     ///
-    /// A rake's death record names its slot: the position of its chain's
-    /// top (the original child of its death parent on its path) in that
-    /// parent's id-ordered child list, and the nodes of the chain that died
-    /// under the parent share the top. So a parent that gained or lost a
-    /// child walks its children down to their raked ends, and each changed
-    /// node's raked end takes the position of the top found by stepping to
-    /// the last victim until the hop list is empty; both write the slot
-    /// into the raked end's record. That can move a slot while the parent's
-    /// child list and raked children stay the same, so such a parent is
-    /// listed too.
+    /// A rake's slot is the position of its chain's top (the original child
+    /// of its death parent on its path) in that parent's child list. A
+    /// changed node can move the top of the chain it belongs to, or end it
+    /// in another rake, while the parent's lists stay the same; so the
+    /// death parent of every changed node's raked end is listed too.
     pub fn commit<A: Algebra>(
         &mut self,
         alg: &A,
         forest: &Forest<A::Label>,
         moved: &[u32],
         trace: &mut Trace<A>,
-        raked: &mut Csr,
+        lists: &mut Lists,
     ) {
         let Restructure {
             born,
             buf,
             changed,
-            renumbered,
             parents,
             ..
         } = self;
         let Trace { links, death, .. } = trace;
         let mut edits: [Vec<Edit>; 3] = Default::default();
         for &m in moved {
-            // The recorded parent is the working parent at round 1.
-            let from = links.hops.of(m).first().copied();
-            let (from, to) = (from.unwrap_or(links.up[m as usize]), forest.parent_raw(m));
+            let (from, to) = (links.parent(m), forest.parent_raw(m));
             if from != to {
                 edits[CHILDREN].extend((from != NONE).then_some((from, m, m, false)));
                 edits[CHILDREN].extend((to != NONE).then_some((to, m, m, true)));
@@ -665,42 +634,19 @@ impl Restructure {
             links.up[x as usize] = b.up;
         }
         let [kids, rakes, hops] = &mut edits;
-        renumbered.clear();
-        patch(&mut links.children, kids, |x| x, renumbered, buf);
-        let round = |x: u32| links.round[x as usize];
         parents.clear();
-        patch(raked, rakes, round, parents, buf);
+        patch(&mut lists.children, kids, |x| x, parents, buf);
+        let round = |x: u32| links.round[x as usize];
+        patch(&mut lists.raked, rakes, round, parents, buf);
         patch(&mut links.hops, hops, round, changed, buf);
         changed.sort_unstable();
         changed.dedup();
-
-        for &p in renumbered.iter() {
-            for (at, &c) in links.children.of(p).iter().enumerate() {
-                if let Some(slot) = raked_end(links, death, c, p) {
-                    *slot = at as u32;
-                }
-            }
-        }
         for &x in changed.iter() {
             let p = links.up[x as usize];
-            let Some(slot) = raked_end(links, death, x, p) else {
-                continue;
-            };
-            let mut top = x;
-            while let Some(&v) = links.hops.of(top).last() {
-                top = v;
-            }
-            let at = links.children.of(p).binary_search(&top);
-            invariant!(
-                at.is_ok(),
-                "the chain top n{top} of n{x} is no child of n{p}"
-            );
-            let at = at.unwrap_or(0) as u32;
-            if std::mem::replace(slot, at) != at {
+            if links.raked_end(death, x, p).is_some() {
                 parents.push(p);
             }
         }
-        parents.extend_from_slice(renumbered);
         parents.sort_unstable();
         parents.dedup();
     }
