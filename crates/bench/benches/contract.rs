@@ -280,9 +280,10 @@ where
 }
 
 /// Cuts one node and links it back in one batch, leaving the shape as it
-/// was. A forest's first structural batch builds the per-node child and
-/// raked-child lists the structure phase reads, and keeps them; this pays
-/// that once.
+/// was. A forest's first structural batch builds the raked-child lists the
+/// structure phase reads, and keeps them; this pays that once. The batch
+/// moves no node, so it lists no parent to re-lay, and the re-layout's
+/// buffer of child chains stays empty.
 fn settle_structure<A: Propagate>(d: &mut DynForest<A>) {
     let f = d.forest();
     let Some((v, p)) = f.node_ids().find_map(|v| Some((v, f.parent(v)?))) else {

@@ -77,7 +77,9 @@ struct Record {
 #[derive(Debug)]
 pub struct Harness {
     test_mode: bool,
-    filter: Option<String>,
+    /// Name filters; a bench runs when its name contains any of them, or
+    /// when there are none.
+    filters: Vec<String>,
     json_path: Option<PathBuf>,
     records: RefCell<Vec<Record>>,
     meta: RefCell<Vec<(String, Json)>>,
@@ -91,13 +93,14 @@ impl Harness {
     ///   record of every benchmark to `path` when [`Harness::finish`] runs;
     /// * `--bench` — ignored (cargo passes it to `harness = false` benches);
     /// * any other `--flag` — an error;
-    /// * a bare word — substring filter on benchmark names.
+    /// * a bare word — substring filter on benchmark names; with several,
+    ///   a benchmark runs when its name contains any of them.
     pub fn try_from_args<I>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
     {
         let mut test_mode = false;
-        let mut filter = None;
+        let mut filters = Vec::new();
         let mut json_path = None;
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -121,12 +124,12 @@ impl Harness {
                          or a benchmark name filter)"
                     ));
                 }
-                s => filter = Some(s.to_string()),
+                s => filters.push(s.to_string()),
             }
         }
         Ok(Harness {
             test_mode,
-            filter,
+            filters,
             json_path,
             records: RefCell::new(Vec::new()),
             meta: RefCell::new(Vec::new()),
@@ -151,7 +154,7 @@ impl Harness {
     }
 
     fn skip(&self, name: &str) -> bool {
-        self.filter.as_deref().is_some_and(|f| !name.contains(f))
+        !self.filters.is_empty() && !self.filters.iter().any(|f| name.contains(f.as_str()))
     }
 
     /// `true` when `name` passes the command-line filter; lets callers skip
@@ -195,8 +198,12 @@ impl Harness {
             faults = faults.zip(taken).map(|(sum, f)| sum + f);
         }
         let rec = self.push_record(name, &mut samples, faults);
+        let iters = samples.len() as f64;
+        let faults = faults.map_or(String::new(), |f| {
+            format!(" | {:.1} faults/iter", f as f64 / iters)
+        });
         println!(
-            "{name:<32} min {:>12} | median {:>12} | mean {:>12} | p99 {:>12} | {} iters",
+            "{name:<32} min {:>12} | median {:>12} | mean {:>12} | p99 {:>12} | {} iters{faults}",
             fmt_duration(Duration::from_nanos(rec.0)),
             fmt_duration(Duration::from_nanos(rec.1)),
             fmt_duration(Duration::from_nanos(rec.2)),
@@ -416,6 +423,18 @@ mod tests {
         assert!(h.is_test_mode());
         assert!(h.selected("contract/star_100k"));
         assert!(!h.selected("dynamic/batch_cut"));
+
+        // Several words select every bench that contains any of them.
+        let h = Harness::try_from_args(args(&["batch_cut_1k", "contract/"])).unwrap();
+        assert!(h.selected("contract/star_100k"));
+        assert!(h.selected("batch_cut_1k_minmax/star_100k"));
+        assert!(!h.selected("batch_update_1k/star_100k"));
+
+        let h = Harness::try_from_args(args(&["--bench"])).unwrap();
+        assert!(
+            h.selected("batch_update_1k/star_100k"),
+            "no filter selects all"
+        );
 
         let h = Harness::try_from_args(args(&["--json", "/tmp/x.json"])).unwrap();
         assert_eq!(

@@ -57,11 +57,11 @@ impl std::fmt::Display for NodeId {
 
 /// A rooted forest over arena-allocated nodes with labels of type `L`.
 ///
-/// The forest only stores parent pointers; what needs child lists derives
-/// them (a dynamic forest's structure phase, from its trace). Nodes are
-/// append-only: build the shape with [`Forest::add_root`] and
-/// [`Forest::add_child`], then contract it or wrap it in a `DynForest` for
-/// batch-dynamic edits.
+/// The forest only stores parent pointers, and no child list is kept
+/// beside it: a dynamic forest's structure phase reads a node's children
+/// back from its trace. Nodes are append-only: build the shape with
+/// [`Forest::add_root`] and [`Forest::add_child`], then contract it or wrap
+/// it in a `DynForest` for batch-dynamic edits.
 ///
 /// ```
 /// use dtc_core::{Forest, SubtreeSum};
@@ -263,8 +263,9 @@ impl<L> Forest<L> {
 /// Items grouped by node: group `k` is `items[lo..hi]` for its span
 /// `[lo, hi)`. A trace holds one, its hop lists, built once per run by
 /// [`engine::record`](crate::engine::record). A dynamic forest also keeps
-/// each node's children and raked children ([`Lists`](crate::engine::Lists))
-/// and, under a non-invertible algebra, its sibling tree (`propagate.rs`).
+/// each node's raked children
+/// ([`raked_lists`](crate::engine::raked_lists)) and, under a
+/// non-invertible algebra, its sibling tree (`propagate.rs`).
 /// A run lays the groups out packed, in group order;
 /// a structure phase resizes single groups ([`Csr::resize`]): a group that
 /// fits is rewritten in place, and a longer one moves to the end of

@@ -15,11 +15,11 @@
 //!   round, just the nodes whose round state (alive, working parent, live
 //!   child count) the moves disturbed, reading every other node's state
 //!   from the trace itself, rewrites the records of the nodes whose death
-//!   changed, and patches the hop lists and the child and raked-child lists
-//!   that depend on them (`restructure.rs`). No node outside that set is
-//!   visited and no contraction runs. Children are always numbered in id
-//!   order, the order [`Forest::sequential_fold`] folds them in, so ordered
-//!   algebras stay exact across cuts and links.
+//!   changed, and patches the hop lists and raked-child lists that depend
+//!   on them (`restructure.rs`). No node outside that set is visited and no
+//!   contraction runs. Children are always numbered in id order, the order
+//!   [`Forest::sequential_fold`] folds them in, so ordered algebras stay
+//!   exact across cuts and links.
 //!   A label-only batch is the case where this phase has nothing to do;
 //! * **values** — change propagation *replays* just the trace slots whose
 //!   inputs changed: the relabelled nodes ([`DynForest::batch_update_weights`]
@@ -46,8 +46,8 @@
 //! batch, reads return `Result<_, QueryError>`.
 
 use crate::algebra::{Algebra, PathAlgebra, Propagate};
-use crate::arena::{Forest, NONE};
-use crate::engine::{self, Death, Lists, Recorded, Trace};
+use crate::arena::{Csr, Forest, NONE};
+use crate::engine::{self, Death, Recorded, Trace};
 use crate::obs::{EngineCounters, NoopSink, Phase, Profile, Sink};
 use crate::propagate::{resolve_val, Replay};
 use crate::query::{self, QueryBatch, QueryError, QueryOutcome};
@@ -202,20 +202,20 @@ pub struct DynForest<A: Propagate> {
     forest: Forest<A::Label>,
     dirty: Vec<bool>,
     dirty_list: Vec<u32>,
-    /// Nodes cut or linked since the last recompute (possibly repeated):
-    /// the seeds of the next structure phase.
-    moved: Vec<u32>,
+    /// Whether a cut or link landed since the last recompute, so that the
+    /// next one runs the structure phase, seeded with the edited nodes.
+    structural: bool,
     /// The maintained trace: after every recompute, the one a fresh
     /// contraction of the current forest records under `seed`.
     pub(crate) trace: Trace<A>,
-    /// The child and raked-child lists of the traced forest, which only
-    /// the structure phase reads and patches. Built by the first structural
-    /// batch: a forest that is never cut or linked neither builds nor holds
-    /// them. Built by [`DynForest::new`] instead, the raked-child lists
-    /// alone cost ~3 ms and ~1.3 MB per 100k-node forest on a 2-vCPU host,
-    /// which put `dtc-e2e`'s `setup_s` past its bound on the workloads
-    /// without cuts or links.
-    lists: Option<Lists>,
+    /// The raked-child lists of the trace ([`engine::raked_lists`]), which
+    /// only the structure phase reads and patches. Built by the first
+    /// structural batch: a forest that is never cut or linked neither
+    /// builds nor holds them. Built by [`DynForest::new`] instead, they cost
+    /// ~3 ms and ~1.3 MB per 100k-node forest on a 2-vCPU host, which put
+    /// `dtc-e2e`'s `setup_s` past its bound on the workloads without cuts
+    /// or links.
+    raked: Option<Csr>,
     /// The structure phase's working sets, kept so batches reuse them.
     restructure: Restructure,
     /// Replay caches over the maintained trace. Everything clones with the
@@ -260,9 +260,9 @@ impl<A: Propagate> DynForest<A> {
             forest,
             dirty: vec![false; n],
             dirty_list: Vec::new(),
-            moved: Vec::new(),
+            structural: false,
             trace,
-            lists: None,
+            raked: None,
             restructure: Restructure::default(),
             replay,
             seed,
@@ -389,9 +389,10 @@ impl<A: Propagate> DynForest<A> {
 
     /// Ends a structural batch that moved each `(node, old parent)` in
     /// `moved`, in order. A valid batch marks the moved nodes, which seed
-    /// the next recompute's structure phase; a rejected one restores the old
-    /// parents in reverse and marks nothing, leaving the shape, the marks
-    /// and every read exactly as before the call.
+    /// the next recompute's structure phase with the other edited nodes; a
+    /// rejected one restores the old parents in reverse and marks nothing,
+    /// leaving the shape, the marks and every read exactly as before the
+    /// call.
     fn settle(
         &mut self,
         moved: &[(u32, u32)],
@@ -401,8 +402,8 @@ impl<A: Propagate> DynForest<A> {
         if result.is_ok() {
             for &(u, _) in moved {
                 self.mark_dirty(u);
-                self.moved.push(u);
             }
+            self.structural |= !moved.is_empty();
         } else {
             for &(u, old) in moved.iter().rev() {
                 self.forest.set_parent_raw(u, old);
@@ -510,14 +511,14 @@ impl<A: Propagate> DynForest<A> {
         let DynForest {
             dirty,
             dirty_list,
-            moved,
+            structural,
             ..
         } = self;
         for &u in dirty_list.iter() {
             dirty[u as usize] = false;
         }
         dirty_list.clear();
-        moved.clear();
+        *structural = false;
     }
 
     /// Refreshes all values invalidated by pending edits, in two phases.
@@ -556,9 +557,9 @@ impl<A: Propagate> DynForest<A> {
             alg,
             forest,
             dirty_list,
-            moved,
+            structural,
             trace,
-            lists,
+            raked,
             restructure,
             replay,
             seed,
@@ -568,22 +569,20 @@ impl<A: Propagate> DynForest<A> {
         let mut seeds: Vec<u32> = Vec::new();
         let mut refolds: &[u32] = &[];
         let mut structure = EngineCounters::default();
-        if !moved.is_empty() {
+        if *structural {
             let start = profiled.then(Instant::now);
-            moved.sort_unstable();
-            moved.dedup();
-            let lists = lists.get_or_insert_with(|| Lists::new(trace));
+            let raked = raked.get_or_insert_with(|| engine::raked_lists(trace));
             let recorded = Recorded {
                 links: &trace.links,
                 death: &trace.death,
-                raked: &lists.raked,
+                raked,
             };
             structure = match profile {
-                Some(p) => restructure.run(&recorded, forest, moved, *seed, p.as_mut()),
-                None => restructure.run(&recorded, forest, moved, *seed, &mut NoopSink),
+                Some(p) => restructure.run(&recorded, forest, dirty_list, *seed, p.as_mut()),
+                None => restructure.run(&recorded, forest, dirty_list, *seed, &mut NoopSink),
             };
-            restructure.commit(alg, forest, moved, trace, lists);
-            replay.relay(alg, trace, lists, &restructure.parents, &mut seeds);
+            restructure.commit(alg, forest, trace, raked);
+            replay.relay(alg, trace, raked, &restructure.parents, &mut seeds);
             refolds = &restructure.changed;
             if let (Some(t), Some(p)) = (start, profile.as_mut()) {
                 p.phase(Phase::Restructure, t.elapsed().as_nanos() as u64);
@@ -594,7 +593,7 @@ impl<A: Propagate> DynForest<A> {
             Some(p) => replay.propagate(alg, forest, trace, &seeds, refolds, p.as_mut()),
             None => replay.propagate(alg, forest, trace, &seeds, refolds, &mut NoopSink),
         };
-        if !moved.is_empty() {
+        if *structural {
             warm(&trace.death);
         }
         let rounds = structure.rounds.max(outcome.rounds);
@@ -644,8 +643,7 @@ impl<A: Propagate> DynForest<A> {
     ///
     /// * the underlying arena is well-formed ([`Forest::validate`]);
     /// * **edit-mark coherence** — `dirty_list` is a duplicate-free
-    ///   enumeration of exactly the flagged nodes, and every node cut or
-    ///   linked since the last recompute carries a mark. (Edit marks are *not*
+    ///   enumeration of exactly the flagged nodes. (Edit marks are *not*
     ///   upward-closed: label edits mark only the edited node, and change
     ///   propagation finds the ancestors through the trace.)
     ///
@@ -660,12 +658,6 @@ impl<A: Propagate> DynForest<A> {
             self.dirty.len() == n,
             "dirty flags are not sized to the forest ({n} nodes)"
         );
-        for &u in &self.moved {
-            ensure!(
-                self.dirty.get(u as usize) == Some(&true),
-                "n{u} was cut or linked but carries no mark"
-            );
-        }
         let mut in_list = vec![false; n];
         for &u in &self.dirty_list {
             ensure!(
@@ -691,16 +683,15 @@ impl<A: Propagate> DynForest<A> {
     /// Verifies (`check` feature) that the maintained trace *is* the trace
     /// a fresh contraction of the current forest records with the same
     /// seed. The fresh one must first pass
-    /// [`Contraction::validate`](crate::Contraction::validate), and the
-    /// structure phase's child lists, once built, must list every non-root
-    /// exactly once, under its parent in the forest, in id order. Then the
+    /// [`Contraction::validate`](crate::Contraction::validate). Then the
     /// two traces are compared node by node — death rounds, death parents,
     /// hop lists, slot kinds, the child a compressed node was spliced onto,
-    /// the slot a raked node's record names, raked-child lists (against
-    /// lists built from the fresh trace), child aggregates (part for part
-    /// against replay caches built from the fresh trace) and backsolved
-    /// values — and the first node that differs is named. Query batches
-    /// keep nothing between calls, so there is no query state to compare.
+    /// the slot a raked node's record names, raked-child lists once built
+    /// (against lists built from the fresh trace), child aggregates (part
+    /// for part against replay caches built from the fresh trace) and
+    /// backsolved values — and the first node that differs is named. Query
+    /// batches keep nothing between calls, so there is no query state to
+    /// compare.
     /// Requires a clean forest (no pending edits).
     /// `O(n log n)` w.h.p.
     #[cfg(feature = "check")]
@@ -720,33 +711,15 @@ impl<A: Propagate> DynForest<A> {
         let (kept, fresh) = (&self.trace, &fresh_run.trace);
         let n = self.forest.len();
         let (k, f) = (&kept.links, &fresh.links);
-        let lists = self.lists.as_ref();
+        let raked = self.raked.as_ref();
         ensure!(
             kept.death.len() == n
                 && k.round.len() == n
                 && k.up.len() == n
                 && k.hops.groups() == n
-                && lists.map_or(true, |l| l.children.groups() == n && l.raked.groups() == n),
+                && raked.map_or(true, |r| r.groups() == n),
             "the maintained trace is not sized to the forest ({n} nodes)"
         );
-        if let Some(l) = lists {
-            let mut listed = 0;
-            for v in 0..n as u32 {
-                let mut prev = None;
-                for &c in l.children.of(v) {
-                    ensure!(
-                        (c as usize) < n && self.forest.parent_raw(c) == v && prev < Some(c),
-                        "child list of n{v} holds n{c} out of place"
-                    );
-                    (prev, listed) = (Some(c), listed + 1);
-                }
-            }
-            let non_roots = n - self.forest.roots().count();
-            ensure!(
-                listed == non_roots,
-                "child lists hold {listed} of {non_roots} non-roots"
-            );
-        }
         let kind = |d: &Death<A>| match d {
             Death::None => "alive",
             Death::Raked { .. } => "raked",
@@ -765,7 +738,7 @@ impl<A: Propagate> DynForest<A> {
         let kept_vals: Vec<A::Val> = (0..n as u32)
             .map(|v| resolve_val(&self.alg, &kept.death, v))
             .collect();
-        let fresh_raked = Lists::new(fresh).raked;
+        let fresh_raked = engine::raked_lists(fresh);
         let fresh_replay = Replay::new(&self.alg, fresh);
         for v in 0..n as u32 {
             let vi = v as usize;
@@ -778,7 +751,7 @@ impl<A: Propagate> DynForest<A> {
                 ("slot", slot(&kept.death[vi]) != slot(&fresh.death[vi])),
                 (
                     "raked-child list",
-                    lists.is_some_and(|l| l.raked.of(v) != fresh_raked.of(v)),
+                    raked.is_some_and(|r| r.of(v) != fresh_raked.of(v)),
                 ),
                 ("child aggregate", !self.replay.same_kids(&fresh_replay, v)),
                 ("value", kept_vals[vi] != fresh_vals[vi]),

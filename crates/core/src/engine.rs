@@ -31,9 +31,10 @@
 //! its contribution landed at, and the run ends by grouping the compressed
 //! nodes into hop lists. The trace's algebra-independent part, [`Links`],
 //! is what the query engine reads with the death records. The trace holds
-//! no child lists: only the dynamic layer's structure phase reads them, so
-//! a forest's first structural batch derives them from the trace, with the
-//! raked-child lists, as [`Lists`]. A replay of the trace in
+//! no child lists: [`Recorded`] reads every node's child chains back from
+//! the hop lists and the raked-child lists ([`raked_lists`]), which only
+//! the dynamic layer's structure phase reads, so a forest's first
+//! structural batch builds them from the trace. A replay of the trace in
 //! descending death round ([`Trace::backsolve`]) recovers the final subtree
 //! value of *every* node, not just the roots; only
 //! [`Contraction::values`](crate::Contraction::values) needs it, since
@@ -132,12 +133,6 @@ impl Links {
         x
     }
 
-    /// The recorded parent of `x`, its working parent at round 1: the first
-    /// node it spliced out, if any, else its death parent.
-    pub fn parent(&self, x: u32) -> u32 {
-        *self.hops.of(x).first().unwrap_or(&self.up[x as usize])
-    }
-
     /// The *raked end* of the chain that `x` starts under `p`: the node of
     /// that chain that raked into `p`, found by stepping to the child that
     /// spliced a node out while that child also died under `p`. `None` when
@@ -202,55 +197,35 @@ impl<A: Algebra> Trace<A> {
     }
 }
 
-/// The two lists the dynamic layer's structure phase reads and patches next
-/// to a [`Trace`], indexed by raw node id. Reads, queries and propagation
-/// need neither, so a forest builds them on its first structural batch.
-#[derive(Clone)]
-pub(crate) struct Lists {
-    /// Child lists of the traced forest, each in id order — the order that
-    /// numbers the sibling slots.
-    pub children: Csr,
-    /// The raked children of every node: group `p` lists the nodes whose
-    /// record is `Raked` with death parent `p`, in ascending `(death round,
-    /// id)`.
-    pub raked: Csr,
-}
-
-impl Lists {
-    /// Builds both lists from `trace` alone. A node is listed under its
-    /// recorded parent ([`Links::parent`]), in id order, and is raked when
-    /// its record says so. Three counting sorts, `O(n + rounds)`.
-    pub fn new<A: Algebra>(trace: &Trace<A>) -> Lists {
-        let Trace { links, death, .. } = trace;
-        let n = death.len();
-        let mut children = Csr::default();
-        children.regroup(n, || {
-            (0..n as u32).filter_map(|u| {
-                let p = links.parent(u);
-                (p != NONE).then_some((p, u))
-            })
-        });
-        let rounds = links.round.iter().copied().max().unwrap_or(0) as usize;
-        let mut by_round = Csr::default();
-        by_round.regroup(rounds + 1, || {
-            (0..n as u32).map(|u| (links.round[u as usize], u))
-        });
-        let mut raked = Csr::default();
-        raked.regroup(n, || {
-            by_round.items.iter().filter_map(|&u| {
-                let raked = matches!(death[u as usize], Death::Raked { .. });
-                raked.then_some((links.up[u as usize], u))
-            })
-        });
-        Lists { children, raked }
-    }
+/// The raked children of every node, built from `trace` alone: group `p`
+/// lists the nodes whose record is `Raked` with death parent `p`, in
+/// ascending `(death round, id)`. Only the dynamic layer's structure phase
+/// reads them, through [`Recorded`], and patches them next to the trace, so
+/// a forest builds them on its first structural batch. Two counting sorts,
+/// `O(n + rounds)`.
+pub(crate) fn raked_lists<A: Algebra>(trace: &Trace<A>) -> Csr {
+    let Trace { links, death, .. } = trace;
+    let n = death.len();
+    let rounds = links.round.iter().copied().max().unwrap_or(0) as usize;
+    let mut by_round = Csr::default();
+    by_round.regroup(rounds + 1, || {
+        (0..n as u32).map(|u| (links.round[u as usize], u))
+    });
+    let mut raked = Csr::default();
+    raked.regroup(n, || {
+        by_round.items.iter().filter_map(|&u| {
+            let raked = matches!(death[u as usize], Death::Raked { .. });
+            raked.then_some((links.up[u as usize], u))
+        })
+    });
+    raked
 }
 
 /// The round-by-round state of the run a [`Trace`] recorded, read back from
 /// the trace alone: no per-round snapshot is stored. Death rounds say who
 /// is alive, hop lists give the working parent, and the raked-child lists
-/// (sorted by death round, see [`Lists`]) count the live children by binary
-/// search. Every accessor asks about a node alive at
+/// (sorted by death round, see [`raked_lists`]) count the live children by
+/// binary search. Every accessor asks about a node alive at
 /// round `r`, the state *before* round `r`'s actions, as `decide` sees it.
 pub(crate) struct Recorded<'a, A: Algebra> {
     pub links: &'a Links,
@@ -323,13 +298,15 @@ impl<'a, A: Algebra> Recorded<'a, A> {
         top
     }
 
-    /// Pushes the working children of `u` at round `r` onto `out`, one per
-    /// live child chain.
-    pub fn children(&self, u: u32, r: u32, out: &mut Vec<u32>) {
-        for &x in self.live_raked(u, r) {
-            out.push(self.chain_top(x, self.links.hops.of(x), r));
-        }
-        out.extend(self.compressing_chain(u, r));
+    /// The child chains of `u` alive at round `r`, one per working child,
+    /// as `(working child, raked end)` pairs: a live raked child ends its
+    /// chain, and the chain that splices a compressed `u` out ends in no
+    /// rake under `u` (`NONE`). At round 1 the working children are `u`'s
+    /// children in the traced forest, in no particular order.
+    pub fn chains(&self, u: u32, r: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let raked = self.live_raked(u, r).iter();
+        let raked = raked.map(move |&x| (self.chain_top(x, self.links.hops.of(x), r), x));
+        raked.chain(self.compressing_chain(u, r).map(|top| (top, NONE)))
     }
 
     /// The working child of `u` at round `r` on the chain that splices `u`
@@ -386,8 +363,6 @@ struct Scratch<A: Algebra> {
     sib: Vec<u32>,
     /// Partial accumulator.
     acc: Vec<A::Acc>,
-    /// Liveness flag.
-    alive: Vec<bool>,
     /// Nodes in death order; reversing it yields a valid backsolve order.
     order: Vec<u32>,
     /// What the run records.
@@ -424,7 +399,6 @@ impl<A: Algebra> Scratch<A> {
             count,
             sib,
             acc: acc.collect(),
-            alive: vec![true; n],
             order: Vec::with_capacity(n),
             trace: Trace {
                 links,
@@ -576,8 +550,9 @@ impl<A: Algebra> Scratch<A> {
                 sink.round(&rc);
             }
 
-            let alive = &self.alive;
-            live.retain(|&u| alive[u as usize]);
+            // A death stamps the round, so the unstamped nodes are alive.
+            let stamp = &self.trace.links.round;
+            live.retain(|&u| stamp[u as usize] == 0);
             if check::ENABLED {
                 self.check_round(round, &live, deaths_before);
             }
@@ -598,14 +573,13 @@ impl<A: Algebra> Scratch<A> {
 
     fn kill(&mut self, u: u32, round: u32, death: Death<A>) {
         let ui = u as usize;
+        let links = &mut self.trace.links;
         if check::ENABLED {
-            invariant!(self.alive[ui], "second death of node n{u} in round {round}");
+            invariant!(links.round[ui] == 0, "n{u} dies twice, in round {round}");
         }
-        self.alive[ui] = false;
-        let trace = &mut self.trace;
-        trace.death[ui] = death;
-        trace.links.round[ui] = round;
-        trace.links.up[ui] = self.par[ui];
+        links.round[ui] = round;
+        links.up[ui] = self.par[ui];
+        self.trace.death[ui] = death;
         self.order.push(u);
     }
 
@@ -622,12 +596,9 @@ impl<A: Algebra> Scratch<A> {
         let Trace { links, death, .. } = &self.trace;
         let order = &self.order;
         invariant!(order.len() > deaths_before, "round {round} retired no node");
+        let alive = |u: u32| links.round[u as usize] == 0;
         for &u in &order[deaths_before..] {
             let ui = u as usize;
-            invariant!(
-                !self.alive[ui],
-                "node n{u} died in round {round} but is still flagged alive"
-            );
             invariant!(
                 links.round[ui] == round,
                 "node n{u} killed in round {round} is stamped with round {}",
@@ -639,18 +610,18 @@ impl<A: Algebra> Scratch<A> {
             );
             let dp = links.up[ui];
             invariant!(
-                dp == NONE || self.alive[dp as usize],
+                dp == NONE || alive(dp),
                 "death parent n{dp} of n{u} did not survive round {round}"
             );
         }
         let mut kids: HashMap<u32, u32> = HashMap::new();
         for &u in live {
             let ui = u as usize;
-            invariant!(self.alive[ui], "retained node n{u} is not alive");
+            invariant!(alive(u), "retained node n{u} is not alive");
             let p = self.par[ui];
             if p != NONE {
                 invariant!(
-                    self.alive[p as usize],
+                    alive(p),
                     "live node n{u} points at dead parent n{p} after round {round}"
                 );
                 *kids.entry(p).or_insert(0) += 1;
@@ -738,11 +709,11 @@ mod tests {
     /// at every round. Returns the node-rounds checked.
     fn check_oracle(f: &Forest<i64>, seed: u64) -> usize {
         let (trace, ..) = record(&SubtreeSum, f, seed, &mut NoopSink);
-        let lists = Lists::new(&trace);
+        let raked = raked_lists(&trace);
         let old = Recorded {
             links: &trace.links,
             death: &trace.death,
-            raked: &lists.raked,
+            raked: &raked,
         };
         let n = f.len();
         let mut par: Vec<u32> = (0..n as u32).map(|v| f.parent_raw(v)).collect();
@@ -753,7 +724,6 @@ mod tests {
         let mut alive = vec![true; n];
         let mut live: Vec<u32> = (0..n as u32).collect();
         let (mut r, mut checked) = (0, 0);
-        let mut got = Vec::new();
         while !live.is_empty() {
             r += 1;
             let mut kids: HashMap<u32, Vec<u32>> = HashMap::new();
@@ -781,8 +751,7 @@ mod tests {
                 assert_eq!(old.count(u, r), count[ui], "count n{u} r{r}");
                 let rakes_in = rakes.get(&u).copied().unwrap_or(0);
                 assert_eq!(old.rakes_in(u, r), rakes_in, "rakes into n{u} r{r}");
-                got.clear();
-                old.children(u, r, &mut got);
+                let mut got: Vec<u32> = old.chains(u, r).map(|(top, _)| top).collect();
                 got.sort_unstable();
                 let mut want = kids.get(&u).cloned().unwrap_or_default();
                 want.sort_unstable();
@@ -840,20 +809,34 @@ mod tests {
         }
     }
 
-    /// The lists built from a trace alone list every node under its parent
-    /// in the traced forest, not under its death parent, and every rake
-    /// under its death parent in death order.
+    /// The raked-child lists built from a trace alone list every rake under
+    /// its death parent in death order. Read back through them, a node's
+    /// child chains at round 1, sorted by their tops, are its children in
+    /// the traced forest in id order, not those under it as death parent,
+    /// each paired with the rake its chain ends in.
     #[test]
     fn raked_lists_follow_the_run() {
         let [a, b, c, d, e, g, h] = zoo(3);
         for f in [gen::random_forest(2_000, 30, 3), a, b, c, d, e, g, h] {
             let (trace, order, _) = record(&SubtreeSum, &f, 3, &mut NoopSink);
-            let lists = Lists::new(&trace);
+            let raked = raked_lists(&trace);
+            let old = Recorded {
+                links: &trace.links,
+                death: &trace.death,
+                raked: &raked,
+            };
             let kids = f.build_children();
             let mut listed = 0;
             for p in 0..f.len() as u32 {
-                assert_eq!(lists.children.of(p), kids[p as usize], "children of n{p}");
-                let raked = lists.raked.of(p);
+                let mut chains: Vec<(u32, u32)> = old.chains(p, 1).collect();
+                chains.sort_unstable();
+                let tops: Vec<u32> = chains.iter().map(|c| c.0).collect();
+                assert_eq!(tops, kids[p as usize], "children of n{p}");
+                for &(top, end) in &chains {
+                    let want = trace.links.raked_end(&trace.death, top, p);
+                    assert_eq!(end, want.unwrap_or(NONE), "raked end of n{top}");
+                }
+                let raked = raked.of(p);
                 let keys: Vec<(u32, u32)> = raked
                     .iter()
                     .map(|&x| (trace.links.round[x as usize], x))

@@ -28,9 +28,10 @@
 //! [`DynForest`] own one of the same type: death records (a rake's names
 //! the sibling slot it landed at) and edge functions, plus the
 //! algebra-independent links (death rounds, death parents and hop lists).
-//! The query engine reads the links and the death records. Only a dynamic
-//! forest's structure phase reads child lists, and it derives its own
-//! from the trace on the forest's first cut or link.
+//! The query engine reads the links and the death records. No child list
+//! is kept: a dynamic forest's structure phase reads each node's child
+//! chains back from the hop lists and the raked-child lists, which it
+//! builds from the trace on the forest's first cut or link.
 //!
 //! Value semantics are pluggable through the [`Algebra`] trait; shipped
 //! instances double as correctness oracles against

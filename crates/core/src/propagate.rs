@@ -29,15 +29,16 @@
 //!
 //! A cut or link changes the shape the trace describes. The dynamic
 //! layer's structure phase (`restructure.rs`) rewrites the records of the
-//! nodes whose death changed and commits the new child and raked-child
+//! nodes whose death changed and commits the new hop and raked-child
 //! lists. Change propagation then re-runs what those edits touched from its
 //! current inputs instead of patching old results: [`Replay::relay`] lays
-//! out afresh the aggregate of every parent the commit listed, numbering
-//! the slots of the rakes into it (a rewritten rake contributes its
-//! placeholder value), and propagation, seeded with those parents and the
-//! rewritten nodes (whose splice chains it refolds), replaces the
-//! placeholders by the real values. Afterwards the trace is exactly the one
-//! a fresh contraction with the forest's seed records.
+//! out afresh the aggregate of every parent the structure phase listed,
+//! reading the parent's child chains back from the committed trace and
+//! numbering the slots of the rakes that end them (a rewritten rake
+//! contributes its placeholder value), and propagation, seeded with those
+//! parents and the rewritten nodes (whose splice chains it refolds),
+//! replaces the placeholders by the real values. Afterwards the trace is
+//! exactly the one a fresh contraction with the forest's seed records.
 //!
 //! Child aggregates come in two flavours, chosen by
 //! [`Propagate::INVERTIBLE`]:
@@ -53,7 +54,7 @@
 use crate::algebra::{Algebra, Propagate};
 use crate::arena::{Csr, Forest};
 use crate::check::invariant;
-use crate::engine::{Death, Lists, Trace};
+use crate::engine::{Death, Recorded, Trace};
 use crate::obs::{Phase, Sink};
 use crate::NodeId;
 use std::time::Instant;
@@ -192,6 +193,9 @@ pub(crate) struct Replay<A: Propagate> {
     /// The current pass's scheduled slots, one bucket per death round.
     /// Every bucket is empty between passes and keeps its capacity.
     due: Vec<Vec<u32>>,
+    /// [`Replay::relay`]'s `(top, raked end)` pairs of one parent's child
+    /// chains, kept between batches.
+    chains: Vec<(u32, u32)>,
 }
 
 impl<A: Propagate> Replay<A> {
@@ -247,6 +251,7 @@ impl<A: Propagate> Replay<A> {
             affected: vec![false; n],
             refold: vec![false; n],
             due: Vec::new(),
+            chains: Vec::new(),
         }
     }
 
@@ -267,41 +272,47 @@ impl<A: Propagate> Replay<A> {
 
     /// After a structure phase's commit: lays out afresh the aggregate of
     /// every parent in `parents` (those whose children, raked children or
-    /// their slots may have changed), and lists them in `seeds`. It walks a
-    /// parent's child list in id order, steps each child down to its raked
-    /// end, writes the child's position into that rake's record as its
-    /// slot, and puts the rake's contribution at that slot. A rewritten
-    /// rake contributes its placeholder value; propagation, seeded with
-    /// these parents and the rewritten nodes, replaces it by the real one.
-    /// `O(degree)` per parent.
+    /// their slots may have changed), and lists them in `seeds`. It reads a
+    /// parent's child chains back from the committed trace and `raked`
+    /// ([`Recorded::chains`] at round 1) and sorts them by their tops, the
+    /// parent's children, into id order, which numbers the slots: a chain's
+    /// position is the slot its raked end's record names and its
+    /// contribution fills. A rewritten rake contributes its placeholder
+    /// value; propagation, seeded with these parents and the rewritten
+    /// nodes, replaces it by the real one. `O(degree log degree)` per
+    /// parent.
     pub fn relay(
         &mut self,
         alg: &A,
         trace: &mut Trace<A>,
-        lists: &Lists,
+        raked: &Csr,
         parents: &[u32],
         seeds: &mut Vec<u32>,
     ) {
-        let Trace { links, death, fun } = trace;
+        let Replay { kids, chains, .. } = self;
         for &p in parents {
-            let children = lists.children.of(p);
-            let mut ends = 0;
-            let contributions = (0u32..).zip(children).filter_map(|(at, &c)| {
-                let x = links.raked_end(death, c, p)? as usize;
-                let Death::Raked { val, slot } = &mut death[x] else {
+            let Trace { links, death, fun } = &mut *trace;
+            let old = Recorded {
+                links,
+                death,
+                raked,
+            };
+            chains.clear();
+            chains.extend(old.chains(p, 1));
+            chains.sort_unstable_by_key(|&(top, _)| top);
+            invariant!(
+                chains.windows(2).all(|w| w[0].0 < w[1].0),
+                "two child chains of n{p} start at one node"
+            );
+            let contributions = (0u32..).zip(chains.iter()).filter_map(|(at, &(_, x))| {
+                // The compressing chain's end, `NONE`, lies past the records.
+                let Some(Death::Raked { val, slot }) = death.get_mut(x as usize) else {
                     return None;
                 };
                 *slot = at;
-                ends += 1;
-                Some((at, alg.apply(&fun[x], val.clone())))
+                Some((at, alg.apply(&fun[x as usize], val.clone())))
             });
-            self.kids
-                .relay(alg, p as usize, children.len(), contributions);
-            let raked = lists.raked.of(p).len();
-            invariant!(
-                ends == raked,
-                "the child chains of n{p} end in {ends} rakes, but {raked} raked into it"
-            );
+            kids.relay(alg, p as usize, chains.len(), contributions);
         }
         seeds.extend_from_slice(parents);
     }
@@ -333,6 +344,7 @@ impl<A: Propagate> Replay<A> {
             affected,
             refold,
             due,
+            ..
         } = self;
         let Trace { links, death, fun } = trace;
 

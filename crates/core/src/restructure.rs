@@ -29,19 +29,20 @@
 //!
 //! The oracle reads the *recorded* trace throughout, so the new deaths are
 //! staged while the rounds run and written only by
-//! [`Restructure::commit`]. It patches the three lists derived from the
-//! records and parent pointers (the trace's hop lists, and the child and
-//! raked-child lists of [`Lists`]) by one rule: each touched group loses
-//! the nodes that left it and gains those that joined it, in its own order.
-//! It then lists every parent whose children, raked children or their
-//! slots may have changed: the parents whose child aggregates, and the
-//! slots in their raked ends' records, propagation lays out afresh from
-//! the committed lists (`Replay::relay`).
+//! [`Restructure::commit`]. It patches the two lists derived from the
+//! records (the trace's hop lists and the raked-child lists,
+//! [`raked_lists`](crate::engine::raked_lists)) by one rule: each touched
+//! group loses the nodes that left it and gains those that joined it, in
+//! its own order. The run and the commit between them list every parent
+//! whose children, raked children or their slots may have changed: the
+//! parents whose child aggregates, and the slots in their raked ends'
+//! records, propagation lays out afresh from the committed trace
+//! (`Replay::relay`).
 
 use crate::algebra::Algebra;
 use crate::arena::{Csr, Forest, NONE};
 use crate::check::{self, invariant};
-use crate::engine::{decide_by, Action, Death, Links, Lists, Recorded, Trace};
+use crate::engine::{decide_by, Action, Death, Links, Recorded, Trace};
 use crate::obs::{EngineCounters, RoundCounters, Sink};
 use crate::NodeId;
 
@@ -91,9 +92,8 @@ struct Born {
 type Edit = (u32, u32, u32, bool);
 
 /// The lists [`Restructure::commit`] patches, as indices of its edits.
-const CHILDREN: usize = 0;
-const RAKED: usize = 1;
-const HOPS: usize = 2;
+const RAKED: usize = 0;
+const HOPS: usize = 1;
 
 impl Born {
     /// The death the trace records for `x`, if it has one.
@@ -225,10 +225,10 @@ pub(crate) struct Restructure {
     /// of them left or joined, ascending: the splice chains to refold.
     pub changed: Vec<u32>,
     /// Parents whose children, raked children or their slots may have
-    /// changed, ascending: every parent that gained or lost a child, the
-    /// old and new death parents of every rewritten rake, and the death
-    /// parent of the raked end of every changed node. Their child
-    /// aggregates are the ones to lay out afresh.
+    /// changed, ascending once committed: the old and new parents of every
+    /// moved node (listed by the run), the old and new death parents of
+    /// every rewritten rake, and the death parent of the raked end of every
+    /// changed node. Their child aggregates are the ones to lay out afresh.
     pub parents: Vec<u32>,
 }
 
@@ -303,23 +303,27 @@ fn recorded_move<A: Algebra>(old: &Recorded<A>, x: u32, r: u32) -> Move {
 
 impl Restructure {
     /// Re-decides the nodes whose round state differs from the recorded
-    /// run's once `moved` (sorted, distinct) hang under their parents in
-    /// `forest`, and stages their deaths in the new run. Reports one
-    /// [`RoundCounters`] per round into `sink` (frontier = candidates) and
-    /// returns their totals. A batch that moved nothing re-decides nothing.
+    /// run's once the `edited` nodes (distinct) hang under their parents in
+    /// `forest`, and stages their deaths in the new run. An edited node
+    /// moved when its recorded parent (its working parent at round 1) is
+    /// not its parent in `forest`; the old and new parents of the moved
+    /// nodes go to `parents`. Reports one [`RoundCounters`] per round into
+    /// `sink` (frontier = candidates) and returns their totals. A batch
+    /// that moved nothing re-decides nothing.
     pub fn run<A: Algebra, S: Sink>(
         &mut self,
         old: &Recorded<A>,
         forest: &Forest<A::Label>,
-        moved: &[u32],
+        edited: &[u32],
         seed: u64,
         sink: &mut S,
     ) -> EngineCounters {
         self.born.clear();
+        self.parents.clear();
         let work = &mut self.work;
         work.slot.resize(forest.len(), NONE);
         work.list.clear();
-        for &m in moved {
+        for &m in edited {
             let (from, to) = (old.par(m, 1), forest.parent_raw(m));
             if from == to {
                 continue;
@@ -329,10 +333,12 @@ impl Restructure {
             if from != NONE {
                 let e = work.entry(old, from, 1);
                 work.list[e].st.count = work.list[e].st.count.wrapping_sub(1);
+                self.parents.push(from);
             }
             if to != NONE {
                 let e = work.entry(old, to, 1);
                 work.list[e].st.count = work.list[e].st.count.wrapping_add(1);
+                self.parents.push(to);
             }
         }
         self.carry.clear();
@@ -372,7 +378,6 @@ impl Restructure {
             carry,
             cands,
             born,
-            buf,
             ..
         } = self;
         work.list.clear();
@@ -429,9 +434,8 @@ impl Restructure {
                 let child = if d_kids > 0 {
                     Some(d_kid)
                 } else {
-                    buf.clear();
-                    old.children(p, r, buf);
-                    buf.iter().copied().find(|&x| !work.is(x, |e| e.diff))
+                    let mut kids = old.chains(p, r).map(|(top, _)| top);
+                    kids.find(|&x| !work.is(x, |e| e.diff))
                 };
                 if check::ENABLED {
                     invariant!(child.is_some(), "unary n{p} has no child in round {r}");
@@ -558,21 +562,19 @@ impl Restructure {
     /// Writes the staged deaths that differ from the recorded ones into
     /// `trace` (values are placeholders until propagation: a raked node or
     /// root holds its own label's value and a rake slot 0, a compressed
-    /// node the identity) and patches what depends on them, given the nodes
-    /// the batch `moved`.
+    /// node the identity) and patches the lists that depend on them.
     ///
-    /// The three lists are patched by one rule ([`patch`]). A moved node
-    /// leaves the child list (in `lists`) of its recorded parent and joins
-    /// its new parent's, keyed by id. A changed record leaves the list it
-    /// was in and joins the one it is in now, keyed by death round: a rake
-    /// the raked-child list of its death parent, a compressed node the hop
-    /// list of its host. `changed` lists the changed records and every host
-    /// one left or joined; `parents` every parent whose children, raked
-    /// children or their slots may have changed, for propagation to lay
-    /// out afresh.
+    /// Both lists are patched by one rule ([`patch`]). A changed record
+    /// leaves the list it was in and joins the one it is in now, keyed by
+    /// death round: a rake the raked-child list (in `raked`) of its death
+    /// parent, a compressed node the hop list of its host. `changed` lists
+    /// the changed records and every host one left or joined; `parents`,
+    /// which the run began with the moved nodes' old and new parents, every
+    /// parent whose children, raked children or their slots may have
+    /// changed, for propagation to lay out afresh.
     ///
     /// A rake's slot is the position of its chain's top (the original child
-    /// of its death parent on its path) in that parent's child list. A
+    /// of its death parent on its path) among that parent's children. A
     /// changed node can move the top of the chain it belongs to, or end it
     /// in another rake, while the parent's lists stay the same; so the
     /// death parent of every changed node's raked end is listed too.
@@ -580,9 +582,8 @@ impl Restructure {
         &mut self,
         alg: &A,
         forest: &Forest<A::Label>,
-        moved: &[u32],
         trace: &mut Trace<A>,
-        lists: &mut Lists,
+        raked: &mut Csr,
     ) {
         let Restructure {
             born,
@@ -592,14 +593,7 @@ impl Restructure {
             ..
         } = self;
         let Trace { links, death, .. } = trace;
-        let mut edits: [Vec<Edit>; 3] = Default::default();
-        for &m in moved {
-            let (from, to) = (links.parent(m), forest.parent_raw(m));
-            if from != to {
-                edits[CHILDREN].extend((from != NONE).then_some((from, m, m, false)));
-                edits[CHILDREN].extend((to != NONE).then_some((to, m, m, true)));
-            }
-        }
+        let mut edits: [Vec<Edit>; 2] = Default::default();
         born.sort_unstable_by_key(|b| b.0);
         if check::ENABLED {
             for w in born.windows(2) {
@@ -633,11 +627,9 @@ impl Restructure {
             links.round[x as usize] = b.round;
             links.up[x as usize] = b.up;
         }
-        let [kids, rakes, hops] = &mut edits;
-        parents.clear();
-        patch(&mut lists.children, kids, |x| x, parents, buf);
+        let [rakes, hops] = &mut edits;
         let round = |x: u32| links.round[x as usize];
-        patch(&mut lists.raked, rakes, round, parents, buf);
+        patch(raked, rakes, round, parents, buf);
         patch(&mut links.hops, hops, round, changed, buf);
         changed.sort_unstable();
         changed.dedup();
