@@ -28,13 +28,10 @@
 //!   optimizer deletes them.
 //! * **Conflict detector** — the crate-private `WriteLog` is a shadow
 //!   last-writer map `cell → (round, owner, mode)` fed by every
-//!   working-state mutation the apply phase performs, and `PlanLog` its
-//!   concurrent sibling for the
-//!   (possibly multi-threaded) plan phase. Two owners touching the same
-//!   cell in the same round fail fast — a hand-rolled dynamic race
-//!   detector for the "planned actions are disjoint" claim, usable where
-//!   `loom`-style model checkers are unavailable. Writes that the
-//!   [`Algebra`](crate::Algebra) laws make order-free (sibling rakes
+//!   working-state mutation the apply phase performs. Two owners touching
+//!   the same cell in the same round fail fast, so every round the engine
+//!   runs checks the claim that its planned actions are disjoint. Writes
+//!   that the [`Algebra`](crate::Algebra) laws make order-free (sibling rakes
 //!   absorbing into one parent accumulator, child-count decrements) are
 //!   recorded with a commutative write mode and only conflict with
 //!   writes of a *different* mode. Reads are not tracked: the plan phase
@@ -42,8 +39,8 @@
 //!   are the whole hazard surface.
 //!
 //! Everything here compiles to nothing without the feature: `WriteLog`
-//! and `PlanLog` become field-less structs with empty inlined methods,
-//! and the validators simply do not exist. Benchmarks assert the feature is
+//! becomes a field-less struct with empty inlined methods, and the
+//! validators simply do not exist. Benchmarks assert the feature is
 //! off (see `dtc-bench`) so recorded numbers stay comparable.
 
 use std::fmt;
@@ -140,10 +137,6 @@ pub(crate) enum Cell {
     /// Life state of `v`: the alive flag plus the death record, round
     /// stamp and trace entry written by a kill.
     Life(u32),
-    /// Plan-phase action slot of live node `v` (recorded only under
-    /// `check`).
-    #[cfg_attr(not(feature = "check"), allow(dead_code))]
-    Action(u32),
 }
 
 impl fmt::Display for Cell {
@@ -155,7 +148,6 @@ impl fmt::Display for Cell {
             Cell::Fun(v) => write!(f, "fun[n{v}]"),
             Cell::Sib(v) => write!(f, "sib[n{v}]"),
             Cell::Life(v) => write!(f, "life[n{v}]"),
-            Cell::Action(v) => write!(f, "action[n{v}]"),
         }
     }
 }
@@ -187,8 +179,8 @@ impl WriteMode {
 }
 
 /// Two owners touched the same cell in the same round, reported by
-/// [`WriteLog::record`] / [`PlanLog::finish`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`WriteLog::record`].
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct ConflictError {
     cell: Cell,
     round: u32,
@@ -224,7 +216,7 @@ struct Written {
     mode: WriteMode,
 }
 
-/// Shadow write-log for the (sequential) apply phase: a last-writer map
+/// Shadow write-log for the apply phase: a last-writer map
 /// `cell → (round, owner, mode)`.
 ///
 /// The engine records every scratch mutation an action performs, with the
@@ -302,89 +294,6 @@ impl WriteLog {
                         });
                     }
                 }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Concurrent write-log for the plan phase: one entry per action slot,
-/// keyed by the worker thread that wrote it.
-///
-/// The plan phase hands each live node's action slot to exactly one worker
-/// (contiguous chunks under the `parallel` feature); this log records the
-/// actual writer of every slot and [`PlanLog::finish`] reports the first
-/// slot two distinct workers both wrote. Interior mutability (a mutex) so
-/// the recording call works from inside the scoped-thread fan-out.
-///
-/// Without the `check` feature this is a field-less struct whose methods
-/// are empty `#[inline]` bodies.
-#[derive(Debug, Default)]
-pub(crate) struct PlanLog {
-    #[cfg(feature = "check")]
-    state: std::sync::Mutex<PlanState>,
-}
-
-#[cfg(feature = "check")]
-#[derive(Debug, Default)]
-struct PlanState {
-    slots: std::collections::HashMap<u32, u64>,
-    conflict: Option<ConflictError>,
-}
-
-impl PlanLog {
-    /// Creates an empty log (one per planning round).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that the *current thread* wrote the action slot of live
-    /// node `_slot`.
-    #[inline]
-    pub fn record(&self, _slot: u32) {
-        #[cfg(feature = "check")]
-        self.record_as(_slot, crate::par::worker_tag());
-    }
-
-    /// Records a slot write by an explicit worker tag.
-    ///
-    /// This is the seam the conflict-detector tests use to simulate two
-    /// workers colliding on one slot without spawning threads.
-    #[cfg(feature = "check")]
-    pub fn record_as(&self, slot: u32, worker: u64) {
-        // A poisoned mutex means a sibling worker already panicked; the
-        // run is failing anyway, so skip recording rather than unwind.
-        let Ok(mut state) = self.state.lock() else {
-            return;
-        };
-        if state.conflict.is_some() {
-            return;
-        }
-        match state.slots.insert(slot, worker) {
-            Some(prev) if prev != worker => {
-                state.conflict = Some(ConflictError {
-                    cell: Cell::Action(slot),
-                    round: 0,
-                    first_owner: prev,
-                    first_mode: WriteMode::Exclusive,
-                    second_owner: worker,
-                    second_mode: WriteMode::Exclusive,
-                });
-            }
-            _ => {}
-        }
-    }
-
-    /// Reports the first conflicting slot write, if any.
-    #[inline]
-    pub fn finish(&self) -> Result<(), ConflictError> {
-        #[cfg(feature = "check")]
-        {
-            let Ok(state) = self.state.lock() else {
-                return Ok(());
-            };
-            if let Some(c) = &state.conflict {
-                return Err(c.clone());
             }
         }
         Ok(())
@@ -487,7 +396,7 @@ mod tests {
     #[test]
     fn smoke_write_log_reports_overlapping_writes() {
         // Two owners, same cell, same round: the seeded overlap every
-        // parallel bug eventually reduces to. Commutative absorbs may share
+        // planning bug eventually reduces to. Commutative absorbs may share
         // a cell; anything else must be reported.
         let mut log = WriteLog::new();
         log.begin_round(3);
@@ -519,28 +428,5 @@ mod tests {
         assert!(log.record(Cell::Acc(9), WriteMode::Exclusive, 2).is_err());
         log.begin_round(5);
         assert!(log.record(Cell::Par(8), WriteMode::Exclusive, 2).is_ok());
-    }
-
-    #[cfg(feature = "check")]
-    #[test]
-    fn smoke_plan_log_reports_two_workers_on_one_slot() {
-        let log = PlanLog::new();
-        for slot in 0..16 {
-            log.record_as(slot, 0xA);
-        }
-        assert!(log.finish().is_ok(), "disjoint slots are fine");
-        log.record_as(5, 0xB);
-        let err = log
-            .finish()
-            .expect_err("slot 5 written by two workers must be detected");
-        assert!(err.to_string().contains("action[n5]"), "{err}");
-
-        let log = PlanLog::new();
-        log.record_as(41, 0xAA);
-        log.record_as(42, 0xAA);
-        assert!(log.finish().is_ok());
-        log.record_as(41, 0xBB);
-        let err = log.finish().expect_err("two workers wrote slot 41");
-        assert!(err.to_string().contains("action[n41]"));
     }
 }

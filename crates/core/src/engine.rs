@@ -11,8 +11,8 @@
 //!
 //! Each round proceeds in two phases:
 //!
-//! 1. **Plan** (read-only, parallelized when the `parallel` feature is on):
-//!    every live node inspects its local neighbourhood and picks one action:
+//! 1. **Plan** (read-only): every live node inspects its local
+//!    neighbourhood in the pre-round state and picks one action:
 //!    * `Finish` — it is a childless root; its accumulator is its value.
 //!    * `Rake` — it is a childless non-root; fold its value into the parent.
 //!    * `Splice` — it proposes compressing its *parent* `v`: `v` is unary
@@ -20,10 +20,15 @@
 //!      and `v`'s parent flipped tails this round. The coin condition is a
 //!      randomized independent set on chains: no two adjacent nodes are
 //!      spliced in the same round, so all planned actions commute.
-//! 2. **Apply** (sequential): execute the planned actions. Rake absorbs the
-//!    child's contribution into the parent accumulator; splice composes the
+//! 2. **Apply**: execute the planned actions. Rake absorbs the child's
+//!    contribution into the parent accumulator; splice composes the
 //!    victim's unary function into the surviving edge and reattaches the
 //!    child to its grandparent.
+//!
+//! Both phases run on the calling thread. They stay apart because every
+//! decision must read the pre-round state: the coin argument that makes the
+//! actions disjoint holds over one snapshot, and the structure phase
+//! re-decides nodes against the same pre-round state through [`Recorded`].
 //!
 //! A run records into one [`Trace`], the only record of a contraction the
 //! crate keeps: every death is stamped with its round (`Death`), forming
@@ -55,14 +60,12 @@ use crate::algebra::Algebra;
 use crate::arena::{Csr, Forest, NONE};
 use crate::check::{self, invariant, Cell, WriteMode};
 use crate::obs::{Phase, RoundCounters, Sink};
-use crate::par;
 use crate::rng::coin;
 use std::time::Instant;
 
 /// Per-round action chosen by a live node during the plan phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Action {
-    #[default]
     None,
     /// Childless root: record its component value and retire it.
     Finish,
@@ -437,27 +440,16 @@ impl<A: Algebra> Scratch<A> {
             let deaths_before = self.order.len();
             wlog.begin_round(round);
 
-            // Plan: pure reads of the pre-round state; each slot is owned by
-            // one node, so this parallelizes without synchronization.
+            // Plan: pure reads of the pre-round state, so every action is
+            // decided before any is applied.
             let plan_start = if S::ENABLED {
                 Some(Instant::now())
             } else {
                 None
             };
             actions.clear();
-            actions.resize(live.len(), Action::None);
-            {
-                let (par, count, live) = (&self.par, &self.count, &live[..]);
-                // Under `check`, every worker logs which action slots it
-                // actually wrote; two workers on one slot fail the round.
-                let plan_log = check::PlanLog::new();
-                let plan_log = &plan_log;
-                par::for_each_indexed(&mut actions, |i, slot| {
-                    *slot = decide(par, count, seed, round, live[i]);
-                    plan_log.record(live[i]);
-                });
-                check::must(plan_log.finish());
-            }
+            let (par, count) = (&self.par, &self.count);
+            actions.extend(live.iter().map(|&u| decide(par, count, seed, round, u)));
             if let Some(t) = plan_start {
                 sink.phase(Phase::Plan, t.elapsed().as_nanos() as u64);
             }

@@ -48,8 +48,7 @@
 //! [`SubtreeSum`], [`ExprEval`] and [`MinMax`] are also [`PathAlgebra`]s,
 //! so they answer path-aggregate queries.
 //!
-//! Per-round planning is parallelized with scoped threads behind the
-//! `parallel` feature (dependency-free; see `par.rs`).
+//! The engine plans and applies every round on the calling thread.
 //!
 //! Everything the engine does is observable through the [`obs`] module: a
 //! profiled run or forest reports phase spans
@@ -62,7 +61,7 @@
 //! The `check` cargo feature compiles in the [`check`] module's
 //! correctness tooling — structural `validate()` methods on [`Forest`],
 //! [`Contraction`] and [`DynForest`], per-round engine invariant hooks,
-//! and a dynamic write-conflict detector for the plan/apply phases — all
+//! and a dynamic write-conflict detector for the apply phase — all
 //! const-gated so the default build pays nothing.
 //!
 //! ```
@@ -110,7 +109,6 @@ mod engine;
 pub mod gen;
 pub mod obs;
 mod ordered;
-mod par;
 mod propagate;
 pub mod query;
 mod restructure;

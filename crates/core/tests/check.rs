@@ -5,8 +5,8 @@
 //! tests then call the structural validators explicitly after each
 //! contraction and each `recompute()`, across the standard shape zoo up to
 //! 1e5 nodes. The `smoke_`-prefixed tests are deliberately tiny — CI's
-//! nightly Miri and thread-sanitizer jobs filter on that prefix to keep
-//! interpreter/instrumentation runtimes bounded.
+//! nightly Miri job filters on that prefix to keep the interpreter's
+//! runtime bounded.
 #![cfg(feature = "check")]
 
 use dtc_core::check;

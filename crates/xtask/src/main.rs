@@ -9,9 +9,10 @@
 //!    provably-unreachable sites use the crate's `invariant!` macro or
 //!    carry an explicit `lint:allow(panic): <reason>` marker on the same
 //!    or previous line. Test modules (`#[cfg(test)]` tails) are exempt.
-//! 2. **thread confinement** (`thread` rule): `std::thread` may only be
-//!    named in `par.rs`, the designated parallel substrate, so a future
-//!    backend swap stays a one-module change.
+//! 2. **no threads** (`thread` rule): no `dtc-core` library file may name
+//!    `std::thread`, and no marker waives it. The engine runs on the calling
+//!    thread; a parallel path comes back only with measurements showing it
+//!    beats that.
 //! 3. **telemetry gating** (`obs-gate` rule): every `sink.phase(..)` /
 //!    `sink.round(..)` call site must sit behind an `S::ENABLED` guard
 //!    (directly or via a timestamp that is `Some` only when enabled), so
@@ -214,22 +215,18 @@ fn lint_panics(file: &Path, text: &str, findings: &mut Vec<Finding>) {
 }
 
 fn lint_threads(file: &Path, text: &str, findings: &mut Vec<Finding>) {
-    if file.file_name().is_some_and(|f| f == "par.rs") {
-        return;
-    }
-    let lines: Vec<&str> = text.lines().collect();
-    for (i, &line) in lines.iter().enumerate() {
+    for (i, line) in text.lines().enumerate() {
         if is_comment(line) {
             continue;
         }
         let code = line.split("//").next().unwrap_or(line);
-        if code.contains("std::thread") && !allowed(&lines, i, "thread") {
+        if code.contains("std::thread") {
             findings.push(Finding {
                 file: file.to_path_buf(),
                 line: i + 1,
                 rule: "thread",
-                msg: "`std::thread` outside par.rs; route parallelism through the \
-                      par substrate"
+                msg: "`std::thread` in library code; the engine runs on the calling \
+                      thread"
                     .into(),
             });
         }
@@ -381,13 +378,18 @@ mod tests {
     }
 
     #[test]
-    fn thread_rule_exempts_par_rs() {
+    fn thread_rule_flags_par_rs_too() {
         let src = "use std::thread;\n";
         let mut findings = Vec::new();
         lint_threads(Path::new("crates/core/src/par.rs"), src, &mut findings);
-        assert!(findings.is_empty());
         lint_threads(Path::new("crates/core/src/engine.rs"), src, &mut findings);
-        assert_eq!(findings.len(), 1);
+        let marked = "// lint:allow(thread): no marker waives the rule\nuse std::thread;\n";
+        lint_threads(
+            Path::new("crates/core/src/engine.rs"),
+            marked,
+            &mut findings,
+        );
+        assert_eq!(findings.len(), 3, "{findings:#?}");
     }
 
     #[test]
@@ -423,11 +425,11 @@ mod tests {
     #[test]
     fn feature_table_and_refs_parse() {
         let toml =
-            "[package]\nname = \"x\"\n[features]\nparallel = []\ncheck = []\n\n[dependencies]\n";
-        assert_eq!(declared_features(toml), vec!["parallel", "check"]);
+            "[package]\nname = \"x\"\n[features]\nextra = []\ncheck = []\n\n[dependencies]\n";
+        assert_eq!(declared_features(toml), vec!["extra", "check"]);
         assert_eq!(
-            feature_refs("#[cfg(all(feature = \"check\", feature = \"parallel\"))]"),
-            vec!["check", "parallel"]
+            feature_refs("#[cfg(all(feature = \"check\", feature = \"extra\"))]"),
+            vec!["check", "extra"]
         );
         assert!(feature_refs("no features here").is_empty());
     }
